@@ -8,6 +8,8 @@ the square of the resulting Dirac-type operator restricted to the edge block.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError
@@ -92,6 +94,8 @@ def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficie
             re, im = float(parts[3]), float(parts[4])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: malformed values in {raw!r}") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise GraphFormatError(f"line {lineno}: non-finite coefficient in {raw!r}")
         if not PotentialCoefficients.is_valid_key(graph, mu, nu, nup):
             raise GraphFormatError(
                 f"line {lineno}: invalid potential triple ({mu}, {nu}, {nup})"

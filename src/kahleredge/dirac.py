@@ -16,13 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import svdvals
 from scipy.optimize import linprog
 
 from .connection import PotentialCoefficients, dbar
 from .graphs import DirectedCyclicGraph
 from .operators import DenseOperator, Space, adjoint
 from .polygon import VertexFunction
-from .spectra import eig_selfadjoint
 
 __all__ = [
     "DistanceResult",
@@ -86,14 +86,11 @@ def commutator_with_function(D: DenseOperator, f: VertexFunction,
 
 
 def operator_norm(M) -> float:
-    """Largest singular value, as the square root of the top eigenvalue of
-    the Gram matrix."""
+    """Largest singular value."""
     mat = M.matrix if isinstance(M, DenseOperator) else np.asarray(M, dtype=complex)
     if mat.size == 0:
         return 0.0
-    gram = np.conj(mat.T) @ mat
-    top = float(eig_selfadjoint(gram).eigenvalues[-1])
-    return math.sqrt(max(top, 0.0))
+    return float(svdvals(mat)[0])
 
 
 def constraint_adjacency(g: DirectedCyclicGraph) -> list[set[int]]:

@@ -117,6 +117,7 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
     """
     n = None
     edges = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,8 +141,9 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
             raise GraphFormatError(f"line {lineno}: non-integer vertex in {raw!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"line {lineno}: vertex outside 0..{n - 1} in {raw!r}")
-        if (u, v) in set(edges):
+        if (u, v) in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge {u}->{v}")
+        seen.add((u, v))
         edges.append((u, v))
     if n is None:
         raise GraphFormatError("empty input: missing 'n <int>' header")

@@ -1,13 +1,11 @@
 """Self-adjoint eigensolver and closed-form spectral results.
 
-The solver is a cyclic-by-row complex Jacobi iteration: unconditionally
-stable on the small dense Hermitian matrices that occur here, deterministic
-sweep order, no external dependency beyond array arithmetic.
+The solver is the LAPACK (via numpy) self-adjoint eigensolver, behind checks
+that reject non-square, non-finite and non-self-adjoint input.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +21,19 @@ __all__ = [
     "make_circulant_regular",
 ]
 
-#: off-diagonal Frobenius mass threshold, relative to the matrix norm
-_OFF_TOL = 1e-12
 #: relative asymmetry tolerated before the input is rejected
 _HERMITIAN_TOL = 1e-9
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues in ascending order; eigenvectors, when requested, are the
-    matching orthonormal columns."""
+    matching orthonormal columns, and `residual` is max |A V - V diag(w)|
+    over the symmetrised input A (None when no vectors were requested)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
+    residual: float | None = None
 
 
 def _matrix(M) -> np.ndarray:
@@ -45,33 +42,19 @@ def _matrix(M) -> np.ndarray:
     return np.array(M, dtype=complex)
 
 
-def _round_robin_pairs(m: int) -> list[list[tuple[int, int]]]:
-    """Tournament schedule covering every index pair once per sweep, with the
-    pairs of each round pairwise disjoint."""
-    slots = list(range(m)) + ([None] if m % 2 else [])
-    k = len(slots)
-    rounds = []
-    for _ in range(k - 1):
-        pairs = []
-        for i in range(k // 2):
-            a, b = slots[i], slots[k - 1 - i]
-            if a is not None and b is not None:
-                pairs.append((min(a, b), max(a, b)))
-        rounds.append(pairs)
-        slots = [slots[0], slots[-1]] + slots[1:-1]
-    return rounds
-
-
 def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a self-adjoint matrix via cyclic Jacobi rotations.
+    """Full spectrum of a self-adjoint matrix via LAPACK (numpy ``eigh``).
 
-    Rejects matrices whose asymmetry exceeds 1e-9 relative to their norm,
-    reporting the measured asymmetry.
+    Rejects non-finite entries, and matrices whose asymmetry exceeds 1e-9
+    relative to their norm, reporting the measured asymmetry.  Real symmetric
+    input is solved in real arithmetic and gives real eigenvectors.
     """
     A = _matrix(M)
     m, mc = A.shape
     if m != mc:
         raise ValueError(f"matrix must be square, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     norm = float(np.linalg.norm(A))
     asym = float(np.linalg.norm(A - A.conj().T))
     if asym > _HERMITIAN_TOL * norm:
@@ -81,59 +64,12 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
         )
     A = (A + A.conj().T) / 2.0
     if not A.imag.any():
-        # real symmetric fast path: identical rotations in real arithmetic
         A = np.ascontiguousarray(A.real)
-        V = np.eye(m)
-    else:
-        V = np.eye(m, dtype=complex)
-    if m > 1 and norm > 0.0:
-        skip = 1e-14 * norm / m
-        rounds = _round_robin_pairs(m)
-        for _ in range(_MAX_SWEEPS):
-            offmat = A.copy()
-            np.fill_diagonal(offmat, 0.0)
-            off = float(np.linalg.norm(offmat))
-            if off <= _OFF_TOL * norm:
-                break
-            # one sweep: a round holds pairwise-disjoint index pairs, so its
-            # rotations commute with sequential application and compose into a
-            # single unitary applied by two matrix products
-            for pairs in rounds:
-                G = np.eye(m, dtype=A.dtype)
-                rotated = False
-                for p, q in pairs:
-                    apq = A[p, q]
-                    r = abs(apq)
-                    if r <= skip:
-                        continue
-                    rotated = True
-                    phase = apq / r
-                    tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                    if tau >= 0:
-                        t = 1.0 / (tau + math.hypot(1.0, tau))
-                    else:
-                        t = -1.0 / (-tau + math.hypot(1.0, tau))
-                    cth = 1.0 / math.hypot(1.0, t)
-                    sth = t * cth
-                    # unitary block mixing columns p, q; zeroes A[p, q]
-                    gq = sth * np.conj(phase)
-                    G[p, p] = cth
-                    G[q, q] = cth
-                    G[p, q] = np.conj(gq)
-                    G[q, p] = -gq
-                if not rotated:
-                    continue
-                A = np.conj(G.T) @ A @ G
-                if want_vectors:
-                    V = V @ G
-        else:
-            raise RuntimeError("Jacobi iteration failed to converge")
-    eigenvalues = np.real(np.diag(A))
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = np.ascontiguousarray(eigenvalues[order])
-    if want_vectors:
-        return Spectrum(eigenvalues, np.ascontiguousarray(V[:, order]))
-    return Spectrum(eigenvalues)
+    if not want_vectors:
+        return Spectrum(np.linalg.eigvalsh(A))
+    eigenvalues, V = np.linalg.eigh(A)
+    residual = float(np.max(np.abs(A @ V - V * eigenvalues), initial=0.0))
+    return Spectrum(eigenvalues, V, residual)
 
 
 def ngon_closed_form(n: int) -> np.ndarray:

@@ -138,6 +138,16 @@ def test_laplacian_potential_file(capsys, tmp_path):
     assert code == 2 and "bad potential file" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_spectrum_rejects_non_finite_potential(capsys, tmp_path, value):
+    gpath = write_graph(tmp_path, ngon_text(3))
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text(f"0 1 0 1.0 0.0\n1 2 1 {value} 0.0\n")
+    code, out, err = run(capsys, "spectrum", "--graph", gpath, "--potential", str(ppath))
+    assert code == 2 and out == ""
+    assert "bad potential file" in err and "line 2: non-finite" in err
+
+
 # ------------------------------------------------------------------- distance
 
 def test_distance_5gon(capsys, tmp_path):

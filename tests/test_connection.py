@@ -53,6 +53,9 @@ def test_parse_potential():
         connection.parse_potential("0 2 0 1.0 0.0", g)
     with pytest.raises(graphs.GraphFormatError, match="malformed"):
         connection.parse_potential("0 1 0 x 0.0", g)
+    for bad in ("nan 0.0", "0.0 inf", "-inf 1.0"):
+        with pytest.raises(graphs.GraphFormatError, match="line 2: non-finite"):
+            connection.parse_potential(f"# c\n0 1 0 {bad}\n", g)
 
 
 # ----------------------------------------------------------------- operators

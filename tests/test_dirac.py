@@ -88,6 +88,13 @@ def test_operator_norm_basic():
     assert dirac.operator_norm(a) == pytest.approx(2.0)
 
 
+def test_operator_norm_matches_numpy_spectral_norm():
+    rng = np.random.default_rng(43)
+    for rows, cols in ((1, 5), (5, 1), (7, 3), (3, 7), (40, 40), (120, 64)):
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        assert dirac.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
 # -------------------------------------------------------------------- distance
 
 def test_neighbor_distance_is_one():

@@ -84,6 +84,14 @@ def test_parse_graph_errors_carry_line_numbers():
         graphs.parse_graph("m 3\n0 1")
 
 
+def test_parse_graph_late_duplicate_in_long_file():
+    n = 4000
+    lines = [f"n {n}"] + [f"{mu} {(mu + k) % n}" for mu in range(n) for k in (1, 2, 3, 4)]
+    lines.append("1234 1236")
+    with pytest.raises(GraphFormatError, match=f"line {len(lines)}: duplicate edge 1234->1236$"):
+        graphs.parse_graph("\n".join(lines))
+
+
 def test_format_parse_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(20):

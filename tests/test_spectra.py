@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kahleredge import connection, spectra
 from kahleredge.connection import PotentialCoefficients
@@ -31,6 +33,13 @@ def test_rejects_non_square_and_non_selfadjoint():
         spectra.eig_selfadjoint([[0.0, 1.0], [0.0, 0.0]])
 
 
+def test_rejects_non_finite_before_asymmetry():
+    # a NaN defeats the asymmetry comparison, so it must be caught first
+    for bad in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[0.0, np.nan], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectra.eig_selfadjoint(bad)
+
+
 def test_matches_reference_solver_on_random_hermitian():
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -39,6 +48,48 @@ def test_matches_reference_solver_on_random_hermitian():
         a = a + a.conj().T
         got = spectra.eig_selfadjoint(a).eigenvalues
         assert np.max(np.abs(got - np.linalg.eigvalsh(a))) <= 1e-9
+
+
+def test_matches_reference_solver_on_large_hermitian():
+    rng = np.random.default_rng(2)
+    for m in (50, 100, 200):
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a = a + a.conj().T
+        got = spectra.eig_selfadjoint(a).eigenvalues
+        assert np.max(np.abs(got - np.linalg.eigvalsh(a))) <= 1e-9
+
+
+def test_residual_reported_with_vectors():
+    rng = np.random.default_rng(3)
+    for m in (1, 7, 40, 200):
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a = a + a.conj().T
+        s = spectra.eig_selfadjoint(a, want_vectors=True)
+        assert s.residual <= 1e-9 * np.linalg.norm(a)
+        assert s.residual == pytest.approx(
+            np.max(np.abs(a @ s.eigenvectors - s.eigenvectors * s.eigenvalues)), abs=1e-12
+        )
+        assert spectra.eig_selfadjoint(a).residual is None
+
+
+_hermitian_halves = hnp.arrays(
+    np.complex128, st.integers(1, 12).map(lambda m: (m, m)),
+    elements=st.complex_numbers(max_magnitude=100.0, allow_subnormal=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=_hermitian_halves)
+def test_property_matches_eigvalsh_with_orthonormal_vectors(half):
+    a = half + half.conj().T
+    m = a.shape[0]
+    want = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    assert np.max(np.abs(spectra.eig_selfadjoint(a).eigenvalues - want)) <= 1e-12 * scale
+    s = spectra.eig_selfadjoint(a, want_vectors=True)
+    assert np.max(np.abs(s.eigenvalues - want)) <= 1e-12 * scale
+    v = s.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(m))) <= 1e-9
 
 
 def test_eigenvectors_orthonormal_and_diagonalizing():
@@ -74,7 +125,7 @@ def test_ngon_closed_form_values():
 
 
 def test_ngon_laplacian_spectrum():
-    for n in (3, 4, 5, 7, 12):
+    for n in (3, 4, 5, 7, 12, 128, 256):
         g = ngon(n)
         lap = connection.laplacian(g, PotentialCoefficients.unit(g))
         eigs = spectra.eig_selfadjoint(lap).eigenvalues
