@@ -218,17 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, potential=True):
+    def common(p):
         p.add_argument("--graph", help="edge-list graph file")
-        if potential:
-            p.add_argument(
-                "--potential",
-                default="unit",
-                help="'unit', 'zero', or a potential coefficients file",
-            )
+        p.add_argument(
+            "--potential",
+            default="unit",
+            help="'unit', 'zero', or a potential coefficients file",
+        )
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the twisted edge Laplacian")
     common(p)
@@ -250,10 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also emit the numeric optimization bracket for every pair",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed of the numeric bracket's restarts")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="run the full consistency-check battery")
-    common(p, potential=False)
+    p.add_argument("--graph", help="edge-list graph file")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random samples")
     p.add_argument(
         "--spectral-max-n",
         type=int,

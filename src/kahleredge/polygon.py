@@ -8,6 +8,11 @@ wedge product the module provides the involution, the exterior derivative on
 functions, the complex structure J, the Kahler form, the Hodge star, the
 induced metric and the normalized trace state.
 
+Forms and vertex functions take leading batch axes: a vertex function holds
+values of shape (..., n) and a form coefficients of shape (..., 4, n), and
+every operation of `Calculus` broadcasts over the leading axes, so one call
+acts on a whole stack of forms.
+
 Vertices are 0-based and all vertex arithmetic is mod n.
 """
 
@@ -22,18 +27,33 @@ __all__ = ["Calculus", "VertexFunction", "GradedForm"]
 #: absolute tolerance for positivity / reality checks on function values
 POSITIVITY_TOL = 1e-12
 
+#: coefficient rows of each degree in GradedForm.coeffs
+_DEGREE_ROWS = {0: [0], 1: [1, 2], 2: [3]}
+#: complex structure J, one factor per coefficient row
+_J_FACTORS = np.array([0, 1j, -1j, 0])[:, None]
+#: Hodge star: source row and factor of each coefficient row
+_STAR_ROWS = [3, 1, 2, 0]
+_STAR_FACTORS = np.array([-1j, -1j, 1j, 1j])[:, None]
+
 
 def _as_complex(values, n: int, what: str) -> np.ndarray:
     arr = np.array(values, dtype=complex)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must be a length-{n} sequence, got shape {arr.shape}")
+    if arr.ndim == 0 or arr.shape[-1] != n:
+        raise ValueError(f"{what} must have last axis of length {n}, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
+def _roll(x: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll along the vertex axis, for a shift of +-1: _roll(x, -1)[mu] =
+    x[mu+1].  Slicing is several times faster than np.roll on these sizes."""
+    return np.concatenate((x[..., -shift:], x[..., :-shift]), axis=-1)
+
+
 @dataclass(frozen=True)
 class VertexFunction:
-    """A complex function on the n vertices (an element of the algebra)."""
+    """A complex function on the n vertices (an element of the algebra), or a
+    stack of them: `values` has shape (..., n)."""
 
     n: int
     values: np.ndarray
@@ -43,8 +63,9 @@ class VertexFunction:
             raise ValueError("polygon calculus needs n >= 3")
         object.__setattr__(self, "values", _as_complex(self.values, self.n, "vertex function"))
 
-    def __call__(self, mu: int) -> complex:
-        return complex(self.values[mu % self.n])
+    def __call__(self, mu: int):
+        value = self.values[..., mu % self.n]
+        return complex(value) if value.ndim == 0 else value
 
     def __add__(self, other: "VertexFunction") -> "VertexFunction":
         self._check(other)
@@ -66,7 +87,8 @@ class VertexFunction:
         return VertexFunction(self.n, np.conj(self.values))
 
     def is_positive(self, tol: float = POSITIVITY_TOL) -> bool:
-        """Membership in the positive cone: real values >= 0 up to `tol`."""
+        """Membership in the positive cone: real values >= 0 up to `tol`
+        (for a stack, of every function in it)."""
         return bool(
             np.all(np.abs(self.values.imag) <= tol) and np.all(self.values.real >= -tol)
         )
@@ -78,91 +100,101 @@ class VertexFunction:
 
 @dataclass(frozen=True)
 class GradedForm:
-    """An element of Omega^0 + Omega^1 + Omega^2 of the polygon calculus.
+    """An element of Omega^0 + Omega^1 + Omega^2 of the polygon calculus, or
+    a stack of them.
 
-    deg1_fwd[mu] is the coefficient of xi[mu->mu+1], deg1_bwd[mu] that of
-    xi[mu->mu-1] and deg2[mu] that of vol[mu] = xi[mu->mu-1] ^ xi[mu-1->mu].
-    There is no storage for (2,0)/(0,2) forms; those spaces vanish.
+    `coeffs` has shape (..., 4, n); its rows are read as `deg0`, `deg1_fwd`,
+    `deg1_bwd` and `deg2`.  deg1_fwd[mu] is the coefficient of xi[mu->mu+1],
+    deg1_bwd[mu] that of xi[mu->mu-1] and deg2[mu] that of
+    vol[mu] = xi[mu->mu-1] ^ xi[mu-1->mu].  There is no storage for
+    (2,0)/(0,2) forms; those spaces vanish.  A stack iterates, indexes and
+    slices over its leading axes.
     """
 
-    n: int
-    deg0: np.ndarray
-    deg1_fwd: np.ndarray
-    deg1_bwd: np.ndarray
-    deg2: np.ndarray
+    coeffs: np.ndarray
+
+    #: make `array * form` call GradedForm.__rmul__ instead of numpy's product
+    __array_ufunc__ = None
 
     def __post_init__(self):
-        if self.n < 3:
+        arr = np.array(self.coeffs, dtype=complex)
+        if arr.ndim < 2 or arr.shape[-2] != 4:
+            raise ValueError(f"form coefficients must have shape (..., 4, n), got {arr.shape}")
+        if arr.shape[-1] < 3:
             raise ValueError("polygon calculus needs n >= 3")
-        for name in ("deg0", "deg1_fwd", "deg1_bwd", "deg2"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name), self.n, name))
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[-1]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The batch shape: () for a single form."""
+        return self.coeffs.shape[:-2]
+
+    deg0 = property(lambda self: self.coeffs[..., 0, :])
+    deg1_fwd = property(lambda self: self.coeffs[..., 1, :])
+    deg1_bwd = property(lambda self: self.coeffs[..., 2, :])
+    deg2 = property(lambda self: self.coeffs[..., 3, :])
+
+    def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("a single form has no length")
+        return self.shape[0]
+
+    def __getitem__(self, index) -> "GradedForm":
+        if not self.shape:
+            raise TypeError("a single form cannot be indexed")
+        return GradedForm(self.coeffs[index])
 
     def __add__(self, other: "GradedForm") -> "GradedForm":
         self._check(other)
-        return GradedForm(
-            self.n,
-            self.deg0 + other.deg0,
-            self.deg1_fwd + other.deg1_fwd,
-            self.deg1_bwd + other.deg1_bwd,
-            self.deg2 + other.deg2,
-        )
+        return GradedForm(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
-        return self + (-1.0) * other
+        self._check(other)
+        return GradedForm(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "GradedForm":
-        z = complex(scalar)
-        return GradedForm(
-            self.n, self.deg0 * z, self.deg1_fwd * z, self.deg1_bwd * z, self.deg2 * z
-        )
+        """Scale by a number, or by an array of numbers over the batch axes."""
+        return GradedForm(self.coeffs * np.asarray(scalar, dtype=complex)[..., None, None])
 
     __rmul__ = __mul__
 
     def degree_part(self, k: int) -> "GradedForm":
-        zero = np.zeros(self.n, dtype=complex)
-        if k == 0:
-            return GradedForm(self.n, self.deg0, zero, zero, zero)
-        if k == 1:
-            return GradedForm(self.n, zero, self.deg1_fwd, self.deg1_bwd, zero)
-        if k == 2:
-            return GradedForm(self.n, zero, zero, zero, self.deg2)
-        raise ValueError(f"degree must be 0, 1 or 2, got {k}")
+        if k not in _DEGREE_ROWS:
+            raise ValueError(f"degree must be 0, 1 or 2, got {k}")
+        rows = _DEGREE_ROWS[k]
+        out = np.zeros_like(self.coeffs)
+        out[..., rows, :] = self.coeffs[..., rows, :]
+        return GradedForm(out)
 
     def max_abs(self) -> float:
-        return float(
-            max(
-                np.max(np.abs(self.deg0)),
-                np.max(np.abs(self.deg1_fwd)),
-                np.max(np.abs(self.deg1_bwd)),
-                np.max(np.abs(self.deg2)),
-            )
-        )
+        """Largest coefficient modulus over the whole stack."""
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
 
     def is_close(self, other: "GradedForm", tol: float = 1e-9) -> bool:
-        self._check(other)
         return (self - other).max_abs() <= tol
 
     def render(self) -> str:
-        """Debug rendering, e.g. ``(2+0i)*xi[0->1] + (0+1i)*vol[2]``."""
+        """Debug rendering of a single form, e.g. ``(2+0i)*xi[0->1] + (0+1i)*vol[2]``."""
+        if self.shape:
+            raise TypeError("render takes a single form")
         n = self.n
+        labels = (
+            lambda mu: f"delta[{mu}]",
+            lambda mu: f"xi[{mu}->{(mu + 1) % n}]",
+            lambda mu: f"xi[{mu}->{(mu - 1) % n}]",
+            lambda mu: f"vol[{mu}]",
+        )
         terms = []
-
-        def coeff(z: complex) -> str:
-            sign = "+" if z.imag >= 0 else "-"
-            return f"({z.real:g}{sign}{abs(z.imag):g}i)"
-
-        for mu in range(n):
-            if self.deg0[mu] != 0:
-                terms.append(f"{coeff(self.deg0[mu])}*delta[{mu}]")
-        for mu in range(n):
-            if self.deg1_fwd[mu] != 0:
-                terms.append(f"{coeff(self.deg1_fwd[mu])}*xi[{mu}->{(mu + 1) % n}]")
-        for mu in range(n):
-            if self.deg1_bwd[mu] != 0:
-                terms.append(f"{coeff(self.deg1_bwd[mu])}*xi[{mu}->{(mu - 1) % n}]")
-        for mu in range(n):
-            if self.deg2[mu] != 0:
-                terms.append(f"{coeff(self.deg2[mu])}*vol[{mu}]")
+        for row, label in zip(self.coeffs, labels):
+            for mu in np.flatnonzero(row):
+                z = row[mu]
+                sign = "+" if z.imag >= 0 else "-"
+                terms.append(f"({z.real:g}{sign}{abs(z.imag):g}i)*{label(mu)}")
         return " + ".join(terms) if terms else "0"
 
     def _check(self, other: "GradedForm"):
@@ -178,6 +210,8 @@ class Calculus:
     The value -1 is forced by requiring the Hodge star formulae and the
     positivity of the metric to hold simultaneously; it is overridable only as
     a negative-control hook for the consistency checks.
+
+    Every operation broadcasts over the leading axes of its arguments.
     """
 
     n: int
@@ -201,34 +235,35 @@ class Calculus:
         return VertexFunction(self.n, np.ones(self.n, dtype=complex))
 
     def zero_form(self) -> GradedForm:
-        z = np.zeros(self.n, dtype=complex)
-        return GradedForm(self.n, z, z, z, z)
+        return GradedForm(np.zeros((4, self.n), dtype=complex))
 
     def form(self, deg0=None, deg1_fwd=None, deg1_bwd=None, deg2=None) -> GradedForm:
-        z = np.zeros(self.n, dtype=complex)
-        return GradedForm(
-            self.n,
-            z if deg0 is None else deg0,
-            z if deg1_fwd is None else deg1_fwd,
-            z if deg1_bwd is None else deg1_bwd,
-            z if deg2 is None else deg2,
-        )
+        """The form with the given rows (absent rows are zero); rows of
+        different batch shapes broadcast."""
+        rows = [
+            np.zeros(self.n, dtype=complex) if values is None else _as_complex(values, self.n, name)
+            for name, values in (
+                ("deg0", deg0), ("deg1_fwd", deg1_fwd), ("deg1_bwd", deg1_bwd), ("deg2", deg2)
+            )
+        ]
+        return GradedForm(np.stack(np.broadcast_arrays(*rows), axis=-2))
 
     def from_vertex(self, f: VertexFunction) -> GradedForm:
         self._check_n(f.n)
         return self.form(deg0=f.values)
 
+    def _basis_element(self, row: int, mu: int) -> GradedForm:
+        coeffs = np.zeros((4, self.n), dtype=complex)
+        coeffs[row, mu % self.n] = 1.0
+        return GradedForm(coeffs)
+
     def xi_fwd(self, mu: int) -> GradedForm:
         """The basis one-form xi[mu->mu+1]."""
-        c = np.zeros(self.n, dtype=complex)
-        c[mu % self.n] = 1.0
-        return self.form(deg1_fwd=c)
+        return self._basis_element(1, mu)
 
     def xi_bwd(self, mu: int) -> GradedForm:
         """The basis one-form xi[mu->mu-1]."""
-        c = np.zeros(self.n, dtype=complex)
-        c[mu % self.n] = 1.0
-        return self.form(deg1_bwd=c)
+        return self._basis_element(2, mu)
 
     def xi(self, a: int, b: int) -> GradedForm:
         """The basis one-form xi[a->b]; b must be a+1 or a-1 mod n."""
@@ -241,17 +276,13 @@ class Calculus:
 
     def vol(self, mu: int) -> GradedForm:
         """The basis two-form vol[mu] = xi[mu->mu-1] ^ xi[mu-1->mu]."""
-        c = np.zeros(self.n, dtype=complex)
-        c[mu % self.n] = 1.0
-        return self.form(deg2=c)
+        return self._basis_element(3, mu)
 
-    def basis_forms(self) -> list[GradedForm]:
-        """All 4n basis forms: deltas, forward/backward edges, volumes."""
-        out = [self.from_vertex(self.delta(mu)) for mu in range(self.n)]
-        out += [self.xi_fwd(mu) for mu in range(self.n)]
-        out += [self.xi_bwd(mu) for mu in range(self.n)]
-        out += [self.vol(mu) for mu in range(self.n)]
-        return out
+    def basis_forms(self) -> GradedForm:
+        """All 4n basis forms as one stack of shape (4n,): deltas, forward
+        edges, backward edges, volumes."""
+        n = self.n
+        return GradedForm(np.eye(4 * n, dtype=complex).reshape(4 * n, 4, n))
 
     # -------------------------------------------------------------- operations
 
@@ -267,21 +298,11 @@ class Calculus:
         self._check_n(omega.n)
         v = f.values
         if side == "left":
-            return GradedForm(
-                self.n,
-                v * omega.deg0,
-                v * omega.deg1_fwd,
-                v * omega.deg1_bwd,
-                v * omega.deg2,
-            )
+            return GradedForm(v[..., None, :] * omega.coeffs)
         if side == "right":
-            return GradedForm(
-                self.n,
-                v * omega.deg0,
-                np.roll(v, -1) * omega.deg1_fwd,  # right vertex of xi[mu->mu+1] is mu+1
-                np.roll(v, 1) * omega.deg1_bwd,
-                v * omega.deg2,
-            )
+            # right vertex of xi[mu->mu+1] is mu+1, of xi[mu->mu-1] is mu-1
+            weights = np.stack([v, _roll(v, -1), _roll(v, 1), v], axis=-2)
+            return GradedForm(weights * omega.coeffs)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def wedge(self, omega: GradedForm, eta: GradedForm) -> GradedForm:
@@ -294,43 +315,40 @@ class Calculus:
         """
         self._check_n(omega.n)
         self._check_n(eta.n)
-        n = self.n
         deg0 = omega.deg0 * eta.deg0
         # degree 1: function times one-form on either side
-        fwd = omega.deg0 * eta.deg1_fwd + omega.deg1_fwd * np.roll(eta.deg0, -1)
-        bwd = omega.deg0 * eta.deg1_bwd + omega.deg1_bwd * np.roll(eta.deg0, 1)
+        fwd = omega.deg0 * eta.deg1_fwd + omega.deg1_fwd * _roll(eta.deg0, -1)
+        bwd = omega.deg0 * eta.deg1_bwd + omega.deg1_bwd * _roll(eta.deg0, 1)
         # degree 2: function times volume plus the two nonzero edge products
         deg2 = omega.deg0 * eta.deg2 + omega.deg2 * eta.deg0
         # xi[mu->mu-1] (bwd at mu) ^ xi[mu-1->mu] (fwd at mu-1) -> vol[mu]
-        deg2 = deg2 + omega.deg1_bwd * np.roll(eta.deg1_fwd, 1)
+        deg2 = deg2 + omega.deg1_bwd * _roll(eta.deg1_fwd, 1)
         # xi[mu->mu+1] (fwd at mu) ^ xi[mu+1->mu] (bwd at mu+1) -> sign*vol[mu]
-        deg2 = deg2 + self.wedge_sign * omega.deg1_fwd * np.roll(eta.deg1_bwd, -1)
-        return GradedForm(n, deg0, fwd, bwd, deg2)
+        deg2 = deg2 + self.wedge_sign * omega.deg1_fwd * _roll(eta.deg1_bwd, -1)
+        return GradedForm(np.stack([deg0, fwd, bwd, deg2], axis=-2))
 
     def star_involution(self, omega: GradedForm) -> GradedForm:
         """The antilinear graded involution; xi[a->b]* = -xi[b->a]."""
         self._check_n(omega.n)
         deg0 = np.conj(omega.deg0)
         # c at xi[mu->mu+1] -> -conj(c) at xi[mu+1->mu] (bwd index mu+1)
-        bwd = -np.roll(np.conj(omega.deg1_fwd), 1)
+        bwd = -_roll(np.conj(omega.deg1_fwd), 1)
         # c at xi[mu->mu-1] -> -conj(c) at xi[mu-1->mu] (fwd index mu-1)
-        fwd = -np.roll(np.conj(omega.deg1_bwd), -1)
+        fwd = -_roll(np.conj(omega.deg1_bwd), -1)
         # vol[mu]* = -(xi[mu-1->mu]* ^ xi[mu->mu-1]*) = -vol[mu]
         deg2 = -np.conj(omega.deg2)
-        return GradedForm(self.n, deg0, fwd, bwd, deg2)
+        return GradedForm(np.stack([deg0, fwd, bwd, deg2], axis=-2))
 
     def exterior_d(self, f: VertexFunction) -> GradedForm:
         """df = sum over polygon edges mu->mu+-1 of (f(nu)-f(mu)) xi[mu->nu]."""
         self._check_n(f.n)
         v = f.values
-        fwd = np.roll(v, -1) - v
-        bwd = np.roll(v, 1) - v
-        return self.form(deg1_fwd=fwd, deg1_bwd=bwd)
+        return self.form(deg1_fwd=_roll(v, -1) - v, deg1_bwd=_roll(v, 1) - v)
 
     def apply_J(self, omega: GradedForm) -> GradedForm:
         """Complex structure: i on (1,0), -i on (0,1), zero on (0,0) and (1,1)."""
         self._check_n(omega.n)
-        return self.form(deg1_fwd=1j * omega.deg1_fwd, deg1_bwd=-1j * omega.deg1_bwd)
+        return GradedForm(_J_FACTORS * omega.coeffs)
 
     def kahler_form(self) -> GradedForm:
         """kappa = i * sum_mu vol[mu]."""
@@ -342,15 +360,10 @@ class Calculus:
 
     def hodge_star(self, omega: GradedForm) -> GradedForm:
         """Hodge star: f -> f*kappa, -i on (1,0), i on (0,1), volumes back to
-        functions through the inverse Lefschetz map."""
+        functions through the inverse Lefschetz map (the coefficient of vol
+        divided by i)."""
         self._check_n(omega.n)
-        return GradedForm(
-            self.n,
-            -1j * omega.deg2,  # coefficient of vol divided by i
-            -1j * omega.deg1_fwd,
-            1j * omega.deg1_bwd,
-            1j * omega.deg0,  # f*kappa has vol coefficient i*f
-        )
+        return GradedForm(_STAR_FACTORS * omega.coeffs[..., _STAR_ROWS, :])
 
     def metric_g(self, omega: GradedForm, eta: GradedForm) -> VertexFunction:
         """g(omega, eta) = star(omega ^ star(eta*)), evaluated degreewise.
@@ -359,17 +372,18 @@ class Calculus:
         """
         self._check_n(omega.n)
         self._check_n(eta.n)
-        total = np.zeros(self.n, dtype=complex)
+        total = 0.0
         for k in range(3):
             w = omega.degree_part(k)
-            e = eta.degree_part(k)
-            total += self.hodge_star(self.wedge(w, self.hodge_star(self.star_involution(e)))).deg0
+            e = self.hodge_star(self.star_involution(eta.degree_part(k)))
+            total = total + self.hodge_star(self.wedge(w, e)).deg0
         return VertexFunction(self.n, total)
 
-    def state_tau(self, f: VertexFunction) -> complex:
-        """The normalized trace state: arithmetic mean of the values."""
+    def state_tau(self, f: VertexFunction):
+        """The normalized trace state: arithmetic mean of the values (an
+        array of means for a stack of functions)."""
         self._check_n(f.n)
-        return complex(np.mean(f.values))
+        return np.mean(f.values, axis=-1)
 
     def _check_n(self, n: int):
         if n != self.n:

@@ -21,12 +21,12 @@ from .dirac import (
     operator_norm,
 )
 from .operators import adjoint
-from .polygon import Calculus
+from .polygon import Calculus, GradedForm
 
 __all__ = ["CheckResult", "run_checks"]
 
-#: n-range for the exhaustive algebraic suites
-POLY_RANGE = range(3, 17)
+#: vertex counts of the polygon calculus suites
+POLYGON_NS = (3, 4, 5, 8, 12)
 #: n-range for the spectral golden checks
 SPECTRAL_MAX_N = 64
 
@@ -42,143 +42,117 @@ class CheckResult:
         return self.residual <= self.tol
 
 
-def _vf_residual(f, expect) -> float:
-    return float(np.max(np.abs(f.values - expect)))
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex standard normals of `shape`, drawn row by row along the last
+    axis as the real parts followed by the imaginary parts, in C order."""
+    x = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+    return x[..., 0, :] + 1j * x[..., 1, :]
 
 
 # ------------------------------------------------------------ polygon calculus
 
 def polygon_checks(n: int, rng: np.random.Generator,
                    wedge_sign: float = -1.0) -> list[CheckResult]:
+    """The Kahler structure on the n-gon, each sweep over basis pairs and
+    random samples batched over its leading axes, one factor at a time."""
     cal = Calculus(n, wedge_sign=wedge_sign)
     out = []
     basis = cal.basis_forms()
+    degree = np.repeat([0, 1, 1, 2], n)
 
     # wedge associativity, degree truncation respected on both associations
     res = 0.0
     small = Calculus(min(n, 6), wedge_sign=wedge_sign)
     sb = small.basis_forms()
-    for a in sb:
-        for b in sb:
-            ab = small.wedge(a, b)
-            for c in sb:
-                lhs = small.wedge(ab, c)
-                rhs = small.wedge(a, small.wedge(b, c))
-                res = max(res, (lhs - rhs).max_abs())
+    a, b = sb[:, None], sb[None, :]
+    ab = small.wedge(a, b)
+    for c in sb:
+        lhs = small.wedge(ab, c)
+        rhs = small.wedge(a, small.wedge(b, c))
+        res = max(res, (lhs - rhs).max_abs())
     out.append(CheckResult(f"wedge-associativity[n={small.n}]", res, 1e-12))
 
     # graded involution rule on basis pairs
     res = 0.0
-    degree = [0] * n + [1] * (2 * n) + [2] * n
+    star_basis = cal.star_involution(basis)
     for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            sign = (-1.0) ** (degree[i] * degree[j])
-            lhs = cal.star_involution(cal.wedge(a, b))
-            rhs = sign * cal.wedge(cal.star_involution(b), cal.star_involution(a))
-            res = max(res, (lhs - rhs).max_abs())
+        sign = (-1.0) ** (degree[i] * degree)
+        lhs = cal.star_involution(cal.wedge(a, basis))
+        rhs = sign * cal.wedge(star_basis, star_basis[i])
+        res = max(res, (lhs - rhs).max_abs())
     out.append(CheckResult(f"star-graded-antihomomorphism[n={n}]", res, 1e-12))
 
     # involution squares to the identity
-    res = max((cal.star_involution(cal.star_involution(b)) - b).max_abs() for b in basis)
+    res = (cal.star_involution(star_basis) - basis).max_abs()
     out.append(CheckResult(f"star-involution[n={n}]", res, 1e-12))
 
     # J: derivation, square -1 on one-forms, compatible with the involution
     res = 0.0
-    for a in basis:
-        for b in basis:
-            lhs = cal.apply_J(cal.wedge(a, b))
-            rhs = cal.wedge(cal.apply_J(a), b) + cal.wedge(a, cal.apply_J(b))
-            res = max(res, (lhs - rhs).max_abs())
+    j_basis = cal.apply_J(basis)
+    for a, ja in zip(basis, j_basis):
+        lhs = cal.apply_J(cal.wedge(a, basis))
+        rhs = cal.wedge(ja, basis) + cal.wedge(a, j_basis)
+        res = max(res, (lhs - rhs).max_abs())
     out.append(CheckResult(f"J-derivation[n={n}]", res, 1e-12))
     one_forms = basis[n:3 * n]
-    res = max((cal.apply_J(cal.apply_J(w)) + w).max_abs() for w in one_forms)
+    res = (cal.apply_J(cal.apply_J(one_forms)) + one_forms).max_abs()
     out.append(CheckResult(f"J-squared[n={n}]", res, 1e-12))
-    res = max(
-        (cal.star_involution(cal.apply_J(w)) - cal.apply_J(cal.star_involution(w))).max_abs()
-        for w in one_forms
-    )
+    res = (
+        cal.star_involution(cal.apply_J(one_forms)) - cal.apply_J(cal.star_involution(one_forms))
+    ).max_abs()
     out.append(CheckResult(f"J-star-compatible[n={n}]", res, 1e-12))
 
     # differential: unit and Leibniz
     res = cal.exterior_d(cal.one()).max_abs()
     out.append(CheckResult(f"d-of-unit[n={n}]", res, 1e-12))
-    res = 0.0
-    for _ in range(20):
-        f = cal.vertex_function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        h = cal.vertex_function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        lhs = cal.exterior_d(f * h)
-        rhs = cal.bimodule_act(h, cal.exterior_d(f), "right") + cal.bimodule_act(
-            f, cal.exterior_d(h), "left"
-        )
-        res = max(res, (lhs - rhs).max_abs())
-    out.append(CheckResult(f"leibniz[n={n}]", res, 1e-9))
+    pairs = _complex_normal(rng, (20, 2, n))
+    f, h = cal.vertex_function(pairs[:, 0]), cal.vertex_function(pairs[:, 1])
+    lhs = cal.exterior_d(f * h)
+    rhs = cal.bimodule_act(h, cal.exterior_d(f), "right") + cal.bimodule_act(
+        f, cal.exterior_d(h), "left"
+    )
+    out.append(CheckResult(f"leibniz[n={n}]", (lhs - rhs).max_abs(), 1e-9))
 
     # Kahler form: real and central
     kappa = cal.kahler_form()
     res = (cal.star_involution(kappa) - kappa).max_abs()
     out.append(CheckResult(f"kappa-real[n={n}]", res, 1e-12))
-    res = 0.0
-    for _ in range(10):
-        f = cal.vertex_function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        res = max(
-            res,
-            (
-                cal.bimodule_act(f, kappa, "left") - cal.bimodule_act(f, kappa, "right")
-            ).max_abs(),
-        )
+    f = cal.vertex_function(_complex_normal(rng, (10, n)))
+    res = (cal.bimodule_act(f, kappa, "left") - cal.bimodule_act(f, kappa, "right")).max_abs()
     out.append(CheckResult(f"kappa-central[n={n}]", res, 1e-12))
 
     # Lefschetz map is a bijection of functions onto two-forms
-    mat = np.column_stack(
-        [cal.lefschetz(cal.from_vertex(cal.delta(m))).deg2 for m in range(n)]
-    )
+    mat = cal.lefschetz(basis[:n]).deg2.T
     rank = np.linalg.matrix_rank(mat, tol=1e-9)
     out.append(CheckResult(f"lefschetz-rank[n={n}]", float(n - rank), 0.5))
 
     # Hodge star squares to +1 on even degrees and -1 on one-forms
-    res = 0.0
-    for i, b in enumerate(basis):
-        sign = -1.0 if degree[i] == 1 else 1.0
-        res = max(res, (cal.hodge_star(cal.hodge_star(b)) - sign * b).max_abs())
+    sign = np.where(degree == 1, -1.0, 1.0)
+    res = (cal.hodge_star(cal.hodge_star(basis)) - sign * basis).max_abs()
     out.append(CheckResult(f"hodge-star-squared[n={n}]", res, 1e-12))
 
     # consistency pin of the wedge sign: g(xi_fwd, xi_fwd) = delta at the source
-    res = 0.0
-    for m in range(n):
-        g_val = cal.metric_g(cal.xi_fwd(m), cal.xi_fwd(m))
-        res = max(res, _vf_residual(g_val, cal.delta(m).values))
+    fwd = basis[n:2 * n]
+    res = float(np.max(np.abs(cal.metric_g(fwd, fwd).values - np.eye(n))))
     out.append(CheckResult(f"hodge-consistency[n={n}]", res, 1e-12))
 
     # metric: positive, conjugate symmetric, zero across degrees
-    res_pos, res_sym = 0.0, 0.0
-    for _ in range(60):
-        w = _random_form(cal, rng)
-        e = _random_form(cal, rng)
-        gww = cal.metric_g(w, w).values
-        res_pos = max(res_pos, float(np.max(np.abs(gww.imag))), float(np.max(-gww.real)))
-        diff = cal.metric_g(w, e).values - np.conj(cal.metric_g(e, w).values)
-        res_sym = max(res_sym, float(np.max(np.abs(diff))))
+    pairs = _complex_normal(rng, (60, 2, 4, n))
+    w, e = GradedForm(pairs[:, 0]), GradedForm(pairs[:, 1])
+    gww = cal.metric_g(w, w).values
+    res_pos = max(0.0, float(np.max(np.abs(gww.imag))), float(np.max(-gww.real)))
+    diff = cal.metric_g(w, e).values - np.conj(cal.metric_g(e, w).values)
+    res_sym = float(np.max(np.abs(diff)))
     out.append(CheckResult(f"metric-positive[n={n}]", res_pos, 1e-9))
     out.append(CheckResult(f"metric-conjugate-symmetric[n={n}]", res_sym, 1e-9))
 
     # faithfulness of the state
-    res = 0.0
-    for _ in range(20):
-        f = cal.vertex_function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        val = cal.state_tau(f.conjugate() * f)
-        if abs(val) > 0 and val.real <= 0:
-            res = max(res, -val.real + 1.0)
+    f = cal.vertex_function(_complex_normal(rng, (20, n)))
+    val = cal.state_tau(f.conjugate() * f)
+    bad = (np.abs(val) > 0) & (val.real <= 0)
+    res = float(np.max(1.0 - val.real[bad], initial=0.0))
     out.append(CheckResult(f"tau-faithful[n={n}]", res, 1e-12))
     return out
-
-
-def _random_form(cal: Calculus, rng: np.random.Generator):
-    n = cal.n
-
-    def rand():
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    return cal.form(deg0=rand(), deg1_fwd=rand(), deg1_bwd=rand(), deg2=rand())
 
 
 # --------------------------------------------------------------- edge module
@@ -388,15 +362,16 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
         res = max(0.0, float(np.max(dmat)) - math.floor(n / 2))
         out.append(CheckResult(f"diameter-bound[{tag}]", res, 1e-12))
 
-    # metric axioms on the finite part
-    res = 0.0
+    # metric axioms on the finite part: symmetry, a symmetric pattern of
+    # infinite entries, and the triangle inequality through every vertex c
     finite = np.isfinite(dmat)
-    res = max(res, float(np.max(np.abs(dmat - dmat.T))))
-    for a in range(n):
-        for b in range(n):
-            for cth in range(n):
-                if finite[a, cth] and finite[cth, b]:
-                    res = max(res, max(0.0, dmat[a, b] - dmat[a, cth] - dmat[cth, b]))
+    res = float(np.any(finite != finite.T))
+    with np.errstate(invalid="ignore"):  # inf - inf off the finite part
+        res = max(res, float(np.max(np.abs(dmat - dmat.T), where=finite & finite.T, initial=0.0)))
+        for cth in range(n):
+            via = finite[:, cth, None] & finite[None, cth, :]
+            excess = dmat - dmat[:, cth, None] - dmat[None, cth, :]
+            res = max(res, float(np.max(excess, where=via, initial=0.0)))
     out.append(CheckResult(f"metric-axioms[{tag}]", res, 1e-12))
 
     if full_degree and n <= 8:
@@ -418,7 +393,7 @@ def run_checks(graph: graphs.DirectedCyclicGraph | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     sign = 1.0 if corrupt_wedge_sign else -1.0
     results: list[CheckResult] = []
-    for n in (3, 4, 5, 8, 12):
+    for n in POLYGON_NS:
         results.extend(polygon_checks(n, rng, wedge_sign=sign))
     family = [spectra.make_circulant_regular(5, 1), spectra.make_circulant_regular(4, 2)]
     if graph is not None:

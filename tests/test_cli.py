@@ -201,7 +201,13 @@ def test_verify_negative_control(capsys):
         capsys, "verify", "--spectral-max-n", "8", "--corrupt-wedge-sign"
     )
     assert code == 3
-    assert any(" FAIL " in line for line in out.splitlines())
+    failing = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
+    # the flipped sign breaks exactly the checks that pin it
+    assert failing == [
+        f"{name}[n={n}]"
+        for n in (3, 4, 5, 8, 12)
+        for name in ("hodge-consistency", "metric-positive")
+    ]
     assert "failed" in err
 
 
@@ -210,6 +216,22 @@ def test_verify_negative_control(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "spectrum", "--bogus")[0] == 1
     assert run(capsys, "nosuchcommand")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--tol", "1e-9"],
+    ["laplacian", "--tol", "1e-9"],
+    ["distance", "--tol", "1e-9"],
+    ["verify", "--tol", "1e-9"],
+    ["spectrum", "--seed", "1"],
+    ["laplacian", "--seed", "1"],
+    ["verify", "--format", "json"],
+])
+def test_flags_that_did_nothing_are_usage_errors(capsys, tmp_path, argv):
+    path = write_graph(tmp_path, ngon_text(3))
+    code, out, err = run(capsys, *argv, "--graph", path)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_data_errors(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahleredge.polygon import Calculus, GradedForm, VertexFunction, make_calculus
 
@@ -201,3 +202,80 @@ def test_degree_part_splits_the_form():
     assert close(total, w)
     with pytest.raises(ValueError):
         w.degree_part(3)
+
+
+def test_basis_forms_stack_iterates_and_slices_as_single_forms():
+    cal = make_calculus(4)
+    basis = cal.basis_forms()
+    assert basis.shape == (16,) and len(basis) == 16
+    singles = [cal.from_vertex(cal.delta(mu)) for mu in range(4)]
+    singles += [cal.xi_fwd(mu) for mu in range(4)] + [cal.xi_bwd(mu) for mu in range(4)]
+    singles += [cal.vol(mu) for mu in range(4)]
+    for b, want in zip(basis, singles, strict=True):
+        assert b.shape == () and close(b, want, 0.0)
+    assert close(basis[4:12], GradedForm(np.stack([w.coeffs for w in singles[4:12]])), 0.0)
+    with pytest.raises(TypeError):
+        len(cal.vol(0))
+    with pytest.raises(ValueError):
+        GradedForm(np.zeros((3, 4)))
+
+
+def _values(x):
+    """The array behind a form, a vertex function or a state value."""
+    if isinstance(x, GradedForm):
+        return x.coeffs
+    return x.values if isinstance(x, VertexFunction) else x
+
+
+_batch_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 4)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    shape=_batch_shapes,
+    wedge_sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_batched_operations_equal_stacked_single_ones(n, shape, wedge_sign, seed):
+    cal = Calculus(n, wedge_sign=wedge_sign)
+    rng = np.random.default_rng(seed)
+
+    def rand(*dims):
+        return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+    omega, eta = GradedForm(rand(*shape, 4, n)), GradedForm(rand(*shape, 4, n))
+    f = cal.vertex_function(rand(*shape, n))
+    single = GradedForm(rand(4, n))  # broadcasts against every batch shape
+    ops = [
+        lambda w, e, h: cal.wedge(w, e),
+        lambda w, e, h: cal.wedge(w, single),
+        lambda w, e, h: cal.wedge(single, e),
+        lambda w, e, h: cal.star_involution(w),
+        lambda w, e, h: cal.apply_J(w),
+        lambda w, e, h: cal.hodge_star(w),
+        lambda w, e, h: cal.metric_g(w, e),
+        lambda w, e, h: cal.bimodule_act(h, w, "left"),
+        lambda w, e, h: cal.bimodule_act(h, w, "right"),
+        lambda w, e, h: cal.exterior_d(h),
+        lambda w, e, h: w.degree_part(0),
+        lambda w, e, h: w.degree_part(1),
+        lambda w, e, h: w.degree_part(2),
+        lambda w, e, h: cal.state_tau(h),
+    ]
+    for op in ops:
+        batched = np.asarray(_values(op(omega, eta, f)))
+        stacked = [
+            _values(op(GradedForm(omega.coeffs[i]), GradedForm(eta.coeffs[i]),
+                       VertexFunction(n, f.values[i])))
+            for i in np.ndindex(shape)
+        ]
+        np.testing.assert_array_equal(batched, np.reshape(stacked, batched.shape))
+        assert batched.shape[:len(shape)] == shape
+    assert omega.max_abs() == max(
+        GradedForm(omega.coeffs[i]).max_abs() for i in np.ndindex(shape)
+    )
