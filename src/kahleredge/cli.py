@@ -124,7 +124,7 @@ def cmd_laplacian(args) -> int:
 
 def cmd_distance(args) -> int:
     g = _load_graph(args.graph)
-    lonely = [mu for mu in range(g.n) if g.out_degree(mu) == 0]
+    lonely = np.flatnonzero(g.out_degrees == 0).tolist()
     if lonely:
         print(
             f"warning: vertices {lonely} have no outgoing edge; "
@@ -169,12 +169,7 @@ def cmd_distance(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph) if args.graph else None
-    results = verify.run_checks(
-        g,
-        seed=args.seed,
-        corrupt_wedge_sign=args.corrupt_wedge_sign,
-        spectral_max_n=args.spectral_max_n,
-    )
+    results = verify.run_checks(g, seed=args.seed, corrupt_wedge_sign=args.corrupt_wedge_sign)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -253,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full consistency-check battery")
     p.add_argument("--graph", help="edge-list graph file")
     p.add_argument("--seed", type=int, default=0, help="seed of the random samples")
-    p.add_argument(
-        "--spectral-max-n",
-        type=int,
-        default=verify.SPECTRAL_MAX_N,
-        help=argparse.SUPPRESS,
-    )
     p.add_argument(
         "--corrupt-wedge-sign",
         action="store_true",

@@ -31,15 +31,22 @@ __all__ = [
 
 
 class PotentialCoefficients:
-    """Sparse coefficients c[mu, nu, nu'] of a potential on a graph.
+    """Coefficients c[mu, nu, nu'] of a potential on a graph.
 
     A key (mu, nu, nu') is valid when mu->nu and (mu-1)->nu' are edges
-    (vertex arithmetic mod n).  Absent valid keys default to 0.
+    (vertex arithmetic mod n).  `values` holds one coefficient per valid key,
+    in key order: by the edge of mu->nu, then by the edge of (mu-1)->nu'.
+    Because edges are sorted by source, this order lays the blocks C_mu end
+    to end, where C_mu[i, j] = c[mu, t(e_i), t(e'_j)] over the edges e_i
+    leaving mu and e'_j leaving mu-1; `block_offsets` is where each starts.
+    Absent valid keys default to 0.
     """
 
     def __init__(self, graph: DirectedCyclicGraph, entries=None):
         self.graph = graph
-        self.entries: dict[tuple[int, int, int], complex] = {}
+        sizes = graph.out_degrees * np.roll(graph.out_degrees, 1)
+        self.block_offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.values = np.zeros(self.block_offsets[-1], dtype=complex)
         for key, value in dict(entries or {}).items():
             mu, nu, nup = (int(k) for k in key)
             if not self.is_valid_key(graph, mu, nu, nup):
@@ -47,40 +54,67 @@ class PotentialCoefficients:
                     f"invalid potential key ({mu}, {nu}, {nup}): needs edges "
                     f"{mu}->{nu} and {(mu - 1) % graph.n}->{nup}"
                 )
-            self.entries[(mu, nu, nup)] = complex(value)
+            self.values[self._position(mu, nu, nup)] = complex(value)
 
     @staticmethod
     def is_valid_key(graph: DirectedCyclicGraph, mu: int, nu: int, nup: int) -> bool:
         return graph.has_edge(mu, nu) and graph.has_edge((mu - 1) % graph.n, nup)
 
+    @staticmethod
+    def key_edges(graph: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
+        """Edge indices (e, e') of mu->nu and (mu-1)->nu' for every valid key,
+        in key order: edge e repeats once per edge leaving s(e)-1."""
+        back = (graph.sources - 1) % graph.n
+        counts = graph.out_degrees[back]
+        edge = np.repeat(np.arange(graph.num_edges), counts)
+        first = np.cumsum(counts) - counts  # position of the first key of each edge
+        partner = np.arange(len(edge)) + np.repeat(graph.offsets[back] - first, counts)
+        return edge, partner
+
     @classmethod
-    def valid_keys(cls, graph: DirectedCyclicGraph):
-        for mu, nu in graph.edges:
-            prev = (mu - 1) % graph.n
-            for mu2, nup in graph.edges:
-                if mu2 == prev:
-                    yield (mu, nu, nup)
+    def valid_keys(cls, graph: DirectedCyclicGraph) -> np.ndarray:
+        """The valid keys as rows (mu, nu, nu') of an integer array, in key order."""
+        edge, partner = cls.key_edges(graph)
+        return np.stack(
+            [graph.sources[edge], graph.targets[edge], graph.targets[partner]], axis=1
+        )
 
     @classmethod
     def unit(cls, graph: DirectedCyclicGraph) -> "PotentialCoefficients":
-        return cls(graph, {key: 1.0 for key in cls.valid_keys(graph)})
+        c = cls(graph)
+        c.values[:] = 1.0
+        return c
 
     @classmethod
     def zero(cls, graph: DirectedCyclicGraph) -> "PotentialCoefficients":
-        return cls(graph, {})
+        return cls(graph)
 
     @classmethod
     def random(cls, graph: DirectedCyclicGraph, rng: np.random.Generator) -> "PotentialCoefficients":
-        keys = list(cls.valid_keys(graph))
-        vals = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
-        return cls(graph, dict(zip(keys, vals)))
+        c = cls(graph)
+        c.values[:] = rng.standard_normal(len(c.values)) + 1j * rng.standard_normal(len(c.values))
+        return c
+
+    def _position(self, mu: int, nu: int, nup: int) -> int:
+        g, prev = self.graph, (mu - 1) % self.graph.n
+        row = g.edge_index(mu, nu) - g.offsets[mu]
+        col = g.edge_index(prev, nup) - g.offsets[prev]
+        return int(self.block_offsets[mu] + row * g.out_degrees[prev] + col)
+
+    def block(self, mu: int) -> np.ndarray:
+        """C_mu: rows are the edges leaving mu, columns those leaving mu-1."""
+        shape = (self.graph.out_degree(mu), self.graph.out_degree(mu - 1))
+        return self.values[self.block_offsets[mu]:self.block_offsets[mu + 1]].reshape(shape)
 
     def get(self, mu: int, nu: int, nup: int) -> complex:
-        return self.entries.get((mu, nu, nup), 0.0 + 0.0j)
+        if not self.is_valid_key(self.graph, mu, nu, nup):
+            return 0.0 + 0.0j
+        return complex(self.values[self._position(mu, nu, nup)])
 
 
 def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficients:
-    """Parse lines ``mu nu nuP re im``; ``#`` starts a comment."""
+    """Parse lines ``mu nu nuP re im``; ``#`` starts a comment.  Each triple
+    may appear at most once."""
     entries: dict[tuple[int, int, int], complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -99,6 +133,10 @@ def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficie
         if not PotentialCoefficients.is_valid_key(graph, mu, nu, nup):
             raise GraphFormatError(
                 f"line {lineno}: invalid potential triple ({mu}, {nu}, {nup})"
+            )
+        if (mu, nu, nup) in entries:
+            raise GraphFormatError(
+                f"line {lineno}: duplicate potential triple ({mu}, {nu}, {nup})"
             )
         entries[(mu, nu, nup)] = complex(re, im)
     return PotentialCoefficients(graph, entries)
@@ -121,10 +159,8 @@ def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOper
         raise ValueError("potential defined on a different graph")
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
-    for (mu, nu, nup), value in c.entries.items():
-        e = g.edge_index(mu, nu)
-        ep = g.edge_index((mu - 1) % g.n, nup)
-        mat[ep, e] = value
+    edge, partner = PotentialCoefficients.key_edges(g)
+    mat[partner, edge] = c.values
     return DenseOperator(mat, Space.TOP, Space.BOTTOM)
 
 
@@ -149,24 +185,30 @@ def apply_laplacian_unit(g: DirectedCyclicGraph, f: EdgeFunction) -> EdgeFunctio
     if f.graph != g:
         raise ValueError("edge function lives on a different graph")
     n = g.n
-    out = np.zeros(g.num_edges, dtype=complex)
     source_sum = np.zeros(n, dtype=complex)
     np.add.at(source_sum, g.sources, f.values)
-    for e in range(g.num_edges):
-        mu = g.source(e)
-        prev, nxt = (mu - 1) % n, (mu + 1) % n
-        out[e] = (
-            f.values[e]
-            + g.out_degree(prev) * source_sum[mu]
-            + source_sum[prev]
-            + source_sum[nxt]
-        )
+    prev, nxt = (g.sources - 1) % n, (g.sources + 1) % n
+    out = (
+        f.values
+        + g.out_degrees[prev] * source_sum[g.sources]
+        + source_sum[prev]
+        + source_sum[nxt]
+    )
     return EdgeFunction(g, out)
 
 
 # ----------------------------------------------------------------- closed forms
 # Independent assembly of the adjoint and composite operators from their
-# displayed formulas; used as oracles against the conjugate-transpose route.
+# displayed formulas, one vertex block C_mu at a time; used as oracles against
+# the conjugate-transpose route, so they share none of its scatter indices.
+
+def _vertex_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients):
+    """(edges leaving mu, edges leaving mu-1, C_mu) for every vertex mu."""
+    off = g.offsets
+    for mu in range(g.n):
+        prev = (mu - 1) % g.n
+        yield slice(off[mu], off[mu + 1]), slice(off[prev], off[prev + 1]), c.block(mu)
+
 
 def nabla0_dagger_closed_form(g: DirectedCyclicGraph) -> DenseOperator:
     """Maps xi[s(e)+1 -> s(e)] (x) chi_e back to chi_e."""
@@ -176,55 +218,29 @@ def nabla0_dagger_closed_form(g: DirectedCyclicGraph) -> DenseOperator:
 
 def zeta_dagger_closed_form(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOperator:
     """Maps the bottom basis vector at edge mu->nu to
-    sum over edges mu+1->nu' of conj(c[mu+1, nu', nu]) chi[mu+1->nu']."""
+    sum over edges mu+1->nu' of conj(c[mu+1, nu', nu]) chi[mu+1->nu']:
+    the block of rows leaving mu and columns leaving mu-1 is conj(C_mu)."""
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
-    for e in range(m):
-        mu, nu = g.source(e), g.target(e)
-        up = (mu + 1) % g.n
-        for ep in g.edges_from(up):
-            nup = g.target(ep)
-            mat[ep, e] = np.conj(c.get(up, nup, nu))
+    for here, back, block in _vertex_blocks(g, c):
+        mat[here, back] = block.conj()
     return DenseOperator(mat, Space.BOTTOM, Space.TOP)
 
 
 def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[str, DenseOperator]:
-    """The four composite operators on the edge block, from their formulas.
-
-    Their sum equals the twisted edge Laplacian.
-    """
+    """The four composite operators on the edge block, from their formulas:
+    per vertex mu, C_mu^T, conj(C_mu) and conj(C_mu) C_mu^T between the edges
+    leaving mu and mu-1.  Their sum equals the twisted edge Laplacian."""
     m = g.num_edges
-    n = g.n
-
-    nd_nabla = np.eye(m, dtype=complex)
-
     nd_zeta = np.zeros((m, m), dtype=complex)
-    for e in range(m):
-        mu, nu = g.source(e), g.target(e)
-        prev = (mu - 1) % n
-        for ep in g.edges_from(prev):
-            nd_zeta[ep, e] = c.get(mu, nu, g.target(ep))
-
     zd_nabla = np.zeros((m, m), dtype=complex)
-    for e in range(m):
-        mu, nu = g.source(e), g.target(e)
-        up = (mu + 1) % n
-        for ep in g.edges_from(up):
-            zd_nabla[ep, e] = np.conj(c.get(up, g.target(ep), nu))
-
     zd_zeta = np.zeros((m, m), dtype=complex)
-    for e in range(m):
-        mu, nu = g.source(e), g.target(e)
-        prev = (mu - 1) % n
-        for epp in g.edges_from(mu):
-            total = 0.0 + 0.0j
-            for emid in g.edges_from(prev):
-                nup = g.target(emid)
-                total += c.get(mu, nu, nup) * np.conj(c.get(mu, g.target(epp), nup))
-            zd_zeta[epp, e] = total
-
+    for here, back, block in _vertex_blocks(g, c):
+        nd_zeta[back, here] = block.T
+        zd_nabla[here, back] = block.conj()
+        zd_zeta[here, here] = block.conj() @ block.T
     return {
-        "nabla0_dagger_nabla0": DenseOperator(nd_nabla, Space.TOP, Space.TOP),
+        "nabla0_dagger_nabla0": DenseOperator(np.eye(m, dtype=complex), Space.TOP, Space.TOP),
         "nabla0_dagger_zeta": DenseOperator(nd_zeta, Space.TOP, Space.TOP),
         "zeta_dagger_nabla0": DenseOperator(zd_nabla, Space.TOP, Space.TOP),
         "zeta_dagger_zeta": DenseOperator(zd_zeta, Space.TOP, Space.TOP),
@@ -233,10 +249,7 @@ def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[s
 
 def laplacian_unit_int(g: DirectedCyclicGraph) -> np.ndarray:
     """Unit-potential Laplacian assembled in exact integer arithmetic."""
-    m = g.num_edges
-    a = np.eye(m, dtype=np.int64)
-    for (mu, nu, nup) in PotentialCoefficients.valid_keys(g):
-        e = g.edge_index(mu, nu)
-        ep = g.edge_index((mu - 1) % g.n, nup)
-        a[ep, e] += 1
+    a = np.eye(g.num_edges, dtype=np.int64)
+    edge, partner = PotentialCoefficients.key_edges(g)
+    a[partner, edge] += 1
     return a.T @ a

@@ -2,17 +2,18 @@
 
 The distance between two vertices (as pure states) is the supremum of
 |f(mu) - f(nu)| over functions whose Dirac commutator has operator norm at
-most one.  The commutator only sees differences of f across consecutive
-vertices that carry an outgoing edge, so the supremum collapses to a
-shortest-path distance on an undirected cycle-segment graph; an independent
-numeric route (linear programming upper bound plus a norm-certified witness
-refined by projected ascent) brackets the same value.
+most one.  The commutator only sees differences of f across the cycle
+segments {lam, lam+1} of vertices lam that carry an outgoing edge, so the
+supremum collapses to a closed form on the cycle cut at every vertex with no
+outgoing edge: the number of steps of the shorter of the forward and the
+backward walk from mu to nu that crosses no cut, or infinity when both do.
+An independent numeric route (linear programming upper bound plus a
+norm-certified witness refined by projected ascent) brackets the same value.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +32,17 @@ __all__ = [
     "operator_norm",
     "connes_distance",
     "connes_distance_numeric",
-    "constraint_adjacency",
 ]
 
 #: projected-ascent hyperparameters (fixed for oracle reproducibility)
 ASCENT_STEP = 0.1
 ASCENT_RESTARTS = 8
 DEFAULT_ITERS = 10_000
+#: rows per step of the in-place symmetrisation in all_pairs_distances
+ROW_BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceResult:
     """Distance value (math.inf when unbounded) with an optional witness
     function attaining it under the unit commutator-norm constraint."""
@@ -93,43 +95,39 @@ def operator_norm(M) -> float:
     return float(svdvals(mat)[0])
 
 
-def constraint_adjacency(g: DirectedCyclicGraph) -> list[set[int]]:
-    """Undirected unit-length edges {lam, lam+1} for every vertex lam with an
-    outgoing edge; the metric on vertices is the shortest-path metric here."""
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for lam in range(g.n):
-        if g.out_degree(lam) >= 1:
-            nxt = (lam + 1) % g.n
-            adj[lam].add(nxt)
-            adj[nxt].add(lam)
-    return adj
+def _forward_walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Steps of the forward walk lam -> lam+1 from each vertex of `start`
+    (rows) to each vertex of `end` (columns), inf where the walk crosses a
+    cut: the segment {lam, lam+1} of a vertex lam with no outgoing edge."""
+    n = g.n
+    cut = np.tile(g.out_degrees == 0, 2)
+    # steps from each vertex to the first cut at or ahead of it (2n: none)
+    next_cut = np.minimum.accumulate(np.where(cut, np.arange(2 * n), 2 * n)[::-1])[::-1]
+    room = next_cut[:n] - np.arange(n)
+    steps = np.subtract.outer(-start, -end, dtype=float)  # nu - mu at (mu, nu)
+    steps %= n
+    steps[steps > room[start, None]] = np.inf
+    return steps
 
 
-def _bfs_distances(adj: list[set[int]], start: int) -> np.ndarray:
-    dist = np.full(len(adj), np.inf)
-    dist[start] = 0.0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if math.isinf(dist[v]):
-                dist[v] = dist[u] + 1.0
-                queue.append(v)
-    return dist
+def _distances_from(g: DirectedCyclicGraph, mu: int) -> np.ndarray:
+    """Distances from mu to every vertex: the shorter open walk, where the
+    backward walk from mu to nu is the forward walk from nu to mu."""
+    every, here = np.arange(g.n), np.array([mu])
+    return np.minimum(_forward_walks(g, here, every)[0], _forward_walks(g, every, here)[:, 0])
 
 
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     """Exact distance between vertices mu and nu, with a witness function."""
     if not (0 <= mu < g.n and 0 <= nu < g.n):
         raise ValueError(f"vertices must lie in 0..{g.n - 1}, got ({mu}, {nu})")
-    dist = _bfs_distances(constraint_adjacency(g), nu)
+    dist = _distances_from(g, nu)
     value = float(dist[mu])
     if math.isinf(value):
         return DistanceResult(math.inf, None)
     # clamped path-distance function: 1-Lipschitz across every constraint
     # edge, difference at (mu, nu) equal to the distance
     witness = np.minimum(dist, value)
-    witness[np.isinf(witness)] = value
     return DistanceResult(value, VertexFunction(g.n, witness))
 
 
@@ -165,30 +163,21 @@ def connes_distance_numeric(g: DirectedCyclicGraph, c: PotentialCoefficients,
     n = g.n
     D = dirac_operator(g, c)
 
-    rows = []
-    for lam in range(n):
-        if g.out_degree(lam) >= 1:
-            row = np.zeros(n)
-            row[lam] = 1.0
-            row[(lam + 1) % n] = -1.0
-            rows.append(row)
-            rows.append(-row)
+    # rows e_lam - e_(lam+1) and their negatives, interleaved
+    lam = np.flatnonzero(g.out_degrees)
+    segments = np.eye(n)[lam] - np.eye(n)[(lam + 1) % n]
+    rows = np.stack([segments, -segments], axis=1).reshape(-1, n)
     objective = np.zeros(n)
     objective[mu] = -1.0
     objective[nu] = 1.0
     bounds = [(None, None)] * n
     bounds[nu] = (0.0, 0.0)  # gauge: the problem is translation invariant
-    if rows:
-        res = linprog(objective, A_ub=np.array(rows), b_ub=np.ones(len(rows)),
-                      bounds=bounds, method="highs")
-    else:
-        res = linprog(objective, bounds=bounds, method="highs")
+    res = linprog(objective, A_ub=rows, b_ub=np.ones(len(rows)), bounds=bounds, method="highs")
 
     if res.status == 3 or (res.status == 0 and -res.fun > 1e12):
         # relaxation unbounded: certify genuine unboundedness with an
         # indicator of mu's constraint component, which must commute with D
-        dist = _bfs_distances(constraint_adjacency(g), mu)
-        indicator = np.where(np.isfinite(dist), 1.0, 0.0)
+        indicator = np.where(np.isfinite(_distances_from(g, mu)), 1.0, 0.0)
         nrm = operator_norm(commutator_with_function(D, VertexFunction(n, indicator), g))
         lower = math.inf if nrm <= 1e-9 else 0.0
         return (lower, math.inf)
@@ -218,9 +207,12 @@ def connes_distance_numeric(g: DirectedCyclicGraph, c: PotentialCoefficients,
 
 
 def all_pairs_distances(g: DirectedCyclicGraph) -> np.ndarray:
-    """Matrix of vertex distances; math.inf marks unbounded pairs."""
-    adj = constraint_adjacency(g)
-    out = np.empty((g.n, g.n))
-    for nu in range(g.n):
-        out[:, nu] = _bfs_distances(adj, nu)
-    return out
+    """Matrix of vertex distances; math.inf marks unbounded pairs.  Entry
+    (mu, nu) is the shorter of the forward walks mu -> nu and nu -> mu, taken
+    in place one row block at a time so that a single n x n array is live."""
+    every = np.arange(g.n)
+    dist = _forward_walks(g, every, every)
+    for start in range(0, g.n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        np.minimum(dist[rows], dist[:, rows].T, out=dist[rows])
+    return dist

@@ -1,7 +1,8 @@
 """Finite directed graphs with cyclically ordered vertices and the module C(E).
 
 Edges are kept in canonical lexicographic (source, target) order; every matrix
-in the package indexes edge coordinates in that order.  The module of edge
+in the package indexes edge coordinates in that order, and out-edge offsets
+(CSR style) index the edges leaving each vertex.  The module of edge
 functions is a left module over vertex functions through the source map, with
 the canonical positive-definite Hermitian pairing and the 1/n-weighted inner
 product on the two-block Hilbert space.
@@ -40,7 +41,9 @@ class DirectedCyclicGraph:
     """A simple directed graph on n >= 3 cyclically ordered vertices.
 
     Self-loops are permitted; parallel edges are not.  Edge order is sorted
-    lexicographically by (source, target).
+    lexicographically by (source, target).  `offsets` is the (n + 1,) array
+    of out-edge offsets (the edges leaving mu are offsets[mu]:offsets[mu + 1])
+    and `out_degrees` its differences.
     """
 
     def __init__(self, n: int, edges):
@@ -61,9 +64,8 @@ class DirectedCyclicGraph:
         self.sources = np.array([e[0] for e in cleaned], dtype=int)
         self.targets = np.array([e[1] for e in cleaned], dtype=int)
         self._index = {e: i for i, e in enumerate(cleaned)}
-        self._out_degree = np.zeros(self.n, dtype=int)
-        for u, _ in cleaned:
-            self._out_degree[u] += 1
+        self.offsets = np.searchsorted(self.sources, np.arange(self.n + 1))
+        self.out_degrees = np.diff(self.offsets)
 
     @property
     def num_edges(self) -> int:
@@ -85,14 +87,15 @@ class DirectedCyclicGraph:
         return (u, v) in self._index
 
     def out_degree(self, mu: int) -> int:
-        return int(self._out_degree[mu % self.n])
+        return int(self.out_degrees[mu % self.n])
 
     def has_self_loop(self) -> bool:
         return bool(np.any(self.sources == self.targets))
 
     def edges_from(self, mu: int):
         """Edge indices sourced at vertex mu, in canonical order."""
-        return [i for i in range(self.num_edges) if self.sources[i] == mu % self.n]
+        mu %= self.n
+        return list(range(self.offsets[mu], self.offsets[mu + 1]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,7 +159,7 @@ def format_graph(g: DirectedCyclicGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeFunction:
     """A complex function on the edge set, in canonical edge order."""
 
@@ -200,7 +203,7 @@ class EdgeFunction:
             raise ValueError("edge functions live on different graphs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertVector:
     """Element of the two-block Hilbert space.
 

@@ -21,7 +21,7 @@ class Space(enum.Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """An immutable dense complex matrix with optional domain/codomain tags."""
 

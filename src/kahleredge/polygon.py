@@ -50,7 +50,7 @@ def _roll(x: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate((x[..., -shift:], x[..., :-shift]), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexFunction:
     """A complex function on the n vertices (an element of the algebra), or a
     stack of them: `values` has shape (..., n)."""
@@ -98,7 +98,7 @@ class VertexFunction:
             raise ValueError(f"vertex count mismatch: {self.n} != {other.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedForm:
     """An element of Omega^0 + Omega^1 + Omega^2 of the polygon calculus, or
     a stack of them.

@@ -25,7 +25,7 @@ __all__ = [
 _HERMITIAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in ascending order; eigenvectors, when requested, are the
     matching orthonormal columns, and `residual` is max |A V - V diag(w)|

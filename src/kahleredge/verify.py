@@ -326,7 +326,7 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
     out = []
     n = g.n
     tag = f"|V|={n},|E|={g.num_edges}"
-    full_degree = all(g.out_degree(mu) >= 1 for mu in range(n))
+    full_degree = bool(np.all(g.out_degrees))
 
     # commutator does not depend on the potential
     f = graphs.VertexFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -386,8 +386,7 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
 
 
 def run_checks(graph: graphs.DirectedCyclicGraph | None = None, seed: int = 0,
-               corrupt_wedge_sign: bool = False,
-               spectral_max_n: int = SPECTRAL_MAX_N) -> list[CheckResult]:
+               corrupt_wedge_sign: bool = False) -> list[CheckResult]:
     """Full battery: polygon suites on a range of n, module/connection and
     distance suites on the given graph plus built-in families."""
     rng = np.random.default_rng(seed)
@@ -402,5 +401,5 @@ def run_checks(graph: graphs.DirectedCyclicGraph | None = None, seed: int = 0,
         results.extend(edge_module_checks(g, rng))
         results.extend(connection_checks(g, rng))
         results.extend(distance_checks(g, rng))
-    results.extend(spectral_checks(spectral_max_n))
+    results.extend(spectral_checks())
     return results

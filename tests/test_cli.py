@@ -148,6 +148,15 @@ def test_spectrum_rejects_non_finite_potential(capsys, tmp_path, value):
     assert "bad potential file" in err and "line 2: non-finite" in err
 
 
+def test_spectrum_rejects_duplicate_potential_triple(capsys, tmp_path):
+    gpath = write_graph(tmp_path, ngon_text(3))
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text("0 1 0 1.0 0.0\n0 1 0 5.0 0.0\n")
+    code, out, err = run(capsys, "spectrum", "--graph", gpath, "--potential", str(ppath))
+    assert code == 2 and out == ""
+    assert "bad potential file" in err and "line 2: duplicate potential triple (0, 1, 0)" in err
+
+
 # ------------------------------------------------------------------- distance
 
 def test_distance_5gon(capsys, tmp_path):
@@ -189,7 +198,7 @@ def test_distance_numeric_bracket(capsys, tmp_path):
 
 def test_verify_passes_and_reports(capsys, tmp_path):
     path = write_graph(tmp_path, ngon_text(4))
-    code, out, err = run(capsys, "verify", "--graph", path, "--spectral-max-n", "8")
+    code, out, err = run(capsys, "verify", "--graph", path)
     assert code == 0 and err == ""
     lines = [line for line in out.splitlines() if line]
     assert all(" PASS " in line for line in lines)
@@ -197,9 +206,7 @@ def test_verify_passes_and_reports(capsys, tmp_path):
 
 
 def test_verify_negative_control(capsys):
-    code, out, err = run(
-        capsys, "verify", "--spectral-max-n", "8", "--corrupt-wedge-sign"
-    )
+    code, out, err = run(capsys, "verify", "--corrupt-wedge-sign")
     assert code == 3
     failing = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
     # the flipped sign breaks exactly the checks that pin it
@@ -226,6 +233,7 @@ def test_usage_errors(capsys):
     ["spectrum", "--seed", "1"],
     ["laplacian", "--seed", "1"],
     ["verify", "--format", "json"],
+    ["verify", "--spectral-max-n", "8"],
 ])
 def test_flags_that_did_nothing_are_usage_errors(capsys, tmp_path, argv):
     path = write_graph(tmp_path, ngon_text(3))

@@ -38,9 +38,9 @@ def test_potential_key_validation():
 def test_unit_potential_covers_all_valid_keys():
     g = bidirected_ngon(4)
     unit = PotentialCoefficients.unit(g)
-    keys = set(PotentialCoefficients.valid_keys(g))
-    assert set(unit.entries) == keys
-    assert all(v == 1.0 for v in unit.entries.values())
+    keys = PotentialCoefficients.valid_keys(g)
+    assert unit.values.shape == (len(keys),) == (16,)
+    assert all(unit.get(*key) == 1.0 for key in keys)
 
 
 def test_parse_potential():
@@ -56,6 +56,9 @@ def test_parse_potential():
     for bad in ("nan 0.0", "0.0 inf", "-inf 1.0"):
         with pytest.raises(graphs.GraphFormatError, match="line 2: non-finite"):
             connection.parse_potential(f"# c\n0 1 0 {bad}\n", g)
+    with pytest.raises(graphs.GraphFormatError,
+                       match=r"line 3: duplicate potential triple \(0, 1, 0\)$"):
+        connection.parse_potential("0 1 0 1.0 0.0\n1 2 1 1.0 0.0\n0 1 0 5.0 0.0\n", g)
 
 
 # ----------------------------------------------------------------- operators

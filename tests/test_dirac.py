@@ -185,7 +185,13 @@ def test_vertex_bounds_checked():
 
 
 def test_constraint_adjacency():
+    # only vertices 0 and 2 have an outgoing edge, so the unit-length
+    # constraint segments are {0, 1} and {2, 3}; 1 and 3 cut the cycle
     g = DirectedCyclicGraph(4, [(0, 1), (2, 3)])
-    adj = dirac.constraint_adjacency(g)
-    assert adj[0] == {1} and adj[1] == {0}
-    assert adj[2] == {3} and adj[3] == {2}
+    inf = math.inf
+    assert dirac.all_pairs_distances(g).tolist() == [
+        [0.0, 1.0, inf, inf],
+        [1.0, 0.0, inf, inf],
+        [inf, inf, 0.0, 1.0],
+        [inf, inf, 1.0, 0.0],
+    ]

@@ -10,7 +10,10 @@ from kahleredge.graphs import (
     GraphFormatError,
     HilbertVector,
 )
-from kahleredge.polygon import VertexFunction
+from kahleredge.dirac import connes_distance
+from kahleredge.operators import DenseOperator
+from kahleredge.polygon import GradedForm, VertexFunction
+from kahleredge.spectra import Spectrum
 
 from conftest import random_graph, random_edge_values
 
@@ -55,6 +58,24 @@ def test_equality_and_hash():
     assert ngon(4) == ngon(4)
     assert ngon(4) != ngon(5)
     assert hash(ngon(4)) == hash(ngon(4))
+
+
+ARRAY_HOLDERS = {
+    "GradedForm": lambda: GradedForm(np.ones((4, 3))),
+    "VertexFunction": lambda: VertexFunction(3, np.ones(3)),
+    "EdgeFunction": lambda: EdgeFunction(ngon(3), np.ones(3)),
+    "HilbertVector": lambda: HilbertVector.from_blocks(ngon(3), top=np.ones(3)),
+    "Spectrum": lambda: Spectrum(np.ones(3)),
+    "DenseOperator": lambda: DenseOperator(np.eye(3)),
+    "DistanceResult": lambda: connes_distance(ngon(3), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert (a == a) is True and (a == b) is False
+    assert isinstance(hash(a), int) and len({a, b}) == 2
 
 
 # --------------------------------------------------------------- text format
