@@ -2,8 +2,12 @@
 
 Subcommands: ``spectrum``, ``laplacian``, ``distance``, ``verify`` and
 ``generate``.  Data goes to standard output, warnings and diagnostics to
-standard error.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 check failure.
+standard error.  Exit codes: 0 success, 1 usage error, 2 data error (also a
+Laplacian with a non-finite entry), 3 check failure.  Floats print with 17
+significant digits, unbounded distances as ``inf`` (``"inf"`` in JSON).  CSV:
+``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row per
+line with ``re,im`` interleaved per entry, ``distance`` the distances, then
+the lower and the upper bracket, stacked.  An empty matrix prints no line.
 
 Vertices are 0-based everywhere; vertex arithmetic is mod n.
 """
@@ -11,7 +15,6 @@ Vertices are 0-based everywhere; vertex arithmetic is mod n.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -36,15 +39,29 @@ class DataError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    """17-significant-digit decimal rendering, locale independent."""
-    if math.isinf(x):
-        return "inf"
-    return format(float(x), ".17g")
+def _rows(mat: np.ndarray):
+    """Each row of the real 2-D array `mat` as its entries with 17 significant
+    digits (locale independent, `inf` for infinity), joined by commas."""
+    fmt = ",".join(["%.17g"] * mat.shape[1])
+    for row in mat:
+        yield fmt % tuple(row.tolist())
 
 
-def _json_list(values) -> str:
-    return "[" + ",".join(_fmt(v) for v in values) + "]"
+def _print_rows(mat: np.ndarray) -> None:
+    sys.stdout.writelines(row + "\n" for row in _rows(mat))
+
+
+def _print_json(head: str, mats: dict[str, np.ndarray]) -> None:
+    """Print one JSON object: the fields in `head`, then each named matrix as
+    a list of row lists, written row by row; `inf` is the string "inf"."""
+    write = sys.stdout.write
+    write("{" + head)
+    for name, mat in mats.items():
+        write(',"%s":[' % name)
+        for i, row in enumerate(_rows(mat)):
+            write(("," if i else "") + "[" + row.replace("inf", '"inf"') + "]")
+        write("]")
+    write("}\n")
 
 
 def _load_graph(path: str | None) -> graphs.DirectedCyclicGraph:
@@ -82,43 +99,46 @@ def _is_directed_ngon(g: graphs.DirectedCyclicGraph) -> bool:
     return g.edges == want
 
 
-def cmd_spectrum(args) -> int:
+def _laplacian(args) -> tuple[graphs.DirectedCyclicGraph, np.ndarray]:
+    """The graph of `args` and the matrix of its twisted edge Laplacian under
+    the potential of `args`; a data error if an entry is not finite."""
     g = _load_graph(args.graph)
     c = _load_potential(args.potential, g)
-    eigs = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
-    closed = None
-    deviation = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = connection.laplacian(g, c).matrix
+    if not np.isfinite(mat).all():
+        raise DataError("the Laplacian has non-finite entries: the potential overflows")
+    return g, mat
+
+
+def cmd_spectrum(args) -> int:
+    g, mat = _laplacian(args)
+    eigs = spectra.eig_selfadjoint(mat).eigenvalues
     if args.closed_form:
         if not _is_directed_ngon(g):
             raise DataError("--closed-form applies only to the directed n-gon")
-        closed = spectra.ngon_closed_form(g.n)
-        deviation = float(np.max(np.abs(eigs - closed)))
+        closed = spectra.ngon_closed_form(g.n)[None]
+        deviation = np.abs(eigs - closed).max(keepdims=True)
     if args.format == "json":
-        parts = [f'"eigenvalues":{_json_list(eigs)}']
-        if closed is not None:
-            parts.append(f'"closed_form":{_json_list(closed)}')
-            parts.append(f'"max_deviation":{_fmt(deviation)}')
-        print("{" + ",".join(parts) + "}")
+        out = '{"eigenvalues":[%s]' % next(_rows(eigs[None]))
+        if args.closed_form:
+            out += ',"closed_form":[%s],"max_deviation":%s' % (
+                next(_rows(closed)), next(_rows(deviation)))
+        print(out + "}")
     else:
-        for v in eigs:
-            print(_fmt(v))
-        if closed is not None:
-            print(",".join(_fmt(v) for v in closed))
-            print(_fmt(deviation))
+        _print_rows(eigs[:, None])
+        if args.closed_form:
+            _print_rows(closed)
+            _print_rows(deviation)
     return EXIT_OK
 
 
 def cmd_laplacian(args) -> int:
-    g = _load_graph(args.graph)
-    c = _load_potential(args.potential, g)
-    mat = connection.laplacian(g, c).matrix
+    _, mat = _laplacian(args)
     if args.format == "json":
-        real = "[" + ",".join(_json_list(row.real) for row in mat) + "]"
-        imag = "[" + ",".join(_json_list(row.imag) for row in mat) + "]"
-        print('{"rows":%d,"cols":%d,"real":%s,"imag":%s}' % (mat.shape[0], mat.shape[1], real, imag))
+        _print_json('"rows":%d,"cols":%d' % mat.shape, {"real": mat.real, "imag": mat.imag})
     else:
-        for row in mat:
-            print(",".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in row))
+        _print_rows(mat.view(float))
     return EXIT_OK
 
 
@@ -131,39 +151,19 @@ def cmd_distance(args) -> int:
             "some distances are infinite",
             file=sys.stderr,
         )
-    dmat = all_pairs_distances(g)
-    numeric = None
+    mats = {"distances": all_pairs_distances(g)}
     if args.numeric:
         c = _load_potential(args.potential, g)
-        lower = np.zeros_like(dmat)
-        upper = np.zeros_like(dmat)
+        lower, upper = np.zeros((2, g.n, g.n))
         for a in range(g.n):
             for b in range(g.n):
-                lower[a, b], upper[a, b] = connes_distance_numeric(
-                    g, c, a, b, seed=args.seed
-                )
-        numeric = (lower, upper)
-
-    def cell(x: float) -> str:
-        return '"inf"' if math.isinf(x) else _fmt(x)
-
+                lower[a, b], upper[a, b] = connes_distance_numeric(g, c, a, b, seed=args.seed)
+        mats["lower"], mats["upper"] = lower, upper
     if args.format == "json":
-        rows = "[" + ",".join(
-            "[" + ",".join(cell(v) for v in row) + "]" for row in dmat
-        ) + "]"
-        parts = [f'"n":{g.n}', f'"distances":{rows}']
-        if numeric is not None:
-            for name, mat in zip(("lower", "upper"), numeric):
-                rows = "[" + ",".join(
-                    "[" + ",".join(cell(v) for v in row) + "]" for row in mat
-                ) + "]"
-                parts.append(f'"{name}":{rows}')
-        print("{" + ",".join(parts) + "}")
+        _print_json('"n":%d' % g.n, mats)
     else:
-        mats = [dmat] if numeric is None else [dmat, numeric[0], numeric[1]]
-        for mat in mats:
-            for row in mat:
-                print(",".join("inf" if math.isinf(v) else _fmt(v) for v in row))
+        for mat in mats.values():
+            _print_rows(mat)
     return EXIT_OK
 
 
@@ -271,10 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, RuntimeError) as exc:
+    except (DataError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

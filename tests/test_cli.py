@@ -157,6 +157,19 @@ def test_spectrum_rejects_duplicate_potential_triple(capsys, tmp_path):
     assert "bad potential file" in err and "line 2: duplicate potential triple (0, 1, 0)" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "laplacian"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_laplacian_is_a_data_error(capsys, tmp_path, command, fmt):
+    # a finite potential whose square overflows: L gets inf and nan entries
+    gpath = write_graph(tmp_path, ngon_text(3))
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text("0 1 0 1e200 0\n")
+    code, out, err = run(capsys, command, "--graph", gpath, "--potential", str(ppath),
+                         "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-finite" in err
+
+
 # ------------------------------------------------------------------- distance
 
 def test_distance_5gon(capsys, tmp_path):
@@ -248,3 +261,65 @@ def test_data_errors(capsys, tmp_path):
     bad = write_graph(tmp_path, "n 2\n0 1\n", "bad.txt")
     code, _, err = run(capsys, "spectrum", "--graph", bad)
     assert code == 2 and "bad graph file" in err
+
+
+# ------------------------------------------------------------- golden stdout
+# The exact bytes each subcommand prints.  The inputs keep every printed
+# float free of rounding (zero potential, a potential whose products are
+# exact in binary, integer distances), so the digits do not depend on the
+# BLAS/LAPACK build.  The sign of the Laplacian entry printed as `-0` is the
+# one the complex matrix product of numpy's bundled OpenBLAS gives.
+
+GOLDEN_FILES = {
+    "ngon4": ngon_text(4),
+    "tri": ngon_text(3),
+    # the entries of L need 17 digits: 1 + 2**-25 and its square
+    "exact": "0 1 0 -0.5 -1.0000000298023224\n1 2 1 0.0 -0.5\n2 0 2 0.25 0.0\n",
+    # vertices 2 and 3 have no out-edge, so some distances are infinite
+    "sinks": "n 5\n0 1\n0 3\n1 2\n4 0\n",
+    "empty": "n 3\n",
+}
+
+GOLDEN = [
+    (("spectrum", "--graph", "ngon4", "--potential", "zero"),
+     '{"eigenvalues":[1,1,1,1]}\n'),
+    (("spectrum", "--graph", "ngon4", "--potential", "zero", "--format", "csv"),
+     "1\n1\n1\n1\n"),
+    (("spectrum", "--graph", "ngon4", "--potential", "zero", "--closed-form"),
+     '{"eigenvalues":[1,1,1,1],"closed_form":[0,1.9999999999999996,2,4],"max_deviation":3}\n'),
+    (("spectrum", "--graph", "ngon4", "--potential", "zero", "--closed-form", "--format", "csv"),
+     "1\n1\n1\n1\n0,1.9999999999999996,2,4\n3\n"),
+    (("laplacian", "--graph", "tri", "--potential", "exact"),
+     '{"rows":3,"cols":3,'
+     '"real":[[2.2500000596046457,0,-0.5],[-0,1.25,0.25],[-0.5,0.25,1.0625]],'
+     '"imag":[[0,-0.5,1.0000000298023224],[0.5,0,0],[-1.0000000298023224,0,0]]}\n'),
+    (("laplacian", "--graph", "tri", "--potential", "exact", "--format", "csv"),
+     "2.2500000596046457,0,0,-0.5,-0.5,1.0000000298023224\n"
+     "-0,0.5,1.25,0,0.25,0\n"
+     "-0.5,-1.0000000298023224,0.25,0,1.0625,0\n"),
+    (("distance", "--graph", "sinks"),
+     '{"n":5,"distances":[[0,1,2,"inf",1],[1,0,1,"inf",2],[2,1,0,"inf",3],'
+     '["inf","inf","inf",0,"inf"],[1,2,3,"inf",0]]}\n'),
+    (("distance", "--graph", "sinks", "--format", "csv"),
+     "0,1,2,inf,1\n1,0,1,inf,2\n2,1,0,inf,3\ninf,inf,inf,0,inf\n1,2,3,inf,0\n"),
+    (("distance", "--graph", "sinks", "--numeric"),
+     '{"n":5,"distances":[[0,1,2,"inf",1],[1,0,1,"inf",2],[2,1,0,"inf",3],'
+     '["inf","inf","inf",0,"inf"],[1,2,3,"inf",0]],'
+     '"lower":[[0,1,2,"inf",1],[1,0,1,"inf",2],[2,1,0,"inf",3],'
+     '["inf","inf","inf",0,"inf"],[1,2,3,"inf",0]],'
+     '"upper":[[0,1,2,"inf",1],[1,0,1,"inf",2],[2,1,0,"inf",3],'
+     '["inf","inf","inf",0,"inf"],[1,2,3,"inf",0]]}\n'),
+    (("distance", "--graph", "sinks", "--numeric", "--format", "csv"),
+     "0,1,2,inf,1\n1,0,1,inf,2\n2,1,0,inf,3\ninf,inf,inf,0,inf\n1,2,3,inf,0\n" * 3),
+    # an empty matrix prints no line at all
+    (("laplacian", "--graph", "empty", "--format", "csv"), ""),
+    (("spectrum", "--graph", "empty", "--format", "csv"), ""),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, tmp_path, argv, expected):
+    paths = {name: write_graph(tmp_path, text, name) for name, text in GOLDEN_FILES.items()}
+    code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 0
+    assert out == expected

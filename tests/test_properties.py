@@ -1,15 +1,21 @@
 """Property tests on random graphs: the offset-indexed graph, the array-backed
 potential, its assembly and closed forms, and the cut-cycle distances, each
-against a reference written out here edge by edge."""
+against a reference written out here edge by edge; the Laplacian's and the
+Dirac operator's structure; and the CLI's number format."""
 
+import contextlib
+import io
+import json
+import math
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from kahleredge import connection, dirac, graphs
+from kahleredge import cli, connection, dirac, graphs
 from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph, EdgeFunction
 from kahleredge.operators import adjoint
@@ -140,3 +146,51 @@ def test_distances_are_shortest_paths_on_the_segments(g):
     for mu in range(g.n):
         for nu in range(g.n):
             assert dirac.connes_distance(g, mu, nu).value == ref[mu, nu]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, seed=seeds)
+@example(g=EMPTY, seed=0)
+@example(g=LOOPS_AND_SINKS, seed=1)
+def test_laplacian_is_positive_semidefinite(g, seed):
+    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    eigs = np.linalg.eigvalsh(connection.laplacian(g, c).matrix)
+    norm = np.abs(eigs).max(initial=0.0)
+    assert eigs.min(initial=0.0) >= -1e-9 * max(1.0, norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, seed=seeds)
+@example(g=EMPTY, seed=0)
+@example(g=LOOPS_AND_SINKS, seed=1)
+def test_dirac_square_is_block_diagonal_with_the_laplacian_on_top(g, seed):
+    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    m = g.num_edges
+    d = dirac.dirac_operator(g, c).matrix
+    square = d @ d
+    lap = connection.laplacian(g, c).matrix
+    tol = 1e-12 * max(1.0, np.linalg.norm(lap))
+    assert np.max(np.abs(square[:m, :m] - lap), initial=0.0) <= tol
+    assert np.max(np.abs(square[:m, m:]), initial=0.0) <= tol
+    assert np.max(np.abs(square[m:, :m]), initial=0.0) <= tol
+
+
+# every float the CLI prints except -inf and nan, which it never prints
+printed_floats = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.inf)
+SPECIAL = np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1e308, -1e308],
+                    [math.inf, 0.1, -1.0000000298023224]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  elements=printed_floats))
+@example(mat=SPECIAL)
+def test_printed_rows_parse_back_to_the_same_floats(mat):
+    csv = [[float(v) for v in line.split(",")] for line in cli._rows(mat)]
+    assert np.array(csv).tobytes() == mat.tobytes()  # bitwise: keeps the sign of 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json('"n":0', {"m": mat})
+    rows = json.loads(out.getvalue(), parse_int=float)["m"]
+    parsed = [[float(v) for v in row] for row in rows]  # "inf" is a string
+    assert np.array(parsed).tobytes() == mat.tobytes()
