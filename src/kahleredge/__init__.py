@@ -14,8 +14,8 @@ from .dirac import (
     DistanceResult,
     commutator_with_function,
     connes_distance,
-    connes_distance_numeric,
     dirac_operator,
+    distance_bracket,
     operator_norm,
 )
 from .graphs import (
@@ -74,7 +74,7 @@ __all__ = [
     "commutator_with_function",
     "operator_norm",
     "connes_distance",
-    "connes_distance_numeric",
+    "distance_bracket",
     "DistanceResult",
 ]
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import connection, graphs, spectra, verify
-from .dirac import all_pairs_distances, connes_distance_numeric
+from .dirac import all_pairs_distances, distance_bracket
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,11 +154,7 @@ def cmd_distance(args) -> int:
     mats = {"distances": all_pairs_distances(g)}
     if args.numeric:
         c = _load_potential(args.potential, g)
-        lower, upper = np.zeros((2, g.n, g.n))
-        for a in range(g.n):
-            for b in range(g.n):
-                lower[a, b], upper[a, b] = connes_distance_numeric(g, c, a, b, seed=args.seed)
-        mats["lower"], mats["upper"] = lower, upper
+        mats["lower"], mats["upper"] = distance_bracket(g, c, seed=args.seed)
     if args.format == "json":
         _print_json('"n":%d' % g.n, mats)
     else:

@@ -7,8 +7,21 @@ segments {lam, lam+1} of vertices lam that carry an outgoing edge, so the
 supremum collapses to a closed form on the cycle cut at every vertex with no
 outgoing edge: the number of steps of the shorter of the forward and the
 backward walk from mu to nu that crosses no cut, or infinity when both do.
-An independent numeric route (linear programming upper bound plus a
-norm-certified witness refined by projected ascent) brackets the same value.
+
+An independent numeric route brackets the whole distance matrix at once.
+Upper bound: the unit ball only allows |f(lam) - f(lam+1)| <= 1 on those
+segments, and for a target nu the real functions obeying this with f(nu) = 0
+and f <= n are closed under pointwise max.  So the one maximiser of
+sum_mu f(mu) over them is their pointwise largest member: d(., nu) on nu's
+constraint component, and the cap n elsewhere, where no constraint links mu
+to nu and the distance is unbounded.  One linear program per column, all n
+stacked block-diagonally, gives every upper bound.  Lower bound: a single
+function of the unit ball is a witness for every pair it separates, so the
+column maximiser, rescaled by the measured operator norm of its dense
+commutator, certifies its whole column with one norm; the indicator of a
+constraint component commutes with D, so every multiple of it is in the ball,
+and one norm per component certifies its unbounded entries.  Projected ascent
+refines any pair left open.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import svdvals
 from scipy.optimize import linprog
 
@@ -31,7 +45,7 @@ __all__ = [
     "commutator_with_function",
     "operator_norm",
     "connes_distance",
-    "connes_distance_numeric",
+    "distance_bracket",
 ]
 
 #: projected-ascent hyperparameters (fixed for oracle reproducibility)
@@ -131,63 +145,52 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     return DistanceResult(value, VertexFunction(g.n, witness))
 
 
-def _certified_value(D: DenseOperator, g: DirectedCyclicGraph,
-                     f: np.ndarray, mu: int, nu: int) -> float:
-    """|f(mu) - f(nu)| after rescaling f into the unit commutator-norm ball,
-    with the norm measured on the dense commutator itself."""
-    nrm = operator_norm(commutator_with_function(D, VertexFunction(g.n, f), g))
-    scaled = f / max(1.0, nrm)
-    return abs(float(scaled[mu].real) - float(scaled[nu].real))
-
-
-def connes_distance_numeric(g: DirectedCyclicGraph, c: PotentialCoefficients,
-                            mu: int, nu: int, iters: int = DEFAULT_ITERS,
-                            seed: int = 0) -> tuple[float, float]:
-    """Independent numeric bracket (lower, upper) for the vertex distance.
-
-    Upper bound: linear program over real f maximizing f(mu) - f(nu) under
-    |f(lam) - f(lam+1)| <= 1 for every vertex lam with an outgoing edge; each
-    of these constraints is implied by the unit commutator-norm ball (apply
-    the commutator to the basis vector of any edge sourced at lam), so the LP
-    optimum dominates the supremum.
-
-    Lower bound: best certified witness, where certification rescales a
-    candidate by the measured operator norm of its dense commutator.
-    Candidates are the LP maximizer and projected-ascent iterates (fixed step,
-    seeded random restarts); ascent stops early once the bracket closes.
-    """
-    if not (0 <= mu < g.n and 0 <= nu < g.n):
-        raise ValueError(f"vertices must lie in 0..{g.n - 1}, got ({mu}, {nu})")
-    if mu == nu:
-        return (0.0, 0.0)
+def distance_bracket(g: DirectedCyclicGraph, c: PotentialCoefficients,
+                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Independent numeric bracket (lower, upper) of the whole distance
+    matrix, inf where unbounded (see the module docstring): one linear program
+    per target vertex, all stacked block-diagonally, one certified column
+    maximiser per target and one indicator per constraint component.
+    Projected ascent (seeded from `seed` for each pair) runs only for finite
+    pairs whose bracket is still open."""
     n = g.n
     D = dirac_operator(g, c)
 
-    # rows e_lam - e_(lam+1) and their negatives, interleaved
+    def norm(f):  # of the dense commutator [D, f]
+        return operator_norm(commutator_with_function(D, VertexFunction(n, f), g))
+
+    # rows e_lam - e_(lam+1) and their negatives, interleaved, once per column
     lam = np.flatnonzero(g.out_degrees)
     segments = np.eye(n)[lam] - np.eye(n)[(lam + 1) % n]
     rows = np.stack([segments, -segments], axis=1).reshape(-1, n)
-    objective = np.zeros(n)
-    objective[mu] = -1.0
-    objective[nu] = 1.0
-    bounds = [(None, None)] * n
-    bounds[nu] = (0.0, 0.0)  # gauge: the problem is translation invariant
-    res = linprog(objective, A_ub=rows, b_ub=np.ones(len(rows)), bounds=bounds, method="highs")
-
-    if res.status == 3 or (res.status == 0 and -res.fun > 1e12):
-        # relaxation unbounded: certify genuine unboundedness with an
-        # indicator of mu's constraint component, which must commute with D
-        indicator = np.where(np.isfinite(_distances_from(g, mu)), 1.0, 0.0)
-        nrm = operator_norm(commutator_with_function(D, VertexFunction(n, indicator), g))
-        lower = math.inf if nrm <= 1e-9 else 0.0
-        return (lower, math.inf)
+    blocks = sparse.kron(sparse.eye_array(n), rows, format="csr")
+    bounds = np.tile([-np.inf, float(n)], (n * n, 1))
+    bounds[:: n + 1] = 0.0  # f(nu) = 0 in column nu: the gauge of each column
+    res = linprog(-np.ones(n * n), A_ub=blocks, b_ub=np.ones(blocks.shape[0]),
+                  bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"distance LP failed with status {res.status}: {res.message}")
-    upper = float(-res.fun)
+    witnesses = res.x.reshape(n, n)  # row nu: the maximiser of column nu
+    upper = np.where(witnesses.T >= n - 0.5, np.inf, witnesses.T)
 
-    best = _certified_value(D, g, np.asarray(res.x, dtype=float), mu, nu)
+    lower = np.empty((n, n))
+    for nu, f in enumerate(witnesses):
+        scaled = f / max(1.0, norm(f))
+        lower[:, nu] = np.abs(scaled - scaled[nu])
+    finite = np.isfinite(upper)  # row mu: the indicator of mu's component
+    components, label = np.unique(finite, axis=0, return_inverse=True)
+    for k, comp in enumerate(components):
+        if not comp.all():
+            lower[np.ix_(label == k, ~comp)] = math.inf if norm(comp * 1.0) <= 1e-9 else 0.0
+    for mu, nu in np.argwhere(finite)[upper[finite] - lower[finite] > 1e-9]:
+        lower[mu, nu] = _ascend(norm, n, mu, nu, lower[mu, nu], upper[mu, nu], seed)
+    return lower, upper
+
+
+def _ascend(norm, n: int, mu: int, nu: int, best: float, upper: float, seed: int) -> float:
+    """Best |f(mu) - f(nu)| seen by projected ascent in the ball norm(f) <= 1,
+    starting from `best` and stopping once within 1e-9 of `upper`."""
     rng = np.random.default_rng(seed)
-    per_restart = max(1, iters // ASCENT_RESTARTS)
     grad = np.zeros(n)
     grad[mu] = 1.0
     grad[nu] = -1.0
@@ -195,15 +198,15 @@ def connes_distance_numeric(g: DirectedCyclicGraph, c: PotentialCoefficients,
         if upper - best <= 1e-9:
             break
         f = rng.standard_normal(n)
-        for _ in range(per_restart):
+        for _ in range(DEFAULT_ITERS // ASCENT_RESTARTS):
             f = f + ASCENT_STEP * grad
-            nrm = operator_norm(commutator_with_function(D, VertexFunction(n, f), g))
+            nrm = norm(f)
             if nrm > 1.0:
                 f = f / nrm
             best = max(best, abs(float(f[mu] - f[nu])))
             if upper - best <= 1e-9:
                 break
-    return (best, upper)
+    return best
 
 
 def all_pairs_distances(g: DirectedCyclicGraph) -> np.ndarray:

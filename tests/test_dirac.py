@@ -122,7 +122,8 @@ def test_5gon_distances():
 def test_same_vertex_distance_zero():
     g = ngon(4)
     assert dirac.connes_distance(g, 1, 1).value == 0.0
-    assert dirac.connes_distance_numeric(g, PotentialCoefficients.unit(g), 1, 1) == (0.0, 0.0)
+    lower, upper = dirac.distance_bracket(g, PotentialCoefficients.unit(g))
+    assert (lower[1, 1], upper[1, 1]) == (0.0, 0.0)
 
 
 def test_disconnected_pair_is_infinite():
@@ -130,8 +131,8 @@ def test_disconnected_pair_is_infinite():
     res = dirac.connes_distance(g, 1, 2)
     assert math.isinf(res.value)
     assert res.witness is None
-    lower, upper = dirac.connes_distance_numeric(g, PotentialCoefficients.zero(g), 1, 2)
-    assert math.isinf(lower) and math.isinf(upper)
+    lower, upper = dirac.distance_bracket(g, PotentialCoefficients.zero(g))
+    assert math.isinf(lower[1, 2]) and math.isinf(upper[1, 2])
 
 
 def test_witness_is_feasible_and_attaining():
@@ -149,7 +150,8 @@ def test_witness_is_feasible_and_attaining():
 
 def test_numeric_bracket_on_4gon():
     g = ngon(4)
-    lower, upper = dirac.connes_distance_numeric(g, PotentialCoefficients.unit(g), 0, 2)
+    lower, upper = dirac.distance_bracket(g, PotentialCoefficients.unit(g))
+    lower, upper = lower[0, 2], upper[0, 2]
     assert lower <= 2.0 <= upper or abs(lower - 2.0) <= 1e-6
     assert upper - lower <= 1e-6
     assert abs(upper - 2.0) <= 1e-6
@@ -161,27 +163,25 @@ def test_numeric_bracket_matches_bfs():
         g = random_graph(rng, max_n=6, full_out_degree=True)
         c = PotentialCoefficients.random(g, rng)
         mat = dirac.all_pairs_distances(g)
+        lower, upper = dirac.distance_bracket(g, c, seed=5)
         for nu in range(g.n):
-            lower, upper = dirac.connes_distance_numeric(g, c, 0, nu, seed=5)
-            assert abs(lower - mat[0, nu]) <= 1e-6
-            assert abs(upper - mat[0, nu]) <= 1e-6
+            assert abs(lower[0, nu] - mat[0, nu]) <= 1e-6
+            assert abs(upper[0, nu] - mat[0, nu]) <= 1e-6
 
 
 def test_numeric_bracket_potential_independent():
     g = ngon(5)
     rng = np.random.default_rng(53)
-    ref = dirac.connes_distance_numeric(g, PotentialCoefficients.zero(g), 0, 2)
+    ref_lower, ref_upper = dirac.distance_bracket(g, PotentialCoefficients.zero(g))
     for _ in range(5):
-        c = PotentialCoefficients.random(g, rng)
-        assert dirac.connes_distance_numeric(g, c, 0, 2) == ref
+        lower, upper = dirac.distance_bracket(g, PotentialCoefficients.random(g, rng))
+        assert np.array_equal(lower, ref_lower) and np.array_equal(upper, ref_upper)
 
 
 def test_vertex_bounds_checked():
     g = ngon(3)
     with pytest.raises(ValueError):
         dirac.connes_distance(g, 0, 3)
-    with pytest.raises(ValueError):
-        dirac.connes_distance_numeric(g, PotentialCoefficients.zero(g), -1, 0)
 
 
 def test_constraint_adjacency():

@@ -1,7 +1,8 @@
 """Property tests on random graphs: the offset-indexed graph, the array-backed
 potential, its assembly and closed forms, and the cut-cycle distances, each
-against a reference written out here edge by edge; the Laplacian's and the
-Dirac operator's structure; and the CLI's number format."""
+against a reference written out here edge by edge; the numeric distance
+bracket against the exact distances; the Laplacian's and the Dirac operator's
+structure; and the CLI's number format."""
 
 import contextlib
 import io
@@ -146,6 +147,21 @@ def test_distances_are_shortest_paths_on_the_segments(g):
     for mu in range(g.n):
         for nu in range(g.n):
             assert dirac.connes_distance(g, mu, nu).value == ref[mu, nu]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, seed=seeds)
+@example(g=EMPTY, seed=0)
+@example(g=LOOPS_AND_SINKS, seed=1)
+def test_numeric_bracket_holds_the_exact_distances(g, seed):
+    exact = dirac.all_pairs_distances(g)
+    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    lower, upper = dirac.distance_bracket(g, c)
+    assert np.array_equal(upper, exact)
+    assert np.all(lower <= exact) and np.all(exact <= upper)
+    assert np.array_equal(np.isinf(lower), np.isinf(exact))
+    finite = np.isfinite(exact)
+    assert np.max(np.abs(lower[finite] - exact[finite]), initial=0.0) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
