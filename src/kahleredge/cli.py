@@ -8,6 +8,9 @@ significant digits, unbounded distances as ``inf`` (``"inf"`` in JSON).  CSV:
 ``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row per
 line with ``re,im`` interleaved per entry, ``distance`` the distances, then
 the lower and the upper bracket, stacked.  An empty matrix prints no line.
+``distance`` warns on standard error that some distances are infinite when
+two or more vertices have no outgoing edge: each such vertex cuts the cycle,
+and two cuts part it into pieces no constraint links.
 
 Vertices are 0-based everywhere; vertex arithmetic is mod n.
 """
@@ -145,7 +148,7 @@ def cmd_laplacian(args) -> int:
 def cmd_distance(args) -> int:
     g = _load_graph(args.graph)
     lonely = np.flatnonzero(g.out_degrees == 0).tolist()
-    if lonely:
+    if len(lonely) >= 2:  # one cut leaves the cycle a path, two part it
         print(
             f"warning: vertices {lonely} have no outgoing edge; "
             "some distances are infinite",

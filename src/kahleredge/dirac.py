@@ -22,6 +22,12 @@ commutator, certifies its whole column with one norm; the indicator of a
 constraint component commutes with D, so every multiple of it is in the ball,
 and one norm per component certifies its unbounded entries.  Projected ascent
 refines any pair left open.
+
+SciPy is imported only inside the functions that use it, so the exact
+distances and everything else outside the numeric bracket and the operator
+norms load on numpy alone.  `linprog` is a module-level function that
+forwards to SciPy's because it is the seam at which the benchmark's tracer
+(`perfbench/spans.py`) wraps the LP solver, by this name.
 """
 
 from __future__ import annotations
@@ -30,9 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import svdvals
-from scipy.optimize import linprog
 
 from .connection import PotentialCoefficients, dbar
 from .graphs import DirectedCyclicGraph
@@ -103,10 +106,19 @@ def commutator_with_function(D: DenseOperator, f: VertexFunction,
 
 def operator_norm(M) -> float:
     """Largest singular value."""
+    from scipy.linalg import svdvals
+
     mat = M.matrix if isinstance(M, DenseOperator) else np.asarray(M, dtype=complex)
     if mat.size == 0:
         return 0.0
     return float(svdvals(mat)[0])
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _forward_walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -153,6 +165,8 @@ def distance_bracket(g: DirectedCyclicGraph, c: PotentialCoefficients,
     maximiser per target and one indicator per constraint component.
     Projected ascent (seeded from `seed` for each pair) runs only for finite
     pairs whose bracket is still open."""
+    from scipy import sparse
+
     n = g.n
     D = dirac_operator(g, c)
 

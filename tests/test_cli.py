@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,16 @@ def test_distance_infinite_and_warning(capsys, tmp_path):
     assert "inf" in cout
 
 
+def test_one_sink_does_not_warn(capsys, tmp_path):
+    # vertex 3 has no out-edge: it cuts the cycle into a path, so every
+    # distance stays finite
+    path = write_graph(tmp_path, "n 6\n0 1\n1 2\n2 3\n4 5\n5 0\n")
+    for extra in ((), ("--numeric",)):
+        code, out, err = run(capsys, "distance", "--graph", path, *extra)
+        assert code == 0 and err == ""
+        assert "inf" not in out
+
+
 def test_distance_numeric_bracket(capsys, tmp_path):
     path = write_graph(tmp_path, ngon_text(4))
     code, out, _ = run(capsys, "distance", "--graph", path, "--numeric")
@@ -205,6 +219,40 @@ def test_distance_numeric_bracket(capsys, tmp_path):
     upper = np.array(data["upper"], dtype=float)
     assert np.max(np.abs(lower - dist)) <= 1e-6
     assert np.max(np.abs(upper - dist)) <= 1e-6
+
+
+COLD_START = """
+import contextlib, io, sys
+from kahleredge import cli
+
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+graph = sys.argv[1]
+with open(graph, "w", encoding="utf-8") as handle:
+    handle.write(call("generate", "circulant", "16", "2"))
+for command in ("spectrum", "laplacian", "distance"):
+    call(command, "--graph", graph)
+assert not scipy_modules(), scipy_modules()[:5]
+call("distance", "--numeric", "--graph", graph)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_for_the_numeric_bracket(tmp_path):
+    # a fresh interpreter: this one already holds SciPy through other tests
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", COLD_START, str(tmp_path / "c.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------------- verify
