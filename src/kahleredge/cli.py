@@ -38,6 +38,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class UsageError(Exception):
+    pass
+
+
 class DataError(Exception):
     pass
 
@@ -146,6 +150,8 @@ def cmd_laplacian(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.potential is not None and not args.numeric:
+        raise UsageError("--potential applies only with --numeric")
     g = _load_graph(args.graph)
     lonely = np.flatnonzero(g.out_degrees == 0).tolist()
     if len(lonely) >= 2:  # one cut leaves the cycle a path, two part it
@@ -156,8 +162,8 @@ def cmd_distance(args) -> int:
         )
     mats = {"distances": all_pairs_distances(g)}
     if args.numeric:
-        c = _load_potential(args.potential, g)
-        mats["lower"], mats["upper"] = distance_bracket(g, c, seed=args.seed)
+        c = _load_potential(args.potential or "unit", g)
+        mats["lower"], mats["upper"] = distance_bracket(g, c)
     if args.format == "json":
         _print_json('"n":%d' % g.n, mats)
     else:
@@ -182,6 +188,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.d is not None and args.family != "circulant":
+        raise DataError(f"{args.family} takes only n, got d = {args.d}")
     try:
         if args.family == "ngon":
             g = spectra.make_circulant_regular(args.n, 1)
@@ -241,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also emit the numeric optimization bracket for every pair",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed of the numeric bracket's restarts")
-    p.set_defaults(func=cmd_distance)
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: the numeric bracket is deterministic")
+    p.set_defaults(func=cmd_distance, potential=None)
 
     p = sub.add_parser("verify", help="run the full consistency-check battery")
     p.add_argument("--graph", help="edge-list graph file")
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a graph of a built-in family")
     p.add_argument("family", choices=("ngon", "circulant", "bidirected-ngon"))
     p.add_argument("n", type=int)
-    p.add_argument("d", type=int, nargs="?")
+    p.add_argument("d", type=int, nargs="?", help="out-degree, for circulant only")
     p.set_defaults(func=cmd_generate)
     return parser
 
@@ -270,6 +279,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (DataError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -20,8 +20,10 @@ function of the unit ball is a witness for every pair it separates, so the
 column maximiser, rescaled by the measured operator norm of its dense
 commutator, certifies its whole column with one norm; the indicator of a
 constraint component commutes with D, so every multiple of it is in the ball,
-and one norm per component certifies its unbounded entries.  Projected ascent
-refines any pair left open.
+and one norm per component certifies its unbounded entries.  No pair is left
+open: the potential entries of [D, f] cancel, so its norm is the largest step
+of f across those segments, at most one for the column maximiser, whose
+certificate thus equals the upper bound on every finite pair.
 
 SciPy is imported only inside the functions that use it, so the exact
 distances and everything else outside the numeric bracket and the operator
@@ -51,10 +53,6 @@ __all__ = [
     "distance_bracket",
 ]
 
-#: projected-ascent hyperparameters (fixed for oracle reproducibility)
-ASCENT_STEP = 0.1
-ASCENT_RESTARTS = 8
-DEFAULT_ITERS = 10_000
 #: rows per step of the in-place symmetrisation in all_pairs_distances
 ROW_BLOCK = 256
 
@@ -157,14 +155,14 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     return DistanceResult(value, VertexFunction(g.n, witness))
 
 
-def distance_bracket(g: DirectedCyclicGraph, c: PotentialCoefficients,
-                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def distance_bracket(g: DirectedCyclicGraph,
+                     c: PotentialCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Independent numeric bracket (lower, upper) of the whole distance
     matrix, inf where unbounded (see the module docstring): one linear program
     per target vertex, all stacked block-diagonally, one certified column
-    maximiser per target and one indicator per constraint component.
-    Projected ascent (seeded from `seed` for each pair) runs only for finite
-    pairs whose bracket is still open."""
+    maximiser per target and one indicator per constraint component.  No pair
+    is left open: the commutator norm of f is its largest step across a
+    constraint segment, so each column maximiser certifies its own column."""
     from scipy import sparse
 
     n = g.n
@@ -196,31 +194,7 @@ def distance_bracket(g: DirectedCyclicGraph, c: PotentialCoefficients,
     for k, comp in enumerate(components):
         if not comp.all():
             lower[np.ix_(label == k, ~comp)] = math.inf if norm(comp * 1.0) <= 1e-9 else 0.0
-    for mu, nu in np.argwhere(finite)[upper[finite] - lower[finite] > 1e-9]:
-        lower[mu, nu] = _ascend(norm, n, mu, nu, lower[mu, nu], upper[mu, nu], seed)
     return lower, upper
-
-
-def _ascend(norm, n: int, mu: int, nu: int, best: float, upper: float, seed: int) -> float:
-    """Best |f(mu) - f(nu)| seen by projected ascent in the ball norm(f) <= 1,
-    starting from `best` and stopping once within 1e-9 of `upper`."""
-    rng = np.random.default_rng(seed)
-    grad = np.zeros(n)
-    grad[mu] = 1.0
-    grad[nu] = -1.0
-    for _ in range(ASCENT_RESTARTS):
-        if upper - best <= 1e-9:
-            break
-        f = rng.standard_normal(n)
-        for _ in range(DEFAULT_ITERS // ASCENT_RESTARTS):
-            f = f + ASCENT_STEP * grad
-            nrm = norm(f)
-            if nrm > 1.0:
-                f = f / nrm
-            best = max(best, abs(float(f[mu] - f[nu])))
-            if upper - best <= 1e-9:
-                break
-    return best
 
 
 def all_pairs_distances(g: DirectedCyclicGraph) -> np.ndarray:

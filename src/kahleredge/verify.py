@@ -376,7 +376,7 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
 
     if full_degree and n <= 8:
         c = connection.PotentialCoefficients.random(g, rng)
-        bracket = np.stack(distance_bracket(g, c, seed=7))
+        bracket = np.stack(distance_bracket(g, c))
         res = float(np.any(np.isfinite(bracket) != finite))
         res = max(res, float(np.max(np.abs(bracket[:, finite] - dmat[finite]), initial=0.0)))
         out.append(CheckResult(f"numeric-oracle-agreement[{tag}]", res, 1e-6))

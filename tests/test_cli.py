@@ -64,6 +64,11 @@ def test_generate_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "generate", "square", "4")
     assert code == 1
+    # only circulant takes a degree: a surplus one is an error, not ignored
+    for family, n, d in (("ngon", "4", "3"), ("bidirected-ngon", "3", "7")):
+        code, out, err = run(capsys, "generate", family, n, d)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "takes only n" in err
 
 
 # ------------------------------------------------------------------- spectrum
@@ -219,6 +224,27 @@ def test_distance_numeric_bracket(capsys, tmp_path):
     upper = np.array(data["upper"], dtype=float)
     assert np.max(np.abs(lower - dist)) <= 1e-6
     assert np.max(np.abs(upper - dist)) <= 1e-6
+
+
+def test_distance_seed_has_no_effect(capsys, tmp_path):
+    # the argv of the benchmark's numeric jobs: --seed is parsed and ignored
+    path = write_graph(tmp_path, "n 8\n0 0\n0 1\n1 2\n2 3\n5 6\n6 7\n7 0\n")
+    outs = set()
+    for seed in ("0", "12345"):
+        code, out, _ = run(capsys, "distance", "--graph", path, "--numeric",
+                           "--potential", "zero", "--seed", seed)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def test_potential_without_numeric_is_a_usage_error(capsys, tmp_path):
+    # plain distances never read the potential, so naming one is a mistake
+    path = write_graph(tmp_path, ngon_text(3))
+    missing = str(tmp_path / "nonexistent.txt")
+    code, out, err = run(capsys, "distance", "--graph", path, "--potential", missing)
+    assert code == 1 and out == ""
+    assert "--numeric" in err
 
 
 COLD_START = """
