@@ -115,7 +115,8 @@ class PotentialCoefficients:
 def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficients:
     """Parse lines ``mu nu nuP re im``; ``#`` starts a comment.  Each triple
     may appear at most once."""
-    entries: dict[tuple[int, int, int], complex] = {}
+    c = PotentialCoefficients(graph)
+    seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,16 +131,19 @@ def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficie
             raise GraphFormatError(f"line {lineno}: malformed values in {raw!r}") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise GraphFormatError(f"line {lineno}: non-finite coefficient in {raw!r}")
-        if not PotentialCoefficients.is_valid_key(graph, mu, nu, nup):
+        try:  # a key is valid exactly when both of its edges exist
+            position = c._position(mu, nu, nup)
+        except KeyError:
             raise GraphFormatError(
                 f"line {lineno}: invalid potential triple ({mu}, {nu}, {nup})"
-            )
-        if (mu, nu, nup) in entries:
+            ) from None
+        if position in seen:
             raise GraphFormatError(
                 f"line {lineno}: duplicate potential triple ({mu}, {nu}, {nup})"
             )
-        entries[(mu, nu, nup)] = complex(re, im)
-    return PotentialCoefficients(graph, entries)
+        seen.add(position)
+        c.values[position] = complex(re, im)
+    return c
 
 
 def base_connection(g: DirectedCyclicGraph) -> DenseOperator:

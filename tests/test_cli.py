@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kahleredge import cli, graphs
+from kahleredge import cli, connection, dirac, graphs
 
 
 def run(capsys, *argv):
@@ -397,3 +397,44 @@ def test_golden_stdout(capsys, tmp_path, argv, expected):
     code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 0
     assert out == expected
+
+
+# ------------------------------------------------------ golden large outputs
+# Outputs of several row blocks against a reference formatted cell by cell.
+
+def per_cell(mat, json=False):
+    cell = lambda x: '"inf"' if json and x == math.inf else "%.17g" % x
+    return [",".join(cell(x) for x in row) for row in mat.tolist()]
+
+
+def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
+    n = 600
+    code, text, _ = run(capsys, "generate", "circulant", str(n), "3")
+    assert code == 0
+    # vertices 100 and 400 lose their out-edges: two cuts, so "inf" cells
+    sinks = "".join(line + "\n" for line in text.splitlines()
+                    if line.split()[0] not in ("100", "400"))
+    for graph_text in (text, sinks):
+        g = graphs.parse_graph(graph_text)
+        dist = dirac.all_pairs_distances(g)
+        assert dist.shape[0] > 2 * cli.ROW_BLOCK
+        assert (graph_text == sinks) == bool(np.isinf(dist).any())
+        path = write_graph(tmp_path, graph_text)
+        code, out, _ = run(capsys, "distance", "--graph", path, "--format", "csv")
+        assert code == 0 and out == "".join(row + "\n" for row in per_cell(dist))
+        code, out, _ = run(capsys, "distance", "--graph", path)
+        rows = ",".join("[" + row + "]" for row in per_cell(dist, json=True))
+        assert code == 0 and out == '{"n":%d,"distances":[%s]}\n' % (n, rows)
+
+    g = graphs.parse_graph(run(capsys, "generate", "circulant", "150", "2")[1])
+    rng = np.random.default_rng(5)
+    keys = connection.PotentialCoefficients.valid_keys(g).tolist()
+    pot = tmp_path / "pot.txt"
+    pot.write_text("".join(f"{mu} {nu} {nup} {rng.standard_normal()!r} {rng.standard_normal()!r}\n"
+                           for mu, nu, nup in keys))
+    lap = connection.laplacian(g, connection.parse_potential(pot.read_text(), g)).matrix
+    assert lap.shape[0] > cli.ROW_BLOCK
+    path = write_graph(tmp_path, graphs.format_graph(g))
+    code, out, _ = run(capsys, "laplacian", "--graph", path, "--potential", str(pot),
+                       "--format", "csv")
+    assert code == 0 and out == "".join(row + "\n" for row in per_cell(lap.view(float)))

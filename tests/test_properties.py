@@ -6,11 +6,13 @@ structure; and the CLI's number format."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
@@ -75,6 +77,28 @@ def test_keys_and_random_draws_match_the_double_loop(g, seed):
     values = ref.standard_normal(len(keys)) + 1j * ref.standard_normal(len(keys))
     assert [c.get(*key) for key in keys] == values.tolist()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, seed=seeds)
+@example(g=EMPTY, seed=0)
+@example(g=LOOPS_AND_SINKS, seed=1)
+def test_parsed_potential_matches_the_keys(g, seed):
+    rng = np.random.default_rng(seed)
+    c = PotentialCoefficients.random(g, rng)
+    keys = reference_keys(g)
+    lines = [f"{mu} {nu} {nup} {c.get(mu, nu, nup).real!r} {c.get(mu, nu, nup).imag!r}"
+             for mu, nu, nup in keys]
+    shuffled = [lines[i] for i in rng.permutation(len(lines))]
+    assert np.array_equal(connection.parse_potential("\n".join(shuffled), g).values, c.values)
+    for triple in itertools.product(range(-1, g.n + 1), repeat=3):
+        line = "%d %d %d 1.0 0.0" % triple
+        if triple in keys:
+            with pytest.raises(graphs.GraphFormatError, match=r"line 2: duplicate"):
+                connection.parse_potential(line + "\n" + line, g)
+        else:
+            with pytest.raises(graphs.GraphFormatError, match=r"line 1: invalid"):
+                connection.parse_potential(line, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,3 +234,31 @@ def test_printed_rows_parse_back_to_the_same_floats(mat):
     rows = json.loads(out.getvalue(), parse_int=float)["m"]
     parsed = [[float(v) for v in row] for row in rows]  # "inf" is a string
     assert np.array(parsed).tobytes() == mat.tobytes()
+
+
+def reference_rows(mat, json=False):
+    """The rows as the per-cell reference format: 17 significant digits per
+    entry, "inf" quoted in JSON."""
+    cell = lambda x: '"inf"' if json and x == math.inf else "%.17g" % x
+    return [",".join(cell(x) for x in row) for row in mat.tolist()]
+
+
+# values that repeat across row blocks, with the sign of zero and the
+# extremes of the 17-digit format among them
+POOL = [0.0, -0.0, math.inf, 5e-324, 1e16, 1e17]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 600), cols=st.integers(1, 4), seed=seeds)
+@example(rows=cli.ROW_BLOCK, cols=2, seed=0)
+@example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1)
+@example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2)
+def test_printed_rows_match_the_per_cell_format(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([POOL, rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
+    lap = np.empty((rows, cols), dtype=complex)  # 1j * inf would put nan in .real
+    lap.real, lap.imag = rng.choice(pool, (2, rows, cols))
+    # contiguous, strided, interleaved and transposed views
+    for mat in (lap.real.copy(), lap.real, lap.imag, lap.view(float), lap.imag.T):
+        assert list(cli._rows(mat)) == reference_rows(mat)
+        assert list(cli._rows(mat, json=True)) == reference_rows(mat, json=True)
