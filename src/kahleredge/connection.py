@@ -9,6 +9,7 @@ the square of the resulting Dirac-type operator restricted to the edge block.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -48,7 +49,10 @@ class PotentialCoefficients:
         self.block_offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.values = np.zeros(self.block_offsets[-1], dtype=complex)
         for key, value in dict(entries or {}).items():
-            mu, nu, nup = (int(k) for k in key)
+            try:  # integers only: int() would truncate 1.9 to vertex 1
+                mu, nu, nup = (operator.index(k) for k in key)
+            except TypeError:
+                raise ValueError(f"potential key {key!r} has a non-integer vertex") from None
             if not self.is_valid_key(graph, mu, nu, nup):
                 raise ValueError(
                     f"invalid potential key ({mu}, {nu}, {nup}): needs edges "

@@ -17,13 +17,19 @@ constraint component, and the cap n elsewhere, where no constraint links mu
 to nu and the distance is unbounded.  One linear program per column, all n
 stacked block-diagonally, gives every upper bound.  Lower bound: a single
 function of the unit ball is a witness for every pair it separates, so the
-column maximiser, rescaled by the measured operator norm of its dense
-commutator, certifies its whole column with one norm; the indicator of a
-constraint component commutes with D, so every multiple of it is in the ball,
-and one norm per component certifies its unbounded entries.  No pair is left
-open: the potential entries of [D, f] cancel, so its norm is the largest step
-of f across those segments, at most one for the column maximiser, whose
+column maximiser, rescaled by the measured operator norm of its commutator,
+certifies its whole column with one norm; the indicator of a constraint
+component commutes with D, so every multiple of it is in the ball, and one
+norm per component certifies its unbounded entries.  No pair is left open:
+the potential entries of [D, f] cancel, so its norm is the largest step of f
+across those segments, at most one for the column maximiser, whose
 certificate thus equals the upper bound on every finite pair.
+
+Each norm is taken of the m x m block Y of the commutator, not of the whole
+2m x 2m matrix.  D = [[0, dbar^dagger], [dbar, 0]] and f acts as
+diag(f o s, f o (s+1)), so for a real f, [D, f] = [[0, -Y^dagger], [Y, 0]]
+with Y[e', e] = dbar[e', e] (f(s(e)) - f(s(e')+1)), and ||[D, f]|| = ||Y||.
+The witnesses and the indicators are real, so the bracket never assembles D.
 
 SciPy is imported only inside the functions that use it, so the exact
 distances and everything else outside the numeric bracket and the operator
@@ -86,6 +92,17 @@ def _diagonal_action(g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
     top = f[g.sources]
     bottom = f[(g.sources + 1) % g.n]
     return np.concatenate([top, bottom])
+
+
+def _commutator_block(a: np.ndarray, g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
+    """The bottom-left block Y of [D, f], from the matrix `a` of dbar and a
+    real vertex function `f`: Y[e', e] = a[e', e] (f(s(e)) - f(s(e')+1)).
+    The top-right block is -Y^dagger only because f is real, so only then is
+    ||[D, f]|| = ||Y||."""
+    diag = _diagonal_action(g, f)
+    m = g.num_edges
+    # factored difference, as in commutator_with_function: potential entries vanish exactly
+    return a * (diag[np.newaxis, :m] - diag[m:, np.newaxis])
 
 
 def commutator_with_function(D: DenseOperator, f: VertexFunction,
@@ -162,14 +179,16 @@ def distance_bracket(g: DirectedCyclicGraph,
     per target vertex, all stacked block-diagonally, one certified column
     maximiser per target and one indicator per constraint component.  No pair
     is left open: the commutator norm of f is its largest step across a
-    constraint segment, so each column maximiser certifies its own column."""
+    constraint segment, so each column maximiser certifies its own column.
+    Each norm is that of the m x m block Y of [D, f], which equals the norm
+    of [D, f] because every certified function is real."""
     from scipy import sparse
 
     n = g.n
-    D = dirac_operator(g, c)
+    a = dbar(g, c).matrix
 
-    def norm(f):  # of the dense commutator [D, f]
-        return operator_norm(commutator_with_function(D, VertexFunction(n, f), g))
+    def norm(f):  # of [D, f], as that of its block Y: f is real
+        return operator_norm(_commutator_block(a, g, f))
 
     # rows e_lam - e_(lam+1) and their negatives, interleaved, once per column
     lam = np.flatnonzero(g.out_degrees)

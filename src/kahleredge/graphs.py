@@ -11,6 +11,7 @@ product on the two-block Hilbert space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,10 @@ class DirectedCyclicGraph:
             raise ValueError(f"need an integer vertex count n >= 3, got {n!r}")
         cleaned = []
         for u, v in edges:
-            u, v = int(u), int(v)
+            try:  # integers only: int() would truncate 1.7 to vertex 1
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge {u!r}->{v!r} has a non-integer vertex") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}->{v} has a vertex outside 0..{n - 1}")
             cleaned.append((u, v))

@@ -385,9 +385,11 @@ GOLDEN = [
      '["inf","inf","inf",0,"inf"],[1,2,3,"inf",0]]}\n'),
     (("distance", "--graph", "sinks", "--numeric", "--format", "csv"),
      "0,1,2,inf,1\n1,0,1,inf,2\n2,1,0,inf,3\ninf,inf,inf,0,inf\n1,2,3,inf,0\n" * 3),
-    # an empty matrix prints no line at all
+    # an empty matrix prints no line at all, and empty lists in JSON
     (("laplacian", "--graph", "empty", "--format", "csv"), ""),
     (("spectrum", "--graph", "empty", "--format", "csv"), ""),
+    (("laplacian", "--graph", "empty"), '{"rows":0,"cols":0,"real":[],"imag":[]}\n'),
+    (("spectrum", "--graph", "empty"), '{"eigenvalues":[]}\n'),
 ]
 
 

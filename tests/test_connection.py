@@ -32,6 +32,11 @@ def test_potential_key_validation():
     PotentialCoefficients(g, {(0, 1, 0): 2.0})
     with pytest.raises(ValueError):
         PotentialCoefficients(g, {(0, 2, 0): 1.0})
+    # a non-integer vertex is an error, not truncated to the key (1, 2, 1)
+    with pytest.raises(ValueError, match=r"key \(1\.9, 2, 1\) has a non-integer vertex"):
+        PotentialCoefficients(g, {(1.9, 2, 1): 1.0})
+    c = PotentialCoefficients(g, {(np.int64(1), np.int32(2), 1): 2.0})
+    assert c.get(1, 2, 1) == 2.0
     assert PotentialCoefficients.zero(g).get(0, 1, 0) == 0.0
 
 

@@ -38,6 +38,12 @@ def test_constructor_rejects_bad_input():
         DirectedCyclicGraph(3, [(0, 3)])
     with pytest.raises(ValueError):
         DirectedCyclicGraph(3, [(0, 1), (0, 1)])
+    # a non-integer vertex is an error, not truncated to the edge 0->1
+    with pytest.raises(ValueError, match=r"edge 0->1\.7 has a non-integer vertex"):
+        DirectedCyclicGraph(4, [(0, 1.7), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match=r"edge '0'->1"):
+        DirectedCyclicGraph(3, [("0", 1)])
+    assert DirectedCyclicGraph(3, [(np.int64(0), np.int32(1))]).edges == ((0, 1),)
 
 
 def test_accessors():
