@@ -4,7 +4,6 @@ Connes-style vertex distances on finite directed graphs."""
 from .connection import (
     PotentialCoefficients,
     apply_laplacian_unit,
-    base_connection,
     dbar,
     laplacian,
     parse_potential,
@@ -30,7 +29,6 @@ from .graphs import (
     orthonormal_basis,
     parse_graph,
 )
-from .operators import DenseOperator, Space, adjoint
 from .polygon import Calculus, GradedForm, VertexFunction, make_calculus
 from .spectra import (
     Spectrum,
@@ -55,12 +53,8 @@ __all__ = [
     "complete_graph_projector",
     "inner_product",
     "orthonormal_basis",
-    "DenseOperator",
-    "Space",
-    "adjoint",
     "PotentialCoefficients",
     "parse_potential",
-    "base_connection",
     "zeta_operator",
     "dbar",
     "laplacian",

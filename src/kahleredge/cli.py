@@ -130,7 +130,7 @@ def _laplacian(args) -> tuple[graphs.DirectedCyclicGraph, np.ndarray]:
     g = _load_graph(args.graph)
     c = _load_potential(args.potential, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = connection.laplacian(g, c).matrix
+        mat = connection.laplacian(g, c)
     if not np.isfinite(mat).all():
         raise DataError("the Laplacian has non-finite entries: the potential overflows")
     return g, mat

@@ -1,33 +1,32 @@
 """Holomorphic connections on the edge module and the twisted edge Laplacian.
 
-The base connection pairs every edge with its twisted partner one edge back
-along the cycle; a potential (a left-module map with scalar coefficients)
-shifts mass between edges sourced at consecutive vertices.  The Laplacian is
-the square of the resulting Dirac-type operator restricted to the edge block.
+Every operator is a dense complex ndarray in the edge-indexed bases.  The
+base connection pairs every edge with its twisted partner one edge back along
+the cycle, so it is the identity there and dbar = I + zeta; the potential
+zeta (a left-module map with scalar coefficients) shifts mass between edges
+sourced at consecutive vertices.  The Laplacian is the square of the
+resulting Dirac-type operator restricted to the edge block.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 
 import numpy as np
 
 from .graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError
-from .operators import DenseOperator, Space, adjoint
 
 __all__ = [
     "PotentialCoefficients",
     "parse_potential",
-    "base_connection",
     "zeta_operator",
     "dbar",
-    "adjoint",
     "laplacian",
     "apply_laplacian_unit",
     "composite_blocks",
     "zeta_dagger_closed_form",
-    "nabla0_dagger_closed_form",
 ]
 
 
@@ -40,7 +39,7 @@ class PotentialCoefficients:
     Because edges are sorted by source, this order lays the blocks C_mu end
     to end, where C_mu[i, j] = c[mu, t(e_i), t(e'_j)] over the edges e_i
     leaving mu and e'_j leaving mu-1; `block_offsets` is where each starts.
-    Absent valid keys default to 0.
+    Absent valid keys default to 0; a non-finite value is a ValueError.
     """
 
     def __init__(self, graph: DirectedCyclicGraph, entries=None):
@@ -58,7 +57,12 @@ class PotentialCoefficients:
                     f"invalid potential key ({mu}, {nu}, {nup}): needs edges "
                     f"{mu}->{nu} and {(mu - 1) % graph.n}->{nup}"
                 )
-            self.values[self._position(mu, nu, nup)] = complex(value)
+            value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValueError(
+                    f"potential key ({mu}, {nu}, {nup}) has a non-finite value {value!r}"
+                )
+            self.values[self._position(mu, nu, nup)] = value
 
     @staticmethod
     def is_valid_key(graph: DirectedCyclicGraph, mu: int, nu: int, nup: int) -> bool:
@@ -150,17 +154,7 @@ def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficie
     return c
 
 
-def base_connection(g: DirectedCyclicGraph) -> DenseOperator:
-    """The base connection; the identity pattern in the edge-indexed bases.
-
-    chi_e maps to xi[s(e)+1 -> s(e)] (x) chi_e: of the full cycle sum only the
-    term supported at s(e) survives the module balancing.
-    """
-    m = g.num_edges
-    return DenseOperator(np.eye(m, dtype=complex), Space.TOP, Space.BOTTOM)
-
-
-def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOperator:
+def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     """Matrix of the potential: entry (e', e) = c[s(e), t(e), t(e')] when
     s(e') = s(e) - 1 mod n, else zero."""
     if c.graph != g:
@@ -169,18 +163,29 @@ def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOper
     mat = np.zeros((m, m), dtype=complex)
     edge, partner = PotentialCoefficients.key_edges(g)
     mat[partner, edge] = c.values
-    return DenseOperator(mat, Space.TOP, Space.BOTTOM)
+    return mat
 
 
-def dbar(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOperator:
-    """The twisted (0,1)-connection: base connection plus potential."""
-    return base_connection(g) + zeta_operator(g, c)
+def dbar(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+    """The twisted (0,1)-connection: base connection plus potential.
+
+    The base connection maps chi_e to xi[s(e)+1 -> s(e)] (x) chi_e: of the
+    full cycle sum only the term supported at s(e) survives the module
+    balancing.  So it is the identity in the edge-indexed bases, and
+    dbar = I + zeta.
+    """
+    return np.eye(g.num_edges) + zeta_operator(g, c)
 
 
-def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOperator:
-    """The twisted edge Laplacian adjoint(dbar) @ dbar on the edge block."""
+def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+    """The twisted edge Laplacian dbar^dagger dbar on the edge block.
+
+    The conjugate transpose is the Hilbert adjoint because both blocks carry
+    the same uniform 1/n weight, so the basis Gram matrix is a multiple of
+    the identity.
+    """
     d = dbar(g, c)
-    return adjoint(d) @ d
+    return d.conj().T @ d
 
 
 def apply_laplacian_unit(g: DirectedCyclicGraph, f: EdgeFunction) -> EdgeFunction:
@@ -218,13 +223,7 @@ def _vertex_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients):
         yield slice(off[mu], off[mu + 1]), slice(off[prev], off[prev + 1]), c.block(mu)
 
 
-def nabla0_dagger_closed_form(g: DirectedCyclicGraph) -> DenseOperator:
-    """Maps xi[s(e)+1 -> s(e)] (x) chi_e back to chi_e."""
-    m = g.num_edges
-    return DenseOperator(np.eye(m, dtype=complex), Space.BOTTOM, Space.TOP)
-
-
-def zeta_dagger_closed_form(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOperator:
+def zeta_dagger_closed_form(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     """Maps the bottom basis vector at edge mu->nu to
     sum over edges mu+1->nu' of conj(c[mu+1, nu', nu]) chi[mu+1->nu']:
     the block of rows leaving mu and columns leaving mu-1 is conj(C_mu)."""
@@ -232,10 +231,10 @@ def zeta_dagger_closed_form(g: DirectedCyclicGraph, c: PotentialCoefficients) ->
     mat = np.zeros((m, m), dtype=complex)
     for here, back, block in _vertex_blocks(g, c):
         mat[here, back] = block.conj()
-    return DenseOperator(mat, Space.BOTTOM, Space.TOP)
+    return mat
 
 
-def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[str, DenseOperator]:
+def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[str, np.ndarray]:
     """The four composite operators on the edge block, from their formulas:
     per vertex mu, C_mu^T, conj(C_mu) and conj(C_mu) C_mu^T between the edges
     leaving mu and mu-1.  Their sum equals the twisted edge Laplacian."""
@@ -248,10 +247,10 @@ def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[s
         zd_nabla[here, back] = block.conj()
         zd_zeta[here, here] = block.conj() @ block.T
     return {
-        "nabla0_dagger_nabla0": DenseOperator(np.eye(m, dtype=complex), Space.TOP, Space.TOP),
-        "nabla0_dagger_zeta": DenseOperator(nd_zeta, Space.TOP, Space.TOP),
-        "zeta_dagger_nabla0": DenseOperator(zd_nabla, Space.TOP, Space.TOP),
-        "zeta_dagger_zeta": DenseOperator(zd_zeta, Space.TOP, Space.TOP),
+        "nabla0_dagger_nabla0": np.eye(m, dtype=complex),
+        "nabla0_dagger_zeta": nd_zeta,
+        "zeta_dagger_nabla0": zd_nabla,
+        "zeta_dagger_zeta": zd_zeta,
     }
 
 

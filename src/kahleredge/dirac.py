@@ -1,5 +1,8 @@
 """Dirac operator, commutators and the induced metric on vertices.
 
+D = [[0, dbar^dagger], [dbar, 0]], with dbar = I + zeta, and its commutators
+with vertex functions are dense complex 2m x 2m ndarrays.
+
 The distance between two vertices (as pure states) is the supremum of
 |f(mu) - f(nu)| over functions whose Dirac commutator has operator norm at
 most one.  The commutator only sees differences of f across the cycle
@@ -47,7 +50,6 @@ import numpy as np
 
 from .connection import PotentialCoefficients, dbar
 from .graphs import DirectedCyclicGraph
-from .operators import DenseOperator, Space, adjoint
 from .polygon import VertexFunction
 
 __all__ = [
@@ -76,14 +78,15 @@ class DistanceResult:
         return math.isinf(self.value)
 
 
-def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> DenseOperator:
-    """Self-adjoint block anti-diagonal operator on the full space."""
-    a = dbar(g, c).matrix
+def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+    """Self-adjoint block anti-diagonal operator [[0, dbar^dagger], [dbar, 0]]
+    on the full space, a complex 2m x 2m ndarray."""
+    a = dbar(g, c)
     m = g.num_edges
     full = np.zeros((2 * m, 2 * m), dtype=complex)
     full[:m, m:] = np.conj(a.T)
     full[m:, :m] = a
-    return DenseOperator(full, Space.FULL, Space.FULL)
+    return full
 
 
 def _diagonal_action(g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
@@ -105,25 +108,24 @@ def _commutator_block(a: np.ndarray, g: DirectedCyclicGraph, f: np.ndarray) -> n
     return a * (diag[np.newaxis, :m] - diag[m:, np.newaxis])
 
 
-def commutator_with_function(D: DenseOperator, f: VertexFunction,
-                             g: DirectedCyclicGraph) -> DenseOperator:
+def commutator_with_function(D: np.ndarray, f: VertexFunction,
+                             g: DirectedCyclicGraph) -> np.ndarray:
     """[D, f] with f acting diagonally on both blocks."""
     if f.n != g.n:
         raise ValueError(f"vertex count mismatch: {f.n} != {g.n}")
-    if D.rows != 2 * g.num_edges:
+    if D.shape[0] != 2 * g.num_edges:
         raise ValueError("operator does not act on the full space of this graph")
     diag = _diagonal_action(g, f.values)
     # factored difference: entries whose two diagonal values coincide vanish
     # exactly, making the result bitwise independent of the potential
-    mat = D.matrix * (diag[np.newaxis, :] - diag[:, np.newaxis])
-    return DenseOperator(mat, Space.FULL, Space.FULL)
+    return D * (diag[np.newaxis, :] - diag[:, np.newaxis])
 
 
 def operator_norm(M) -> float:
     """Largest singular value."""
     from scipy.linalg import svdvals
 
-    mat = M.matrix if isinstance(M, DenseOperator) else np.asarray(M, dtype=complex)
+    mat = np.asarray(M, dtype=complex)
     if mat.size == 0:
         return 0.0
     return float(svdvals(mat)[0])
@@ -185,7 +187,7 @@ def distance_bracket(g: DirectedCyclicGraph,
     from scipy import sparse
 
     n = g.n
-    a = dbar(g, c).matrix
+    a = dbar(g, c)
 
     def norm(f):  # of [D, f], as that of its block Y: f is real
         return operator_norm(_commutator_block(a, g, f))

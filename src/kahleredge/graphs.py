@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DenseOperator
 from .polygon import VertexFunction
 
 __all__ = [
@@ -269,7 +268,7 @@ def complete_graph_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 
 
-def complete_graph_projector(g: DirectedCyclicGraph) -> DenseOperator:
+def complete_graph_projector(g: DirectedCyclicGraph) -> np.ndarray:
     """Diagonal idempotent on the complete-graph edge space keeping E.
 
     The complete graph is loop-free, so self-loops of g are outside its edge
@@ -277,7 +276,7 @@ def complete_graph_projector(g: DirectedCyclicGraph) -> DenseOperator:
     """
     full = complete_graph_edges(g.n)
     diag = np.array([1.0 if g.has_edge(u, v) else 0.0 for u, v in full], dtype=complex)
-    return DenseOperator(np.diag(diag))
+    return np.diag(diag)
 
 
 def inner_product(u: HilbertVector, v: HilbertVector) -> complex:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedCyclicGraph
-from .operators import DenseOperator
 
 __all__ = [
     "Spectrum",
@@ -36,12 +35,6 @@ class Spectrum:
     residual: float | None = None
 
 
-def _matrix(M) -> np.ndarray:
-    if isinstance(M, DenseOperator):
-        return np.array(M.matrix, dtype=complex)
-    return np.array(M, dtype=complex)
-
-
 def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a self-adjoint matrix via LAPACK (numpy ``eigh``).
 
@@ -49,7 +42,7 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     relative to their norm, reporting the measured asymmetry.  Real symmetric
     input is solved in real arithmetic and gives real eigenvectors.
     """
-    A = _matrix(M)
+    A = np.array(M, dtype=complex)
     m, mc = A.shape
     if m != mc:
         raise ValueError(f"matrix must be square, got {A.shape}")
@@ -83,7 +76,7 @@ def ngon_closed_form(n: int) -> np.ndarray:
 
 def gershgorin_radius(M) -> float:
     """Max over rows of |diagonal| plus the off-diagonal absolute row sum."""
-    A = _matrix(M)
+    A = np.array(M, dtype=complex)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     if A.shape[0] == 0:

@@ -20,7 +20,6 @@ from .dirac import (
     distance_bracket,
     operator_norm,
 )
-from .operators import adjoint
 from .polygon import Calculus, GradedForm
 
 __all__ = ["CheckResult", "run_checks"]
@@ -182,11 +181,11 @@ def edge_module_checks(g: graphs.DirectedCyclicGraph,
         for j, f in enumerate(g.edges):
             chi = graphs.EdgeFunction.chi(g, *f)
             eval_mat[i, j] = np.sum(graphs.apply_dual(g, e, chi).values)
-    res = float(np.max(np.abs(eval_mat - np.eye(m))))
+    res = float(np.max(np.abs(eval_mat - np.eye(m)), initial=0.0))
     out.append(CheckResult(f"dual-basis-identity[{tag}]", res, 1e-12))
 
     if not g.has_self_loop():
-        proj = graphs.complete_graph_projector(g).matrix
+        proj = graphs.complete_graph_projector(g)
         res = float(np.max(np.abs(proj @ proj - proj))) if proj.size else 0.0
         out.append(CheckResult(f"projector-idempotent[{tag}]", res, 1e-12))
 
@@ -209,26 +208,19 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
     c = connection.PotentialCoefficients.random(g, rng)
 
     # Laplacian equals the sum of the four composite closed forms
-    lap = connection.laplacian(g, c).matrix
-    blocks = connection.composite_blocks(g, c)
-    total = sum(b.matrix for b in blocks.values())
+    lap = connection.laplacian(g, c)
+    total = sum(connection.composite_blocks(g, c).values())
     res = float(np.max(np.abs(lap - total))) if m else 0.0
     out.append(CheckResult(f"laplacian-composite[{tag}]", res, 1e-12))
 
     # closed-form adjoints against the conjugate-transpose route
-    res = float(
-        np.max(
-            np.abs(
-                connection.zeta_dagger_closed_form(g, c).matrix
-                - adjoint(connection.zeta_operator(g, c)).matrix
-            )
-        )
-    ) if m else 0.0
+    zeta_dagger = connection.zeta_operator(g, c).conj().T
+    res = float(np.max(np.abs(connection.zeta_dagger_closed_form(g, c) - zeta_dagger), initial=0.0))
     out.append(CheckResult(f"zeta-dagger-closed-form[{tag}]", res, 1e-12))
 
     # adjoint really is the inner-product adjoint
     d = connection.dbar(g, c)
-    dd = adjoint(d)
+    dd = d.conj().T
     res = 0.0
     for _ in range(25):
         u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -236,17 +228,17 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
         uvec = graphs.HilbertVector.from_blocks(g, top=u)
         dv = graphs.HilbertVector.from_blocks(g, bottom=v)
         lhs = graphs.inner_product(
-            graphs.HilbertVector.from_blocks(g, bottom=d.apply(u)), dv
+            graphs.HilbertVector.from_blocks(g, bottom=d @ u), dv
         )
         rhs = graphs.inner_product(
-            uvec, graphs.HilbertVector.from_blocks(g, top=dd.apply(v))
+            uvec, graphs.HilbertVector.from_blocks(g, top=dd @ v)
         )
         res = max(res, abs(lhs - rhs))
     out.append(CheckResult(f"adjoint-inner-product[{tag}]", res, 1e-9))
 
     # self-adjoint positive semidefinite
     if m:
-        eigs = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
+        eigs = spectra.eig_selfadjoint(lap).eigenvalues
         res = max(0.0, float(-eigs[0]))
     else:
         res = 0.0
@@ -254,7 +246,7 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
 
     # matrix-free unit action agrees with the assembled matrix
     unit = connection.PotentialCoefficients.unit(g)
-    lap_unit = connection.laplacian(g, unit).matrix
+    lap_unit = connection.laplacian(g, unit)
     res = 0.0
     for _ in range(25):
         f = graphs.EdgeFunction(g, rng.standard_normal(m) + 1j * rng.standard_normal(m))
@@ -263,7 +255,7 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
     out.append(CheckResult(f"unit-action-agreement[{tag}]", res, 1e-12))
 
     # the squared Dirac operator is block diagonal with the Laplacian on top
-    D = dirac_operator(g, c).matrix
+    D = dirac_operator(g, c)
     sq = D @ D
     res = float(np.max(np.abs(sq[:m, :m] - lap))) if m else 0.0
     res = max(res, float(np.max(np.abs(sq[:m, m:]))) if m else 0.0)
@@ -286,7 +278,7 @@ def spectral_checks(max_n: int = SPECTRAL_MAX_N) -> list[CheckResult]:
             res_parity = max(res_parity, 1.0)
         if n % 2 == 0:
             alt = np.array([(-1.0) ** k for k in range(n)], dtype=complex)
-            res_kernel = max(res_kernel, float(np.max(np.abs(lap.matrix @ alt))))
+            res_kernel = max(res_kernel, float(np.max(np.abs(lap @ alt))))
     out.append(CheckResult(f"regulargon-closed-form[n<={max_n}]", res_gon, 1e-9))
     out.append(CheckResult(f"kernel-parity[n<={max_n}]", res_parity, 0.5))
     out.append(CheckResult(f"alternating-kernel[n<={max_n}]", res_kernel, 1e-9))
@@ -302,16 +294,12 @@ def spectral_checks(max_n: int = SPECTRAL_MAX_N) -> list[CheckResult]:
             res_top = max(res_top, abs(float(eigs[-1]) - bound))
             res_top = max(
                 res_top,
-                float(np.max(np.abs(lap.matrix @ np.ones(g.num_edges) - bound * np.ones(g.num_edges)))),
+                float(np.max(np.abs(lap @ np.ones(g.num_edges) - bound * np.ones(g.num_edges)))),
             )
             res_bound = max(res_bound, abs(spectra.gershgorin_radius(lap) - bound))
-            sums = np.concatenate(
-                [lap.matrix.real.sum(axis=0), lap.matrix.real.sum(axis=1)]
-            )
+            sums = np.concatenate([lap.real.sum(axis=0), lap.real.sum(axis=1)])
             res_sum = max(res_sum, float(np.max(np.abs(sums - bound))))
-            res_trace = max(
-                res_trace, abs(float(np.sum(eigs)) - float(np.trace(lap.matrix).real))
-            )
+            res_trace = max(res_trace, abs(float(np.sum(eigs)) - float(np.trace(lap).real)))
     out.append(CheckResult("regular-gershgorin-top", res_bound, 1e-9))
     out.append(CheckResult("regular-top-eigenvector", res_top, 1e-9))
     out.append(CheckResult("regular-row-col-sums", res_sum, 1e-9))
@@ -329,27 +317,24 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
     full_degree = bool(np.all(g.out_degrees))
 
     # commutator does not depend on the potential
+    D = dirac_operator(g, connection.PotentialCoefficients.zero(g))
     f = graphs.VertexFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    base = commutator_with_function(
-        dirac_operator(g, connection.PotentialCoefficients.zero(g)), f, g
-    ).matrix
+    base = commutator_with_function(D, f, g)
     res = 0.0
     for _ in range(5):
         c = connection.PotentialCoefficients.random(g, rng)
-        other = commutator_with_function(dirac_operator(g, c), f, g).matrix
+        other = commutator_with_function(dirac_operator(g, c), f, g)
         res = max(res, float(np.max(np.abs(other - base))) if base.size else 0.0)
     out.append(CheckResult(f"commutator-potential-free[{tag}]", res, 1e-12))
 
     # operator norm of the commutator equals the largest adjacent difference
-    D = dirac_operator(g, connection.PotentialCoefficients.zero(g))
     res = 0.0
     for _ in range(25):
         f = graphs.VertexFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         nrm = operator_norm(commutator_with_function(D, f, g))
-        diffs = [
-            abs(f.values[s] - f.values[(s + 1) % n]) for s in g.sources
-        ]
-        expect = max(diffs) if diffs else 0.0
+        # hypot, as abs of a complex scalar: np.abs of an array can round the last bit apart
+        diffs = f.values[g.sources] - f.values[(g.sources + 1) % n]
+        expect = float(np.max(np.hypot(diffs.real, diffs.imag), initial=0.0))
         res = max(res, abs(nrm - expect))
     out.append(CheckResult(f"commutator-norm-formula[{tag}]", res, 1e-9))
 

@@ -268,6 +268,9 @@ for command in ("spectrum", "laplacian", "distance"):
 assert not scipy_modules(), scipy_modules()[:5]
 call("distance", "--numeric", "--graph", graph)
 assert "scipy.optimize" in sys.modules
+call("verify", "--graph", graph)
+# operators are plain ndarrays: no command loads the old wrapper module
+assert "kahleredge.operators" not in sys.modules
 """
 
 
@@ -434,7 +437,7 @@ def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
     pot = tmp_path / "pot.txt"
     pot.write_text("".join(f"{mu} {nu} {nup} {rng.standard_normal()!r} {rng.standard_normal()!r}\n"
                            for mu, nu, nup in keys))
-    lap = connection.laplacian(g, connection.parse_potential(pot.read_text(), g)).matrix
+    lap = connection.laplacian(g, connection.parse_potential(pot.read_text(), g))
     assert lap.shape[0] > cli.ROW_BLOCK
     path = write_graph(tmp_path, graphs.format_graph(g))
     code, out, _ = run(capsys, "laplacian", "--graph", path, "--potential", str(pot),

@@ -21,7 +21,7 @@ def ngon(n):
 
 def test_dirac_zero_potential_pairs_blocks():
     g = ngon(3)
-    d = dirac.dirac_operator(g, PotentialCoefficients.zero(g)).matrix
+    d = dirac.dirac_operator(g, PotentialCoefficients.zero(g))
     assert d.shape == (6, 6)
     assert np.allclose(d[:3, 3:], np.eye(3))
     assert np.allclose(d[3:, :3], np.eye(3))
@@ -35,10 +35,10 @@ def test_dirac_self_adjoint_and_square_block_diagonal():
         g = random_graph(rng)
         m = g.num_edges
         c = PotentialCoefficients.random(g, rng)
-        d = dirac.dirac_operator(g, c).matrix
+        d = dirac.dirac_operator(g, c)
         assert np.max(np.abs(d - d.conj().T), initial=0.0) <= 1e-12
         sq = d @ d
-        lap = connection.laplacian(g, c).matrix
+        lap = connection.laplacian(g, c)
         if m:
             assert np.max(np.abs(sq[:m, :m] - lap)) <= 1e-12
             assert np.max(np.abs(sq[:m, m:])) <= 1e-12
@@ -62,10 +62,10 @@ def test_commutator_is_potential_independent():
         f = VertexFunction(g.n, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
         base = dirac.commutator_with_function(
             dirac.dirac_operator(g, PotentialCoefficients.zero(g)), f, g
-        ).matrix
+        )
         other = dirac.commutator_with_function(
             dirac.dirac_operator(g, PotentialCoefficients.random(g, rng)), f, g
-        ).matrix
+        )
         assert np.array_equal(base, other)
 
 

@@ -3,7 +3,8 @@ potential, its assembly and closed forms, and the cut-cycle distances, each
 against a reference written out here edge by edge; the numeric distance
 bracket against the exact distances, and the block of the commutator it
 certifies with against the whole commutator; the Laplacian's and the Dirac
-operator's structure; and the CLI's number format."""
+operator's structure; the graph suites of `verify` on every graph; and the
+CLI's number format."""
 
 import contextlib
 import io
@@ -19,10 +20,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from kahleredge import cli, connection, dirac, graphs
+from kahleredge import cli, connection, dirac, graphs, verify
 from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph, EdgeFunction
-from kahleredge.operators import adjoint
 from kahleredge.polygon import VertexFunction
 
 EMPTY = DirectedCyclicGraph(4, [])
@@ -113,7 +113,7 @@ def test_zeta_matches_the_triples(g, seed):
     ref = np.zeros((m, m), dtype=complex)
     for mu, nu, nup in reference_keys(g):
         ref[g.edge_index((mu - 1) % g.n, nup), g.edge_index(mu, nu)] = c.get(mu, nu, nup)
-    assert np.array_equal(connection.zeta_operator(g, c).matrix, ref)
+    assert np.array_equal(connection.zeta_operator(g, c), ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,9 +123,9 @@ def test_zeta_matches_the_triples(g, seed):
 def test_closed_forms_match_the_conjugate_transpose_route(g, seed):
     c = PotentialCoefficients.random(g, np.random.default_rng(seed))
     m = g.num_edges
-    zeta = connection.zeta_operator(g, c).matrix
-    zeta_dagger = adjoint(connection.zeta_operator(g, c)).matrix
-    assert np.max(np.abs(connection.zeta_dagger_closed_form(g, c).matrix - zeta_dagger),
+    zeta = connection.zeta_operator(g, c)
+    zeta_dagger = zeta.conj().T
+    assert np.max(np.abs(connection.zeta_dagger_closed_form(g, c) - zeta_dagger),
                   initial=0.0) <= 1e-12
     blocks = connection.composite_blocks(g, c)
     routes = {
@@ -135,7 +135,7 @@ def test_closed_forms_match_the_conjugate_transpose_route(g, seed):
         "zeta_dagger_zeta": zeta_dagger @ zeta,
     }
     for name, route in routes.items():
-        assert np.max(np.abs(blocks[name].matrix - route), initial=0.0) <= 1e-12
+        assert np.max(np.abs(blocks[name] - route), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +143,7 @@ def test_closed_forms_match_the_conjugate_transpose_route(g, seed):
 @example(g=EMPTY)
 @example(g=LOOPS_AND_SINKS)
 def test_integer_unit_laplacian_is_exact(g):
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g)).matrix
+    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
     assert np.array_equal(connection.laplacian_unit_int(g), lap)
 
 
@@ -152,7 +152,7 @@ def test_integer_unit_laplacian_is_exact(g):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_matrix_free_unit_action_matches_the_matrix(g, seed):
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g)).matrix
+    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
     rng = np.random.default_rng(seed)
     f = EdgeFunction(g, rng.standard_normal(g.num_edges) + 1j * rng.standard_normal(g.num_edges))
     direct = connection.apply_laplacian_unit(g, f).values
@@ -196,7 +196,7 @@ def test_numeric_bracket_holds_the_exact_distances(g, seed):
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_laplacian_is_positive_semidefinite(g, seed):
     c = PotentialCoefficients.random(g, np.random.default_rng(seed))
-    eigs = np.linalg.eigvalsh(connection.laplacian(g, c).matrix)
+    eigs = np.linalg.eigvalsh(connection.laplacian(g, c))
     norm = np.abs(eigs).max(initial=0.0)
     assert eigs.min(initial=0.0) >= -1e-9 * max(1.0, norm)
 
@@ -208,9 +208,9 @@ def test_laplacian_is_positive_semidefinite(g, seed):
 def test_dirac_square_is_block_diagonal_with_the_laplacian_on_top(g, seed):
     c = PotentialCoefficients.random(g, np.random.default_rng(seed))
     m = g.num_edges
-    d = dirac.dirac_operator(g, c).matrix
+    d = dirac.dirac_operator(g, c)
     square = d @ d
-    lap = connection.laplacian(g, c).matrix
+    lap = connection.laplacian(g, c)
     tol = 1e-12 * max(1.0, np.linalg.norm(lap))
     assert np.max(np.abs(square[:m, :m] - lap), initial=0.0) <= tol
     assert np.max(np.abs(square[:m, m:]), initial=0.0) <= tol
@@ -226,13 +226,24 @@ def test_bracket_block_has_the_norm_of_the_commutator(g, seed):
     c = PotentialCoefficients.random(g, rng)
     f = rng.standard_normal(g.n)
     m = g.num_edges
-    y = dirac._commutator_block(connection.dbar(g, c).matrix, g, f)
+    y = dirac._commutator_block(connection.dbar(g, c), g, f)
     full = dirac.commutator_with_function(
-        dirac.dirac_operator(g, c), VertexFunction(g.n, f), g).matrix
+        dirac.dirac_operator(g, c), VertexFunction(g.n, f), g)
     assert not full[:m, :m].any() and not full[m:, m:].any()
     assert np.array_equal(full[:m, m:], -y.conj().T)
     norm = dirac.operator_norm(full)
     assert abs(dirac.operator_norm(y) - norm) <= 1e-12 * max(1.0, norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=graphs_st, seed=seeds)
+@example(g=EMPTY, seed=0)
+@example(g=LOOPS_AND_SINKS, seed=1)
+def test_graph_checks_of_verify_pass_on_every_graph(g, seed):
+    rng = np.random.default_rng(seed)
+    results = [*verify.edge_module_checks(g, rng), *verify.connection_checks(g, rng),
+               *verify.distance_checks(g, rng)]
+    assert [(r.name, r.residual) for r in results if not r.passed] == []
 
 
 # every float the CLI prints except -inf and nan, which it never prints

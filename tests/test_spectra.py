@@ -160,7 +160,7 @@ def test_regular_top_eigenvalue():
     lap = connection.laplacian(g, PotentialCoefficients.unit(g))
     eigs = spectra.eig_selfadjoint(lap).eigenvalues
     assert eigs[-1] == pytest.approx(9.0)
-    assert np.max(np.abs(lap.matrix @ np.ones(8) - 9.0 * np.ones(8))) <= 1e-9
+    assert np.max(np.abs(lap @ np.ones(8) - 9.0 * np.ones(8))) <= 1e-9
 
 
 def test_kernel_parity_on_ngons():
@@ -172,4 +172,4 @@ def test_kernel_parity_on_ngons():
         assert has_zero == (n % 2 == 0)
         if n % 2 == 0:
             alt = np.array([(-1.0) ** k for k in range(n)])
-            assert np.max(np.abs(lap.matrix @ alt)) <= 1e-9
+            assert np.max(np.abs(lap @ alt)) <= 1e-9
