@@ -120,8 +120,7 @@ def _load_potential(spec: str, g: graphs.DirectedCyclicGraph) -> connection.Pote
 
 
 def _is_directed_ngon(g: graphs.DirectedCyclicGraph) -> bool:
-    want = tuple(sorted((mu, (mu + 1) % g.n) for mu in range(g.n)))
-    return g.edges == want
+    return g == spectra.make_circulant_regular(g.n, 1)
 
 
 def _laplacian(args) -> tuple[graphs.DirectedCyclicGraph, np.ndarray]:
@@ -219,9 +218,9 @@ def cmd_generate(args) -> int:
             n = args.n
             if n < 3:
                 raise DataError(f"need n >= 3, got {n}")
-            edges = [(mu, (mu + 1) % n) for mu in range(n)]
-            edges += [(mu, (mu - 1) % n) for mu in range(n)]
-            g = graphs.DirectedCyclicGraph(n, edges)
+            mu = np.arange(n)
+            g = graphs.DirectedCyclicGraph(
+                n, np.stack([np.tile(mu, 2), np.concatenate([mu + 1, mu - 1]) % n], axis=1))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     sys.stdout.write(graphs.format_graph(g))

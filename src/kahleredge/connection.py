@@ -10,13 +10,12 @@ resulting Dirac-type operator restricted to the edge block.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 
 import numpy as np
 
-from .graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError
+from .graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError, _first_bad, _integer_rows
 
 __all__ = [
     "PotentialCoefficients",
@@ -39,7 +38,9 @@ class PotentialCoefficients:
     Because edges are sorted by source, this order lays the blocks C_mu end
     to end, where C_mu[i, j] = c[mu, t(e_i), t(e'_j)] over the edges e_i
     leaving mu and e'_j leaving mu-1; `block_offsets` is where each starts.
-    Absent valid keys default to 0; a non-finite value is a ValueError.
+    Absent valid keys default to 0.  Entries are checked together; a
+    ValueError names the first key, in their order, that has a non-integer
+    vertex, is not valid or has a non-finite value.
     """
 
     def __init__(self, graph: DirectedCyclicGraph, entries=None):
@@ -47,26 +48,31 @@ class PotentialCoefficients:
         sizes = graph.out_degrees * np.roll(graph.out_degrees, 1)
         self.block_offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.values = np.zeros(self.block_offsets[-1], dtype=complex)
-        for key, value in dict(entries or {}).items():
-            try:  # integers only: int() would truncate 1.9 to vertex 1
-                mu, nu, nup = (operator.index(k) for k in key)
-            except TypeError:
-                raise ValueError(f"potential key {key!r} has a non-integer vertex") from None
-            if not self.is_valid_key(graph, mu, nu, nup):
+        if not entries:
+            return
+        entries = dict(entries)
+        keys = list(entries)
+        mu, nu, nup = _integer_rows(keys, 3, graph.n).T
+        values = np.array(list(entries.values()), dtype=complex)[:len(mu)]
+        positions = self.positions(mu, nu, nup)
+        _, bad, _ = _first_bad((positions >= 0) & np.isfinite(values), positions)
+        if bad is not None:
+            mu, nu, nup = (operator.index(k) for k in keys[bad])
+            if positions[bad] < 0:
                 raise ValueError(
                     f"invalid potential key ({mu}, {nu}, {nup}): needs edges "
                     f"{mu}->{nu} and {(mu - 1) % graph.n}->{nup}"
                 )
-            value = complex(value)
-            if not cmath.isfinite(value):
-                raise ValueError(
-                    f"potential key ({mu}, {nu}, {nup}) has a non-finite value {value!r}"
-                )
-            self.values[self._position(mu, nu, nup)] = value
+            raise ValueError(
+                f"potential key ({mu}, {nu}, {nup}) has a non-finite value {complex(values[bad])!r}"
+            )
+        if len(mu) < len(keys):
+            raise ValueError(f"potential key {keys[len(mu)]!r} has a non-integer vertex")
+        self.values[positions] = values
 
     @staticmethod
     def is_valid_key(graph: DirectedCyclicGraph, mu: int, nu: int, nup: int) -> bool:
-        return graph.has_edge(mu, nu) and graph.has_edge((mu - 1) % graph.n, nup)
+        return bool(np.all(graph.find_edges([mu, (mu - 1) % graph.n], [nu, nup]) >= 0))
 
     @staticmethod
     def key_edges(graph: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +109,17 @@ class PotentialCoefficients:
         c.values[:] = rng.standard_normal(len(c.values)) + 1j * rng.standard_normal(len(c.values))
         return c
 
-    def _position(self, mu: int, nu: int, nup: int) -> int:
-        g, prev = self.graph, (mu - 1) % self.graph.n
-        row = g.edge_index(mu, nu) - g.offsets[mu]
-        col = g.edge_index(prev, nup) - g.offsets[prev]
-        return int(self.block_offsets[mu] + row * g.out_degrees[prev] + col)
+    def positions(self, mu, nu, nup) -> np.ndarray:
+        """The index in `values` of each key (mu, nu, nu') of the broadcast
+        vertex arrays, -1 where the key is not valid."""
+        g = self.graph
+        mu = np.asarray(mu)
+        prev = (mu - 1) % g.n
+        edge, partner = g.find_edges([mu, prev], [nu, nup])
+        mu = mu % g.n  # changes mu only where the key is invalid
+        row, col = edge - g.offsets[mu], partner - g.offsets[prev]
+        position = self.block_offsets[mu] + row * g.out_degrees[prev] + col
+        return np.where((edge >= 0) & (partner >= 0), position, -1)
 
     def block(self, mu: int) -> np.ndarray:
         """C_mu: rows are the edges leaving mu, columns those leaving mu-1."""
@@ -115,42 +127,45 @@ class PotentialCoefficients:
         return self.values[self.block_offsets[mu]:self.block_offsets[mu + 1]].reshape(shape)
 
     def get(self, mu: int, nu: int, nup: int) -> complex:
-        if not self.is_valid_key(self.graph, mu, nu, nup):
-            return 0.0 + 0.0j
-        return complex(self.values[self._position(mu, nu, nup)])
+        i = int(self.positions(mu, nu, nup))
+        return complex(self.values[i]) if i >= 0 else 0.0 + 0.0j
 
 
 def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficients:
     """Parse lines ``mu nu nuP re im``; ``#`` starts a comment.  Each triple
-    may appear at most once."""
+    may appear at most once.  Errors carry the offending line number; of
+    several, the earliest line's.  The line loop only tokenises; keys are
+    checked once, on the arrays."""
     c = PotentialCoefficients(graph)
-    seen: set[int] = set()
+    linenos, keys, values = [], [], []
+    error = None  # the first syntax error: it ends the scan
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 5:
-            raise GraphFormatError(f"line {lineno}: expected 'mu nu nuP re im', got {raw!r}")
+            error = f"line {lineno}: expected 'mu nu nuP re im', got {raw!r}"
+            break
         try:
-            mu, nu, nup = int(parts[0]), int(parts[1]), int(parts[2])
+            key = int(parts[0]), int(parts[1]), int(parts[2])
             re, im = float(parts[3]), float(parts[4])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: malformed values in {raw!r}") from None
+            error = f"line {lineno}: malformed values in {raw!r}"
+            break
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise GraphFormatError(f"line {lineno}: non-finite coefficient in {raw!r}")
-        try:  # a key is valid exactly when both of its edges exist
-            position = c._position(mu, nu, nup)
-        except KeyError:
-            raise GraphFormatError(
-                f"line {lineno}: invalid potential triple ({mu}, {nu}, {nup})"
-            ) from None
-        if position in seen:
-            raise GraphFormatError(
-                f"line {lineno}: duplicate potential triple ({mu}, {nu}, {nup})"
-            )
-        seen.add(position)
-        c.values[position] = complex(re, im)
+            error = f"line {lineno}: non-finite coefficient in {raw!r}"
+            break
+        linenos.append(lineno)
+        keys.append(key)
+        values.append(complex(re, im))
+    positions = c.positions(*_integer_rows(keys, 3, graph.n).T)
+    _, bad, repeat = _first_bad(positions >= 0, positions)
+    if bad is not None:
+        kind = "duplicate" if repeat else "invalid"
+        raise GraphFormatError(f"line {linenos[bad]}: {kind} potential triple {keys[bad]}")
+    if error is not None:
+        raise GraphFormatError(error)
+    c.values[positions] = values
     return c
 
 

@@ -1,11 +1,14 @@
 """Finite directed graphs with cyclically ordered vertices and the module C(E).
 
-Edges are kept in canonical lexicographic (source, target) order; every matrix
-in the package indexes edge coordinates in that order, and out-edge offsets
-(CSR style) index the edges leaving each vertex.  The module of edge
-functions is a left module over vertex functions through the source map, with
-the canonical positive-definite Hermitian pairing and the 1/n-weighted inner
-product on the two-block Hilbert space.
+A graph is a few integer arrays over its edges in canonical lexicographic
+(source, target) order, the order in which every matrix in the package
+indexes edge coordinates: sources, targets, the sorted keys source*n + target
+that `find_edges` binary-searches, and out-edge offsets (CSR style) that
+index the edges leaving each vertex.  Edges are checked once, as arrays, and
+an error names the first bad edge in input order (in a graph file, its
+line).  The module of edge functions is a left module over vertex functions
+through the source map, with the canonical positive-definite Hermitian
+pairing and the 1/n-weighted inner product on the two-block Hilbert space.
 """
 
 from __future__ import annotations
@@ -37,42 +40,93 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph or potential text input."""
 
 
+def _integer_rows(rows, width: int, bound: int) -> np.ndarray:
+    """The leading rows of `rows` (a sequence or an ndarray) whose `width`
+    entries are all integers, as a (k, width) int64 array: k < len(rows)
+    when row k has a non-integer entry.  Integers past int64 are clipped to
+    -1 or `bound`, which every caller treats as out of range."""
+    arr = np.asarray(rows)
+    if arr.dtype.kind in "iu" and arr.shape == (len(rows), width):
+        return arr.astype(np.int64, copy=False)  # uint64 past int64 wraps below 0
+    ints = []
+    for row in rows:  # not an integer array: find the first non-integer entry
+        if len(row) != width:
+            raise ValueError(f"expected {width} entries, got {row!r}")
+        try:  # integers only: int() would truncate 1.7 to vertex 1
+            ints.append([operator.index(x) for x in row])
+        except TypeError:
+            break
+    return np.clip(np.array(ints, dtype=object), -1, bound).astype(np.int64).reshape(-1, width)
+
+
+def _first_bad(valid: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int | None, bool]:
+    """The sorted keys of the rows before the first one not `valid`, the
+    input-order index of the first bad row (None if all are good) and
+    whether it is bad as a repeat of an earlier row's key.  A stable argsort
+    finds repeats; keys of rows not valid (say, with vertices out of range)
+    are never compared."""
+    stop = len(valid) if valid.all() else int(np.argmin(valid))
+    order = np.argsort(keys[:stop], kind="stable")
+    ranked = keys[:stop][order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if len(repeats):
+        return ranked, int(repeats.min()), True
+    return ranked, (None if stop == len(valid) else stop), False
+
+
+class _BadEdge(ValueError):
+    """A bad edge, the `index`-th in input order; a repeat of an earlier
+    edge if `repeat`, else one with a vertex out of range."""
+
+    def __init__(self, message: str, index: int, repeat: bool):
+        super().__init__(message)
+        self.index, self.repeat = index, repeat
+
+
 class DirectedCyclicGraph:
     """A simple directed graph on n >= 3 cyclically ordered vertices.
 
-    Self-loops are permitted; parallel edges are not.  Edge order is sorted
-    lexicographically by (source, target).  `offsets` is the (n + 1,) array
-    of out-edge offsets (the edges leaving mu are offsets[mu]:offsets[mu + 1])
-    and `out_degrees` its differences.
+    Self-loops are permitted; parallel edges are not.  The graph is a set of
+    integer arrays in edge order, which is sorted by (source, target):
+    `sources`, `targets`, the int64 `keys` = source*n + target (strictly
+    increasing, so lookups are a binary search), the (n + 1,) out-edge
+    `offsets` (the edges leaving mu are offsets[mu]:offsets[mu + 1]) and
+    `out_degrees`, their differences; the `edges` tuple is derived from them.
+    The constructor takes any iterable of pairs or an (m, 2) integer array;
+    a ValueError names the first edge, in input order, with a non-integer
+    vertex, a vertex outside 0..n-1 or a repeat of an earlier edge.
     """
 
     def __init__(self, n: int, edges):
         if not isinstance(n, (int, np.integer)) or n < 3:
             raise ValueError(f"need an integer vertex count n >= 3, got {n!r}")
-        cleaned = []
-        for u, v in edges:
-            try:  # integers only: int() would truncate 1.7 to vertex 1
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(f"edge {u!r}->{v!r} has a non-integer vertex") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {u}->{v} has a vertex outside 0..{n - 1}")
-            cleaned.append((u, v))
-        cleaned.sort()
-        for a, b in zip(cleaned, cleaned[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a[0]}->{a[1]}")
+        rows = edges if isinstance(edges, np.ndarray) else list(edges)
+        uv = _integer_rows(rows, 2, n)
+        inside = ((uv >= 0) & (uv < n)).all(axis=1)
+        keys, bad, repeat = _first_bad(inside, uv[:, 0] * n + uv[:, 1])
+        if bad is not None:
+            u, v = (operator.index(x) for x in rows[bad])
+            if repeat:
+                raise _BadEdge(f"duplicate edge {u}->{v}", bad, True)
+            raise _BadEdge(f"edge {u}->{v} has a vertex outside 0..{n - 1}", bad, False)
+        if len(uv) < len(rows):
+            u, v = rows[len(uv)]
+            raise ValueError(f"edge {u!r}->{v!r} has a non-integer vertex")
         self.n = int(n)
-        self.edges = tuple(cleaned)
-        self.sources = np.array([e[0] for e in cleaned], dtype=int)
-        self.targets = np.array([e[1] for e in cleaned], dtype=int)
-        self._index = {e: i for i, e in enumerate(cleaned)}
-        self.offsets = np.searchsorted(self.sources, np.arange(self.n + 1))
+        self.keys = keys
+        self.sources, self.targets = np.divmod(keys, n)
+        self.offsets = np.searchsorted(self.sources, np.arange(n + 1))
         self.out_degrees = np.diff(self.offsets)
+        for arr in (self.keys, self.sources, self.targets, self.offsets, self.out_degrees):
+            arr.flags.writeable = False
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.sources.tolist(), self.targets.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.keys)
 
     def source(self, i: int) -> int:
         return int(self.sources[i])
@@ -80,14 +134,30 @@ class DirectedCyclicGraph:
     def target(self, i: int) -> int:
         return int(self.targets[i])
 
+    def find_edges(self, u, v) -> np.ndarray:
+        """The index of the edge u->v for each pair of the broadcast integer
+        vertex arrays u, v; -1 where there is no such edge.
+
+        Vertices are range-checked before the key u*n + v is used: otherwise
+        (0, n) would find the edge 1->0.
+        """
+        u, v = np.asarray(u), np.asarray(v)
+        n, m = self.n, self.num_edges
+        inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        if not m:
+            return np.full(inside.shape, -1)
+        keys = np.where(inside, u * n + v, -1)
+        at = np.minimum(self.keys.searchsorted(keys), m - 1)
+        return np.where(inside & (self.keys[at] == keys), at, -1)
+
     def edge_index(self, u: int, v: int) -> int:
-        try:
-            return self._index[(u, v)]
-        except KeyError:
-            raise KeyError(f"no edge {u}->{v}") from None
+        i = int(self.find_edges(u, v))
+        if i < 0:
+            raise KeyError(f"no edge {u}->{v}")
+        return i
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._index
+        return bool(self.find_edges(u, v) >= 0)
 
     def out_degree(self, mu: int) -> int:
         return int(self.out_degrees[mu % self.n])
@@ -95,20 +165,16 @@ class DirectedCyclicGraph:
     def has_self_loop(self) -> bool:
         return bool(np.any(self.sources == self.targets))
 
-    def edges_from(self, mu: int):
-        """Edge indices sourced at vertex mu, in canonical order."""
-        mu %= self.n
-        return list(range(self.offsets[mu], self.offsets[mu + 1]))
-
     def __eq__(self, other) -> bool:
-        return (
+        # identity first: operators check their graphs on every call
+        return self is other or (
             isinstance(other, DirectedCyclicGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.keys, other.keys)
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.keys.tobytes()))
 
     def __repr__(self):
         return f"DirectedCyclicGraph(n={self.n}, edges={list(self.edges)})"
@@ -119,16 +185,17 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
 
     First non-comment line is ``n <int>``; each following non-comment line is
     ``u v`` with 0-based vertices.  ``#`` starts a comment.  Errors carry the
-    offending line number.
+    offending line number; of several, the earliest line's.  The line loop
+    only tokenises; the constructor checks ranges and repeats, once.
     """
+    lines = text.splitlines()
     n = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    linenos, vertices = [], []
+    error = None  # the first syntax error: it ends the scan
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise GraphFormatError(f"line {lineno}: expected 'n <int>', got {raw!r}")
@@ -140,26 +207,34 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
                 raise GraphFormatError(f"line {lineno}: need n >= 3, got {n}")
             continue
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}")
+            error = f"line {lineno}: expected 'u v', got {raw!r}"
+            break
         try:
-            u, v = int(parts[0]), int(parts[1])
+            vertices += int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex in {raw!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex outside 0..{n - 1} in {raw!r}")
-        if (u, v) in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {u}->{v}")
-        seen.add((u, v))
-        edges.append((u, v))
+            error = f"line {lineno}: non-integer vertex in {raw!r}"
+            break
+        linenos.append(lineno)
     if n is None:
         raise GraphFormatError("empty input: missing 'n <int>' header")
-    return DirectedCyclicGraph(n, edges)
+    try:
+        g = DirectedCyclicGraph(n, np.array(vertices).reshape(-1, 2))
+    except _BadEdge as exc:
+        lineno = linenos[exc.index]
+        if exc.repeat:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+        raise GraphFormatError(
+            f"line {lineno}: vertex outside 0..{n - 1} in {lines[lineno - 1]!r}"
+        ) from None
+    if error is not None:
+        raise GraphFormatError(error)
+    return g
 
 
 def format_graph(g: DirectedCyclicGraph) -> str:
     """Inverse of parse_graph."""
-    lines = [f"n {g.n}"] + [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
+    pairs = np.stack([g.sources, g.targets], axis=1).ravel().tolist()
+    return f"n {g.n}\n" + ("%d %d\n" * g.num_edges) % tuple(pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +338,12 @@ def apply_dual(g: DirectedCyclicGraph, edge: tuple[int, int], x: EdgeFunction) -
     return VertexFunction(g.n, out)
 
 
-def complete_graph_edges(n: int) -> list[tuple[int, int]]:
-    """All loop-free ordered pairs, lexicographically sorted."""
-    return [(u, v) for u in range(n) for v in range(n) if u != v]
+def complete_graph_edges(n: int) -> np.ndarray:
+    """All loop-free ordered pairs (u, v), lexicographically sorted, as the
+    rows of an (n(n - 1), 2) array."""
+    u = np.repeat(np.arange(n), n - 1)
+    v = np.tile(np.arange(n - 1), n)
+    return np.stack([u, v + (v >= u)], axis=1)
 
 
 def complete_graph_projector(g: DirectedCyclicGraph) -> np.ndarray:
@@ -275,8 +353,7 @@ def complete_graph_projector(g: DirectedCyclicGraph) -> np.ndarray:
     set and simply do not appear.
     """
     full = complete_graph_edges(g.n)
-    diag = np.array([1.0 if g.has_edge(u, v) else 0.0 for u, v in full], dtype=complex)
-    return np.diag(diag)
+    return np.diag((g.find_edges(full[:, 0], full[:, 1]) >= 0).astype(complex))
 
 
 def inner_product(u: HilbertVector, v: HilbertVector) -> complex:

@@ -90,5 +90,6 @@ def make_circulant_regular(n: int, d: int) -> DirectedCyclicGraph:
     """Circulant graph with edges mu -> mu+1, ..., mu -> mu+d for every mu."""
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} for n={n}")
-    edges = [(mu, (mu + k) % n) for mu in range(n) for k in range(1, d + 1)]
-    return DirectedCyclicGraph(n, edges)
+    sources = np.repeat(np.arange(n), d)
+    targets = (sources + np.tile(np.arange(1, d + 1), n)) % n
+    return DirectedCyclicGraph(n, np.stack([sources, targets], axis=1))

@@ -175,13 +175,14 @@ def edge_module_checks(g: graphs.DirectedCyclicGraph,
     out.append(CheckResult(f"hermitian-positive[{tag}]", res_pos, 1e-12))
     out.append(CheckResult(f"hermitian-symmetric[{tag}]", res_sym, 1e-12))
 
-    # dual functionals span a space of dimension |E|
-    eval_mat = np.zeros((m, m), dtype=complex)
-    for i, e in enumerate(g.edges):
-        for j, f in enumerate(g.edges):
-            chi = graphs.EdgeFunction.chi(g, *f)
-            eval_mat[i, j] = np.sum(graphs.apply_dual(g, e, chi).values)
-    res = float(np.max(np.abs(eval_mat - np.eye(m)), initial=0.0))
+    # dual functionals span a space of dimension |E|: evaluated on the probe
+    # sum_j z_j chi_j with distinct weights z, the functional of edge i gives z_i
+    edges = g.edges
+    z = np.arange(1.0, m + 1)
+    probe = graphs.EdgeFunction(g, sum(
+        (w * graphs.EdgeFunction.chi(g, *e).values for w, e in zip(z, edges)), np.zeros(m)))
+    got = np.array([np.sum(graphs.apply_dual(g, e, probe).values) for e in edges])
+    res = float(np.max(np.abs(got - z), initial=0.0))
     out.append(CheckResult(f"dual-basis-identity[{tag}]", res, 1e-12))
 
     if not g.has_self_loop():
@@ -189,11 +190,17 @@ def edge_module_checks(g: graphs.DirectedCyclicGraph,
         res = float(np.max(np.abs(proj @ proj - proj))) if proj.size else 0.0
         out.append(CheckResult(f"projector-idempotent[{tag}]", res, 1e-12))
 
+    # <b_i, b_i> = 1, and <b_i, sum_j w_j b_j> = <b_i, w_i b_i> for distinct
+    # weights w, so each b_i is orthogonal to the others
     basis = graphs.orthonormal_basis(g)
-    gram = np.array(
-        [[graphs.inner_product(u, v) for v in basis] for u in basis], dtype=complex
-    )
-    res = float(np.max(np.abs(gram - np.eye(2 * m)))) if m else 0.0
+    w = np.arange(1.0, 2 * m + 1)
+    probe = graphs.HilbertVector(g, *np.split(sum(
+        (wi * b.as_array() for wi, b in zip(w, basis)), np.zeros(2 * m)), 2))
+    res = 0.0
+    for wi, b in zip(w, basis):
+        scaled = graphs.HilbertVector(g, wi * b.top, wi * b.bottom)
+        res = max(res, abs(graphs.inner_product(b, b) - 1.0),
+                  abs(graphs.inner_product(b, probe) - graphs.inner_product(b, scaled)))
     out.append(CheckResult(f"onb-gram[{tag}]", res, 1e-12))
     return out
 

@@ -73,6 +73,25 @@ def test_parse_potential():
         connection.parse_potential("0 1 0 1.0 0.0\n1 2 1 1.0 0.0\n0 1 0 5.0 0.0\n", g)
 
 
+@pytest.mark.parametrize("lines, message", [
+    # an invalid triple on line 3 before a malformed line 5
+    (["0 1 0 1 0", "1 2 1 1 0", "0 2 0 1 0", "", "1 x 1 1 0"],
+     r"line 3: invalid potential triple \(0, 2, 0\)$"),
+    # a malformed line 3 before a duplicate line 5
+    (["0 1 0 1 0", "1 2 1 1 0", "2 0 2 1", "", "0 1 0 1 0"],
+     r"line 3: expected 'mu nu nuP re im', got '2 0 2 1'$"),
+    # an invalid triple on line 3 before a non-finite line 5
+    (["0 1 0 1 0", "1 2 1 1 0", "3 1 0 1 0", "", "2 0 2 nan 0"],
+     r"line 3: invalid potential triple \(3, 1, 0\)$"),
+    # a non-finite line 3 before a duplicate line 5
+    (["0 1 0 1 0", "1 2 1 1 0", "2 0 2 1 inf", "", "0 1 0 1 0"],
+     r"line 3: non-finite coefficient in '2 0 2 1 inf'$"),
+])
+def test_parse_potential_reports_the_earliest_bad_line(lines, message):
+    with pytest.raises(graphs.GraphFormatError, match=message):
+        connection.parse_potential("\n".join(lines), ngon(3))
+
+
 # ----------------------------------------------------------------- operators
 
 def test_zeta_zero_potential_and_dbar():

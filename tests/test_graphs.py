@@ -46,6 +46,22 @@ def test_constructor_rejects_bad_input():
     assert DirectedCyclicGraph(3, [(np.int64(0), np.int32(1))]).edges == ((0, 1),)
 
 
+def test_constructor_input_forms():
+    pairs = [(2, 0), (0, 1), (1, 1), (1, 2)]
+    forms = [pairs, set(pairs), (pair for pair in pairs),
+             np.array(pairs, dtype=np.int32), np.array(pairs, dtype=np.int64)]
+    built = [DirectedCyclicGraph(3, edges) for edges in forms]
+    assert all(g == built[0] and hash(g) == hash(built[0]) for g in built)
+    assert built[0].edges == ((0, 1), (1, 1), (1, 2), (2, 0))
+    assert all(type(x) is int for edge in built[-1].edges for x in edge)
+    empty = [DirectedCyclicGraph(3, edges) for edges in ([], np.empty((0, 2), int))]
+    assert empty[0] == empty[1] and hash(empty[0]) == hash(empty[1])
+    assert empty[0].edges == () and empty[0].num_edges == 0
+    # a float array is not truncated: its first edge is named
+    with pytest.raises(ValueError, match=r"^edge \S*2\.0\S*->\S*0\.5\S* has a non-integer vertex$"):
+        DirectedCyclicGraph(3, np.array([(2, 0.5), (0, 1)]))
+
+
 def test_accessors():
     g = ngon(4)
     assert g.num_edges == 4
@@ -53,7 +69,7 @@ def test_accessors():
     assert g.edge_index(2, 3) == 2
     assert g.has_edge(3, 0) and not g.has_edge(0, 2)
     assert g.out_degree(0) == 1
-    assert g.edges_from(2) == [2]
+    assert g.offsets[2] == 2 and g.offsets[3] == 3
     assert not g.has_self_loop()
     assert DirectedCyclicGraph(3, [(1, 1)]).has_self_loop()
     with pytest.raises(KeyError):
@@ -109,6 +125,17 @@ def test_parse_graph_errors_carry_line_numbers():
         graphs.parse_graph("# nothing here\n")
     with pytest.raises(GraphFormatError, match="line 1"):
         graphs.parse_graph("m 3\n0 1")
+
+
+@pytest.mark.parametrize("text, message", [
+    # an out-of-range line 3 before a malformed line 5
+    ("n 3\n0 1\n0 3\n\n1 x\n", r"line 3: vertex outside 0\.\.2 in '0 3'$"),
+    # a malformed line 3 before a duplicate line 5
+    ("n 3\n0 1\n1 2 0\n\n0 1\n", r"line 3: expected 'u v', got '1 2 0'$"),
+])
+def test_parse_graph_reports_the_earliest_bad_line(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        graphs.parse_graph(text)
 
 
 def test_parse_graph_late_duplicate_in_long_file():

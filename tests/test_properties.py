@@ -1,10 +1,10 @@
-"""Property tests on random graphs: the offset-indexed graph, the array-backed
-potential, its assembly and closed forms, and the cut-cycle distances, each
-against a reference written out here edge by edge; the numeric distance
-bracket against the exact distances, and the block of the commutator it
-certifies with against the whole commutator; the Laplacian's and the Dirac
-operator's structure; the graph suites of `verify` on every graph; and the
-CLI's number format."""
+"""Property tests on random graphs: the offset-indexed graph, its edge and
+key lookups, the array-backed potential, its assembly and closed forms, and
+the cut-cycle distances, each against a reference written out here edge by
+edge; the numeric distance bracket against the exact distances, and the
+block of the commutator it certifies with against the whole commutator; the
+Laplacian's and the Dirac operator's structure; the graph suites of `verify`
+on every graph; and the CLI's number format."""
 
 import contextlib
 import io
@@ -54,8 +54,43 @@ def reference_keys(g):
 def test_offsets_index_the_out_edges(g):
     assert g.offsets.shape == (g.n + 1,)
     for mu in range(g.n):
-        assert g.edges_from(mu) == [i for i in range(g.num_edges) if g.source(i) == mu]
+        assert list(range(g.offsets[mu], g.offsets[mu + 1])) == [
+            i for i in range(g.num_edges) if g.source(i) == mu]
         assert g.out_degree(mu) == sum(u == mu for u, _ in g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st)
+@example(g=EMPTY)
+@example(g=LOOPS_AND_SINKS)
+def test_lookups_agree_with_the_edge_set(g):
+    n, index = g.n, {e: i for i, e in enumerate(sorted(set(g.edges)))}
+    pairs = list(itertools.product(range(-1, n + 1), repeat=2))
+    # out-of-range pairs whose key u*n + v is the key of an edge: (u, v + n)
+    # that of (u + 1, v), and (u + 1, v - n) that of (u, v)
+    pairs += [(u, v + s * n) for u, v in itertools.product(range(n), repeat=2) for s in (-1, 1)]
+    pairs += [(u + s, v - s * n) for u, v in itertools.product(range(n), repeat=2) for s in (-1, 1)]
+    want = [index.get(pair, -1) for pair in pairs]
+    u, v = np.array(pairs).T
+    assert g.find_edges(u, v).tolist() == want
+    for (u, v), i in zip(pairs, want):
+        assert g.has_edge(u, v) == (i >= 0)
+        if i >= 0:
+            assert g.edge_index(u, v) == i
+        else:
+            with pytest.raises(KeyError):
+                g.edge_index(u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st)
+@example(g=EMPTY)
+@example(g=LOOPS_AND_SINKS)
+def test_positions_agree_with_the_keys(g):
+    keys = reference_keys(g)
+    triples = list(itertools.product(range(-1, g.n + 1), repeat=3))
+    want = [keys.index(t) if t in keys else -1 for t in triples]
+    assert PotentialCoefficients(g).positions(*np.array(triples).T).tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
