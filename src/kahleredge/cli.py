@@ -64,11 +64,12 @@ def _rows(mat: np.ndarray, json: bool = False):
     mat = np.asarray(mat, dtype=np.float64)
     for start in range(0, mat.shape[0], ROW_BLOCK):
         block = mat[start:start + ROW_BLOCK]
-        bits, cells = np.unique(block.view(np.int64), return_inverse=True)
+        bits = np.unique(block.view(np.int64))
+        cells = np.searchsorted(bits, block.view(np.int64))  # np.unique's inverse
         text = ["%.17g" % value for value in bits.view(np.float64).tolist()]
         if json:
             text = [s.replace("inf", '"inf"') for s in text]
-        for row in np.array(text, dtype=object)[cells.reshape(block.shape)].tolist():
+        for row in np.array(text, dtype=object)[cells].tolist():
             yield ",".join(row)
 
 

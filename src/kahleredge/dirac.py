@@ -20,7 +20,7 @@ constraint component, and the cap n elsewhere, where no constraint links mu
 to nu and the distance is unbounded.  One linear program per column, all n
 stacked block-diagonally, gives every upper bound.  Lower bound: a single
 function of the unit ball is a witness for every pair it separates, so the
-column maximiser, rescaled by the measured operator norm of its commutator,
+column maximiser, rescaled by an upper bound on the norm of its commutator,
 certifies its whole column with one norm; the indicator of a constraint
 component commutes with D, so every multiple of it is in the ball, and one
 norm per component certifies its unbounded entries.  No pair is left open:
@@ -28,11 +28,13 @@ the potential entries of [D, f] cancel, so its norm is the largest step of f
 across those segments, at most one for the column maximiser, whose
 certificate thus equals the upper bound on every finite pair.
 
-Each norm is taken of the m x m block Y of the commutator, not of the whole
-2m x 2m matrix.  D = [[0, dbar^dagger], [dbar, 0]] and f acts as
-diag(f o s, f o (s+1)), so for a real f, [D, f] = [[0, -Y^dagger], [Y, 0]]
-with Y[e', e] = dbar[e', e] (f(s(e)) - f(s(e')+1)), and ||[D, f]|| = ||Y||.
-The witnesses and the indicators are real, so the bracket never assembles D.
+Each norm is bounded from the m + K nonzero entries (K valid potential keys)
+of the m x m block Y of [D, f].  D = [[0, dbar^dagger], [dbar, 0]] and f acts
+as diag(f o s, f o (s+1)), so for a real f (not a complex one) [D, f] =
+[[0, -Y^dagger], [Y, 0]] with Y[e', e] = dbar[e', e] (f(s(e)) - f(s(e')+1)),
+and ||[D, f]|| = ||Y|| <= sqrt(||Y||_1 ||Y||_inf), the Schur test, which is
+exact on the diagonal Y.  The certified functions are real, so the bracket
+builds neither D nor dbar and takes no SVD.
 
 SciPy is imported only inside the functions that use it, so the exact
 distances and everything else outside the numeric bracket and the operator
@@ -89,23 +91,17 @@ def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarr
     return full
 
 
-def _diagonal_action(g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
-    """The action of a vertex function on the full space: the top block is
-    scaled by f at the edge source, the bottom block by f one step ahead."""
-    top = f[g.sources]
-    bottom = f[(g.sources + 1) % g.n]
-    return np.concatenate([top, bottom])
-
-
-def _commutator_block(a: np.ndarray, g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
-    """The bottom-left block Y of [D, f], from the matrix `a` of dbar and a
-    real vertex function `f`: Y[e', e] = a[e', e] (f(s(e)) - f(s(e')+1)).
-    The top-right block is -Y^dagger only because f is real, so only then is
-    ||[D, f]|| = ||Y||."""
-    diag = _diagonal_action(g, f)
+def _norm_bound(g: DirectedCyclicGraph, c: PotentialCoefficients, f: np.ndarray) -> float:
+    """The Schur test sqrt(||Y||_1 ||Y||_inf) >= ||[D, f]|| for a real vertex
+    function `f`, from the m diagonal entries and the K potential entries of Y."""
     m = g.num_edges
-    # factored difference, as in commutator_with_function: potential entries vanish exactly
-    return a * (diag[np.newaxis, :m] - diag[m:, np.newaxis])
+    edge, partner = PotentialCoefficients.key_edges(g)
+    cols = np.concatenate([np.arange(m), edge])  # e, for the entries (e', e) of Y
+    rows = np.concatenate([np.arange(m), partner])  # e'
+    coefficients = np.concatenate([np.ones(m), c.values])  # dbar[e', e]
+    entries = np.abs(coefficients * (f[g.sources[cols]] - f[(g.sources[rows] + 1) % g.n]))
+    return math.sqrt(np.bincount(cols, entries, m).max(initial=0.0)
+                     * np.bincount(rows, entries, m).max(initial=0.0))
 
 
 def commutator_with_function(D: np.ndarray, f: VertexFunction,
@@ -115,7 +111,8 @@ def commutator_with_function(D: np.ndarray, f: VertexFunction,
         raise ValueError(f"vertex count mismatch: {f.n} != {g.n}")
     if D.shape[0] != 2 * g.num_edges:
         raise ValueError("operator does not act on the full space of this graph")
-    diag = _diagonal_action(g, f.values)
+    # f at each edge's source on the top block, one step ahead on the bottom
+    diag = f.values[np.concatenate([g.sources, (g.sources + 1) % g.n])]
     # factored difference: entries whose two diagonal values coincide vanish
     # exactly, making the result bitwise independent of the potential
     return D * (diag[np.newaxis, :] - diag[:, np.newaxis])
@@ -182,16 +179,13 @@ def distance_bracket(g: DirectedCyclicGraph,
     maximiser per target and one indicator per constraint component.  No pair
     is left open: the commutator norm of f is its largest step across a
     constraint segment, so each column maximiser certifies its own column.
-    Each norm is that of the m x m block Y of [D, f], which equals the norm
-    of [D, f] because every certified function is real."""
+    Each norm is the Schur test on the nonzero entries of the block Y of
+    [D, f], exact because Y is diagonal."""
     from scipy import sparse
 
+    if c.graph != g:
+        raise ValueError("potential defined on a different graph")
     n = g.n
-    a = dbar(g, c)
-
-    def norm(f):  # of [D, f], as that of its block Y: f is real
-        return operator_norm(_commutator_block(a, g, f))
-
     # rows e_lam - e_(lam+1) and their negatives, interleaved, once per column
     lam = np.flatnonzero(g.out_degrees)
     segments = np.eye(n)[lam] - np.eye(n)[(lam + 1) % n]
@@ -208,13 +202,14 @@ def distance_bracket(g: DirectedCyclicGraph,
 
     lower = np.empty((n, n))
     for nu, f in enumerate(witnesses):
-        scaled = f / max(1.0, norm(f))
+        scaled = f / max(1.0, _norm_bound(g, c, f))
         lower[:, nu] = np.abs(scaled - scaled[nu])
     finite = np.isfinite(upper)  # row mu: the indicator of mu's component
     components, label = np.unique(finite, axis=0, return_inverse=True)
     for k, comp in enumerate(components):
         if not comp.all():
-            lower[np.ix_(label == k, ~comp)] = math.inf if norm(comp * 1.0) <= 1e-9 else 0.0
+            free = _norm_bound(g, c, comp * 1.0) <= 1e-9  # every multiple is in the ball
+            lower[np.ix_(label == k, ~comp)] = math.inf if free else 0.0
     return lower, upper
 
 

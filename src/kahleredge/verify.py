@@ -186,8 +186,10 @@ def edge_module_checks(g: graphs.DirectedCyclicGraph,
     out.append(CheckResult(f"dual-basis-identity[{tag}]", res, 1e-12))
 
     if not g.has_self_loop():
+        # diagonal and idempotent: p - diag(p)^2 has no nonzero entry
         proj = graphs.complete_graph_projector(g)
-        res = float(np.max(np.abs(proj @ proj - proj))) if proj.size else 0.0
+        np.fill_diagonal(proj, np.diagonal(proj) * (1 - np.diagonal(proj)))
+        res = float(np.abs(proj).max(initial=0.0))
         out.append(CheckResult(f"projector-idempotent[{tag}]", res, 1e-12))
 
     # <b_i, b_i> = 1, and <b_i, sum_j w_j b_j> = <b_i, w_i b_i> for distinct

@@ -178,6 +178,25 @@ def test_numeric_bracket_potential_independent():
         assert np.array_equal(lower, ref_lower) and np.array_equal(upper, ref_upper)
 
 
+def test_numeric_bracket_takes_no_dense_route(monkeypatch):
+    # vertices 3 and 4 have no out-edge, vertex 0 a self-loop and vertex 6
+    # two out-edges
+    g = DirectedCyclicGraph(8, [(0, 0), (0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (6, 2), (7, 0)])
+    c = PotentialCoefficients.random(g, np.random.default_rng(61))
+    want = dirac.distance_bracket(g, c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket took a dense route")
+
+    monkeypatch.setattr(dirac, "operator_norm", refuse)
+    monkeypatch.setattr(dirac, "dbar", refuse)
+    got = dirac.distance_bracket(g, c)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert np.isinf(got[0]).any() and np.isinf(got[1]).any()
+    with pytest.raises(ValueError, match="different graph"):
+        dirac.distance_bracket(ngon(8), c)
+
+
 def test_vertex_bounds_checked():
     g = ngon(3)
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
-"""The self-check battery: its random inputs and its distance-axiom check."""
+"""The self-check battery: its random inputs, its distance-axiom check and its
+projector check."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from kahleredge import verify
+from kahleredge import graphs, verify
 from kahleredge.graphs import DirectedCyclicGraph
 
 
@@ -44,3 +45,17 @@ def test_metric_axioms_catch_asymmetry_next_to_inf(monkeypatch):
     results = verify.distance_checks(g, np.random.default_rng(0))
     (axioms,) = [r for r in results if r.name.startswith("metric-axioms")]
     assert not axioms.passed
+
+
+@pytest.mark.parametrize("entry, value", [((0, 1), 1e-9), ((2, 2), 2.0)],
+                         ids=["off-diagonal", "diagonal"])
+def test_projector_check_catches_a_stray_entry(monkeypatch, entry, value):
+    # a stray entry off the diagonal, or a 2 on it, is not an idempotent
+    g = DirectedCyclicGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    proj = graphs.complete_graph_projector(g)
+    proj[entry] = value
+    monkeypatch.setattr(graphs, "complete_graph_projector", lambda graph: proj.copy())
+    results = verify.edge_module_checks(g, np.random.default_rng(0))
+    (check,) = [r for r in results if r.name.startswith("projector-idempotent")]
+    assert check.residual == pytest.approx(value)
+    assert not check.passed
