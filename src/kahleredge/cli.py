@@ -48,44 +48,51 @@ class DataError(Exception):
     pass
 
 
-#: rows formatted together: bounds the index arrays, as dirac.ROW_BLOCK does
+#: rows formatted together: bounds the index arrays of one block
 ROW_BLOCK = 256
 
 
-def _rows(mat: np.ndarray, json: bool = False):
-    """Each row of the real 2-D array `mat` as its entries with 17 significant
-    digits (locale independent, `inf` for infinity, the string "inf" if
-    `json`), joined by commas.
+def _blocks(mat: np.ndarray, json: bool = False):
+    """The text of each block of ROW_BLOCK rows of the real 2-D array `mat`,
+    a line per row: its entries with 17 significant digits (locale
+    independent, `inf` for infinity, the string "inf" if `json`), joined by
+    commas.
 
     Distances are hop counts and the Laplacian is mostly zero, so a block of
-    rows holds few distinct values: each distinct bit pattern (`-0.0` apart
-    from `0.0`) is formatted once per block and its text gathered per cell.
+    rows holds few distinct values: one sort finds its distinct bit patterns
+    (`-0.0` apart from `0.0`), each is formatted once, and the block is one
+    join of the texts gathered per cell.
     """
     mat = np.asarray(mat, dtype=np.float64)
     for start in range(0, mat.shape[0], ROW_BLOCK):
-        block = mat[start:start + ROW_BLOCK]
-        bits = np.unique(block.view(np.int64))
-        cells = np.searchsorted(bits, block.view(np.int64))  # np.unique's inverse
+        block = mat[start:start + ROW_BLOCK].view(np.int64)
+        if block.shape[1] == 0:
+            yield "\n" * len(block)
+            continue
+        bits = np.sort(block, axis=None)
+        bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
         text = ["%.17g" % value for value in bits.view(np.float64).tolist()]
         if json:
             text = [s.replace("inf", '"inf"') for s in text]
-        for row in np.array(text, dtype=object)[cells].tolist():
-            yield ",".join(row)
+        cells = np.array([s + "," for s in text], dtype=object)[np.searchsorted(bits, block)]
+        cells[:, -1] = [s[:-1] + "\n" for s in cells[:, -1].tolist()]  # ends the row
+        yield "".join(cells.ravel().tolist())
 
 
 def _print_rows(mat: np.ndarray) -> None:
-    sys.stdout.writelines(row + "\n" for row in _rows(mat))
+    sys.stdout.writelines(_blocks(mat))
 
 
 def _print_json(head: str, mats: dict[str, np.ndarray]) -> None:
     """Print one JSON object: the fields in `head`, then each named matrix as
-    a list of row lists, written row by row; `inf` is the string "inf"."""
+    a list of row lists, written a block of rows at a time; `inf` is the
+    string "inf"."""
     write = sys.stdout.write
     write("{" + head)
     for name, mat in mats.items():
         write(',"%s":[' % name)
-        for i, row in enumerate(_rows(mat, json=True)):
-            write(("," if i else "") + "[" + row + "]")
+        for i, text in enumerate(_blocks(mat, json=True)):
+            write(("," if i else "") + "[" + text[:-1].replace("\n", "],[") + "]")
         write("]")
     write("}\n")
 
@@ -145,10 +152,10 @@ def cmd_spectrum(args) -> int:
         closed = spectra.ngon_closed_form(g.n)[None]
         deviation = np.abs(eigs - closed).max(keepdims=True)
     if args.format == "json":
-        out = '{"eigenvalues":[%s]' % next(_rows(eigs[None]))
+        out = '{"eigenvalues":[%s]' % next(_blocks(eigs[None]))[:-1]
         if args.closed_form:
             out += ',"closed_form":[%s],"max_deviation":%s' % (
-                next(_rows(closed)), next(_rows(deviation)))
+                next(_blocks(closed))[:-1], next(_blocks(deviation))[:-1])
         print(out + "}")
     else:
         _print_rows(eigs[:, None])

@@ -10,6 +10,9 @@ segments {lam, lam+1} of vertices lam that carry an outgoing edge, so the
 supremum collapses to a closed form on the cycle cut at every vertex with no
 outgoing edge: the number of steps of the shorter of the forward and the
 backward walk from mu to nu that crosses no cut, or infinity when both do.
+The whole matrix is this closed form entry by entry: k = (nu - mu) mod n
+forward steps, n - k backward steps, each infinite where it reaches past the
+first cut ahead of its start.
 
 An independent numeric route brackets the whole distance matrix at once.
 Upper bound: the unit ball only allows |f(lam) - f(lam+1)| <= 1 on those
@@ -62,10 +65,6 @@ __all__ = [
     "connes_distance",
     "distance_bracket",
 ]
-
-#: rows per step of the in-place symmetrisation in all_pairs_distances
-ROW_BLOCK = 256
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceResult:
@@ -135,33 +134,30 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def _forward_walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Steps of the forward walk lam -> lam+1 from each vertex of `start`
-    (rows) to each vertex of `end` (columns), inf where the walk crosses a
-    cut: the segment {lam, lam+1} of a vertex lam with no outgoing edge."""
+def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Distances from each vertex of `start` (rows) to each vertex of `end`
+    (columns): the shorter of the forward walk lam -> lam+1 from mu to nu,
+    k = (nu - mu) mod n steps, and the one from nu to mu, n - k steps, where a
+    walk that crosses a cut (the segment {lam, lam+1} of a vertex lam with no
+    outgoing edge) is inf."""
     n = g.n
     cut = np.tile(g.out_degrees == 0, 2)
     # steps from each vertex to the first cut at or ahead of it (2n: none)
     next_cut = np.minimum.accumulate(np.where(cut, np.arange(2 * n), 2 * n)[::-1])[::-1]
     room = next_cut[:n] - np.arange(n)
-    steps = np.subtract.outer(-start, -end, dtype=float)  # nu - mu at (mu, nu)
-    steps %= n
-    steps[steps > room[start, None]] = np.inf
-    return steps
-
-
-def _distances_from(g: DirectedCyclicGraph, mu: int) -> np.ndarray:
-    """Distances from mu to every vertex: the shorter open walk, where the
-    backward walk from mu to nu is the forward walk from nu to mu."""
-    every, here = np.arange(g.n), np.array([mu])
-    return np.minimum(_forward_walks(g, here, every)[0], _forward_walks(g, every, here)[:, 0])
+    ahead = np.subtract.outer(-start, -end, dtype=float)  # nu - mu at (mu, nu)
+    np.add(ahead, n, out=ahead, where=ahead < 0)  # mod n, without a division
+    behind = n - ahead  # n, not 0, on the diagonal, where ahead = 0 is shorter
+    np.copyto(ahead, np.inf, where=ahead > room[start, None])
+    np.copyto(behind, np.inf, where=behind > room[end])
+    return np.minimum(ahead, behind, out=ahead)
 
 
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     """Exact distance between vertices mu and nu, with a witness function."""
     if not (0 <= mu < g.n and 0 <= nu < g.n):
         raise ValueError(f"vertices must lie in 0..{g.n - 1}, got ({mu}, {nu})")
-    dist = _distances_from(g, nu)
+    dist = _walks(g, np.arange(g.n), np.array([nu]))[:, 0]
     value = float(dist[mu])
     if math.isinf(value):
         return DistanceResult(math.inf, None)
@@ -215,11 +211,7 @@ def distance_bracket(g: DirectedCyclicGraph,
 
 def all_pairs_distances(g: DirectedCyclicGraph) -> np.ndarray:
     """Matrix of vertex distances; math.inf marks unbounded pairs.  Entry
-    (mu, nu) is the shorter of the forward walks mu -> nu and nu -> mu, taken
-    in place one row block at a time so that a single n x n array is live."""
+    (mu, nu) is the shorter of the forward walks mu -> nu and nu -> mu, each
+    inf where it crosses a cut, in closed form per entry."""
     every = np.arange(g.n)
-    dist = _forward_walks(g, every, every)
-    for start in range(0, g.n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        np.minimum(dist[rows], dist[:, rows].T, out=dist[rows])
-    return dist
+    return _walks(g, every, every)

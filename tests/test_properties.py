@@ -11,7 +11,6 @@ import io
 import itertools
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,8 +202,6 @@ def test_distances_are_shortest_paths_on_the_segments(g):
     segments = csr_matrix((np.ones(len(lam)), (lam, (lam + 1) % g.n)), shape=(g.n, g.n))
     ref = shortest_path(segments, directed=False, unweighted=True)
     assert np.array_equal(dirac.all_pairs_distances(g), ref)
-    with mock.patch.object(dirac, "ROW_BLOCK", 3):  # several row blocks
-        assert np.array_equal(dirac.all_pairs_distances(g), ref)
     for mu in range(g.n):
         for nu in range(g.n):
             assert dirac.connes_distance(g, mu, nu).value == ref[mu, nu]
@@ -288,7 +285,7 @@ SPECIAL = np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1e308, -1e30
                   elements=printed_floats))
 @example(mat=SPECIAL)
 def test_printed_rows_parse_back_to_the_same_floats(mat):
-    csv = [[float(v) for v in line.split(",")] for line in cli._rows(mat)]
+    csv = [[float(v) for v in line.split(",")] for line in "".join(cli._blocks(mat)).splitlines()]
     assert np.array(csv).tobytes() == mat.tobytes()  # bitwise: keeps the sign of 0
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -303,6 +300,10 @@ def reference_rows(mat, json=False):
     entry, "inf" quoted in JSON."""
     cell = lambda x: '"inf"' if json and x == math.inf else "%.17g" % x
     return [",".join(cell(x) for x in row) for row in mat.tolist()]
+
+
+def reference_text(mat, json=False):
+    return "".join(row + "\n" for row in reference_rows(mat, json))
 
 
 # values that repeat across row blocks, with the sign of zero and the
@@ -322,5 +323,22 @@ def test_printed_rows_match_the_per_cell_format(rows, cols, seed):
     lap.real, lap.imag = rng.choice(pool, (2, rows, cols))
     # contiguous, strided, interleaved and transposed views
     for mat in (lap.real.copy(), lap.real, lap.imag, lap.view(float), lap.imag.T):
-        assert list(cli._rows(mat)) == reference_rows(mat)
-        assert list(cli._rows(mat, json=True)) == reference_rows(mat, json=True)
+        assert "".join(cli._blocks(mat)) == reference_text(mat)
+        assert "".join(cli._blocks(mat, json=True)) == reference_text(mat, json=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(0, 600), cols=st.integers(0, 4), seed=seeds)
+@example(rows=0, cols=2, seed=0)
+@example(rows=cli.ROW_BLOCK + 1, cols=0, seed=1)
+@example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2)
+def test_printed_json_matches_the_per_cell_format(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([POOL, rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
+    mats = dict(zip("ab", rng.choice(pool, (2, rows, cols))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json('"n":0', mats)
+    assert out.getvalue() == '{"n":0%s}\n' % "".join(
+        ',"%s":[%s]' % (name, ",".join("[" + row + "]" for row in reference_rows(mat, json=True)))
+        for name, mat in mats.items())
