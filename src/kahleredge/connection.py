@@ -4,8 +4,10 @@ Every operator is a dense complex ndarray in the edge-indexed bases.  The
 base connection pairs every edge with its twisted partner one edge back along
 the cycle, so it is the identity there and dbar = I + zeta; the potential
 zeta (a left-module map with scalar coefficients) shifts mass between edges
-sourced at consecutive vertices.  The Laplacian is the square of the
-resulting Dirac-type operator restricted to the edge block.
+sourced at consecutive vertices.  The Laplacian dbar^dagger dbar is the
+square of the resulting Dirac-type operator restricted to the edge block; it
+is written entry by entry from the potential's blocks C_mu, with no matrix
+product over all edges (see `laplacian`).
 """
 
 from __future__ import annotations
@@ -198,9 +200,41 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     The conjugate transpose is the Hilbert adjoint because both blocks carry
     the same uniform 1/n weight, so the basis Gram matrix is a multiple of
     the identity.
+
+    L = I + zeta + zeta^dagger + zeta^dagger zeta, written from the blocks
+    C_mu (rows: the edges leaving mu, columns: those leaving mu-1) with no
+    product over all edges: zeta holds C_mu^T at (edges leaving mu-1, edges
+    leaving mu), zeta^dagger conj(C_mu) at the transposed place, and
+    zeta^dagger zeta is block diagonal by source, conj(C_mu) C_mu^T on the
+    edges leaving mu.  These supports, the entries (e', e) with s(e') equal
+    to s(e) - 1, s(e) + 1 and s(e), are disjoint because n >= 3, so plain
+    assignment places them; the identity, inside the last, is added at the
+    end.  Vertices whose blocks share a shape share one batched matmul; the
+    only loop is over the distinct shapes.  Conjugating a coefficient whose
+    imaginary part is +0 gives -0; adding 0.0 restores +0, as in the product
+    dbar^dagger dbar, so the unit and zero potentials give its entries bit
+    for bit.
     """
-    d = dbar(g, c)
-    return d.conj().T @ d
+    if c.graph != g:
+        raise ValueError("potential defined on a different graph")
+    m = g.num_edges
+    mat = np.zeros((m, m), dtype=complex)
+    here = g.out_degrees
+    prev = (np.arange(g.n) - 1) % g.n
+    back = here[prev]
+    shapes = here * (g.n + 1) + back  # (d_mu, d_{mu-1}) as one integer
+    for shape in np.unique(shapes[here * back > 0]).tolist():
+        d, dp = divmod(shape, g.n + 1)
+        mu = np.flatnonzero(shapes == shape)
+        block = c.values[c.block_offsets[mu, None] + np.arange(d * dp)].reshape(-1, d, dp)
+        bar = block.conj() + 0.0  # +0, not -0, imaginary parts: see above
+        e = (g.offsets[mu, None] + np.arange(d))[:, :, None]  # edges leaving mu
+        ep = (g.offsets[prev[mu], None] + np.arange(dp))[:, None, :]  # and mu-1
+        mat[ep, e] = block  # zeta
+        mat[e, ep] = bar  # zeta^dagger
+        mat[e, e.transpose(0, 2, 1)] = np.matmul(bar, block.transpose(0, 2, 1))  # zeta^dagger zeta
+    mat.reshape(-1)[:: m + 1] += 1.0
+    return mat
 
 
 def apply_laplacian_unit(g: DirectedCyclicGraph, f: EdgeFunction) -> EdgeFunction:

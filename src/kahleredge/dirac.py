@@ -145,12 +145,19 @@ def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.nda
     # steps from each vertex to the first cut at or ahead of it (2n: none)
     next_cut = np.minimum.accumulate(np.where(cut, np.arange(2 * n), 2 * n)[::-1])[::-1]
     room = next_cut[:n] - np.arange(n)
-    ahead = np.subtract.outer(-start, -end, dtype=float)  # nu - mu at (mu, nu)
-    np.add(ahead, n, out=ahead, where=ahead < 0)  # mod n, without a division
-    behind = n - ahead  # n, not 0, on the diagonal, where ahead = 0 is shorter
-    np.copyto(ahead, np.inf, where=ahead > room[start, None])
-    np.copyto(behind, np.inf, where=behind > room[end])
-    return np.minimum(ahead, behind, out=ahead)
+    dist = np.subtract.outer(-start, -end, dtype=float)  # nu - mu at (mu, nu)
+    np.add(dist, n, out=dist, where=dist < 0)  # k, mod n without a division
+    # one float array and boolean masks: the backward walk, n - k steps (n on
+    # the diagonal, never taken there), replaces k where it crosses no cut and
+    # is shorter or the forward walk crosses one
+    back_open = dist >= n - room[end]  # n - k <= room[nu]
+    ahead_cut = dist > room[start, None]
+    take_back = dist > n / 2  # n - k < k
+    take_back |= ahead_cut
+    take_back &= back_open
+    np.subtract(n, dist, out=dist, where=take_back)
+    np.copyto(dist, np.inf, where=ahead_cut > back_open)  # cut ahead and behind
+    return dist
 
 
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:

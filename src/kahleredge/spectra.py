@@ -1,7 +1,9 @@
 """Self-adjoint eigensolver and closed-form spectral results.
 
 The solver is the LAPACK (via numpy) self-adjoint eigensolver, behind checks
-that reject non-square, non-finite and non-self-adjoint input.
+that reject non-square, non-finite and non-self-adjoint input.  A matrix
+stored complex with no imaginary part (the Laplacian of a real potential) is
+checked and solved in real arithmetic.
 """
 
 from __future__ import annotations
@@ -39,10 +41,16 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a self-adjoint matrix via LAPACK (numpy ``eigh``).
 
     Rejects non-finite entries, and matrices whose asymmetry exceeds 1e-9
-    relative to their norm, reporting the measured asymmetry.  Real symmetric
-    input is solved in real arithmetic and gives real eigenvectors.
+    relative to their norm, reporting the measured asymmetry.  Input whose
+    imaginary part is all zero (a unit-potential Laplacian, say) is checked,
+    symmetrised and solved in real arithmetic and gives real eigenvectors; so
+    does complex input whose symmetrised imaginary part vanishes.  The real
+    route gives bitwise the eigenvalues of the complex one: the symmetrised
+    real part is the same either way.
     """
-    A = np.array(M, dtype=complex)
+    A = np.asarray(M, dtype=complex)
+    if not A.imag.any():
+        A = A.real
     m, mc = A.shape
     if m != mc:
         raise ValueError(f"matrix must be square, got {A.shape}")

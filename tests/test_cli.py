@@ -344,8 +344,8 @@ def test_data_errors(capsys, tmp_path):
 # The exact bytes each subcommand prints.  The inputs keep every printed
 # float free of rounding (zero potential, a potential whose products are
 # exact in binary, integer distances), so the digits do not depend on the
-# BLAS/LAPACK build.  The sign of the Laplacian entry printed as `-0` is the
-# one the complex matrix product of numpy's bundled OpenBLAS gives.
+# BLAS/LAPACK build.  The zero signs are those of the assembly: zeta^dagger
+# holds the potential's own 0.0 real parts, so real[1][0] prints `0`.
 
 GOLDEN_FILES = {
     "ngon4": ngon_text(4),
@@ -368,11 +368,11 @@ GOLDEN = [
      "1\n1\n1\n1\n0,1.9999999999999996,2,4\n3\n"),
     (("laplacian", "--graph", "tri", "--potential", "exact"),
      '{"rows":3,"cols":3,'
-     '"real":[[2.2500000596046457,0,-0.5],[-0,1.25,0.25],[-0.5,0.25,1.0625]],'
+     '"real":[[2.2500000596046457,0,-0.5],[0,1.25,0.25],[-0.5,0.25,1.0625]],'
      '"imag":[[0,-0.5,1.0000000298023224],[0.5,0,0],[-1.0000000298023224,0,0]]}\n'),
     (("laplacian", "--graph", "tri", "--potential", "exact", "--format", "csv"),
      "2.2500000596046457,0,0,-0.5,-0.5,1.0000000298023224\n"
-     "-0,0.5,1.25,0,0.25,0\n"
+     "0,0.5,1.25,0,0.25,0\n"
      "-0.5,-1.0000000298023224,0.25,0,1.0625,0\n"),
     (("distance", "--graph", "sinks"),
      '{"n":5,"distances":[[0,1,2,"inf",1],[1,0,1,"inf",2],[2,1,0,"inf",3],'

@@ -3,8 +3,9 @@ key lookups, the array-backed potential, its assembly and closed forms, and
 the cut-cycle distances, each against a reference written out here edge by
 edge; the numeric distance bracket against the exact distances, and the
 norm bound it certifies with against the SVD of the whole commutator; the
-Laplacian's and the Dirac operator's structure; the graph suites of `verify`
-on every graph; and the CLI's number format."""
+Laplacian against the dense product dbar^dagger dbar, and its and the Dirac
+operator's structure; the graph suites of `verify` on every graph; and the
+CLI's number format."""
 
 import contextlib
 import io
@@ -26,6 +27,10 @@ from kahleredge.polygon import VertexFunction
 
 EMPTY = DirectedCyclicGraph(4, [])
 LOOPS_AND_SINKS = DirectedCyclicGraph(5, [(0, 0), (0, 3), (1, 2), (1, 1), (3, 4), (3, 0)])
+# two adjacent hubs, 0 and 1, each with an edge to every other vertex, on the
+# 6-gon: blocks C_mu of shapes 5 x 1, 5 x 5, 1 x 5 and 1 x 1
+HUBS = DirectedCyclicGraph(6, [(u, v) for u in (0, 1) for v in range(6) if v != u]
+                           + [(mu, (mu + 1) % 6) for mu in range(2, 6)])
 
 # any edge set on 3..8 vertices: self-loops, vertices without an outgoing
 # edge and the empty edge set all occur
@@ -170,6 +175,25 @@ def test_closed_forms_match_the_conjugate_transpose_route(g, seed):
     }
     for name, route in routes.items():
         assert np.max(np.abs(blocks[name] - route), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, seed=seeds)
+@example(g=EMPTY, seed=0)
+@example(g=LOOPS_AND_SINKS, seed=1)
+@example(g=HUBS, seed=2)
+def test_laplacian_is_the_dense_product(g, seed):
+    for c, exact in ((PotentialCoefficients.random(g, np.random.default_rng(seed)), False),
+                     (PotentialCoefficients.unit(g), True), (PotentialCoefficients.zero(g), True)):
+        d = connection.dbar(g, c)
+        ref = d.conj().T @ d
+        lap = connection.laplacian(g, c)
+        assert lap.shape == ref.shape and lap.dtype == ref.dtype
+        if exact:  # bit for bit, the signs of zeros included
+            assert np.array_equal(lap.view(np.int64), ref.view(np.int64))
+        else:
+            tol = 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
+            assert np.max(np.abs(lap - ref), initial=0.0) <= tol
 
 
 @settings(max_examples=60, deadline=None)

@@ -111,6 +111,50 @@ def test_real_symmetric_input_gives_real_vectors():
     assert not np.iscomplexobj(s.eigenvectors)
 
 
+def test_real_valued_complex_input_takes_the_real_route():
+    # unit-potential Laplacians and real matrices within the asymmetry
+    # tolerance, all stored complex: the eigenvalues are bitwise those of the
+    # real solver on the real symmetrised matrix
+    rng = np.random.default_rng(6)
+    loops_and_sinks = DirectedCyclicGraph(5, [(0, 0), (0, 3), (1, 2), (1, 1), (3, 4), (3, 0)])
+    mats = [connection.laplacian(g, PotentialCoefficients.unit(g))
+            for g in (ngon(7), spectra.make_circulant_regular(6, 3), loops_and_sinks)]
+    for m in (1, 5, 30):
+        b = rng.standard_normal((m, m))
+        mats.append(b + b.T + 1e-12 * rng.standard_normal((m, m)))
+    for a in mats:
+        a = np.asarray(a, dtype=complex)
+        assert a.dtype == complex and not a.imag.any()
+        sym = (a.real + a.real.T) / 2.0
+        got = spectra.eig_selfadjoint(a).eigenvalues
+        assert got.tobytes() == np.linalg.eigvalsh(sym).tobytes()
+        s = spectra.eig_selfadjoint(a, want_vectors=True)
+        w, v = np.linalg.eigh(sym)
+        assert s.eigenvalues.tobytes() == w.tobytes()
+        assert s.eigenvectors.dtype == np.float64 and s.eigenvectors.tobytes() == v.tobytes()
+
+
+def test_real_valued_complex_input_is_rejected_as_before():
+    with pytest.raises(ValueError) as err:
+        spectra.eig_selfadjoint(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    assert str(err.value) == ("matrix is not self-adjoint: ||M - M^dagger|| = 1.414e+00 "
+                              "exceeds 1e-09 * ||M|| = 1.000e-09")
+    # the message of the checks in complex arithmetic, as they read before
+    # real-valued input was checked in real arithmetic
+    rng = np.random.default_rng(8)
+    for m in (3, 17, 64):
+        a = (rng.standard_normal((m, m)) * 1e3).astype(complex)
+        norm, asym = np.linalg.norm(a), np.linalg.norm(a - a.conj().T)
+        with pytest.raises(ValueError) as err:
+            spectra.eig_selfadjoint(a)
+        assert str(err.value) == (f"matrix is not self-adjoint: ||M - M^dagger|| = {asym:.3e} "
+                                  f"exceeds 1e-09 * ||M|| = {1e-9 * norm:.3e}")
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(ValueError) as err:
+            spectra.eig_selfadjoint(np.array(bad, dtype=complex))
+        assert str(err.value) == "matrix has non-finite entries"
+
+
 # ---------------------------------------------------------------- closed forms
 
 def test_ngon_closed_form_values():
