@@ -239,16 +239,20 @@ def format_graph(g: DirectedCyclicGraph) -> str:
 
 @dataclass(frozen=True, eq=False)
 class EdgeFunction:
-    """A complex function on the edge set, in canonical edge order."""
+    """A complex function on the edge set, in canonical edge order, or a
+    stack of them: `values` has shape (..., m), as a `VertexFunction`'s has
+    (..., n).  `hermitian_pairing`, `left_action` and `apply_dual`
+    broadcast over the leading axes."""
 
     graph: DirectedCyclicGraph
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=complex)
-        if arr.shape != (self.graph.num_edges,):
+        if arr.ndim == 0 or arr.shape[-1] != self.graph.num_edges:
             raise ValueError(
-                f"edge function must have length {self.graph.num_edges}, got shape {arr.shape}"
+                f"edge function must have last axis of length {self.graph.num_edges}, "
+                f"got shape {arr.shape}"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -316,15 +320,17 @@ def left_action(f: VertexFunction, x: EdgeFunction) -> EdgeFunction:
     """Scale the value at edge e by f at the source of e."""
     if f.n != x.graph.n:
         raise ValueError(f"vertex count mismatch: {f.n} != {x.graph.n}")
-    return EdgeFunction(x.graph, f.values[x.graph.sources] * x.values)
+    return EdgeFunction(x.graph, f.values[..., x.graph.sources] * x.values)
 
 
 def hermitian_pairing(x: EdgeFunction, y: EdgeFunction) -> VertexFunction:
-    """h(x, y)(mu) = sum over edges e sourced at mu of conj(y(e)) * x(e)."""
+    """h(x, y)(mu) = sum over edges e sourced at mu of conj(y(e)) * x(e),
+    summed in edge order; stacks broadcast over their leading axes."""
     x._check(y)
     g = x.graph
-    out = np.zeros(g.n, dtype=complex)
-    np.add.at(out, g.sources, np.conj(y.values) * x.values)
+    terms = np.conj(y.values) * x.values
+    out = np.zeros((*terms.shape[:-1], g.n), dtype=complex)
+    np.add.at(out, (..., g.sources), terms)
     return VertexFunction(g.n, out)
 
 
@@ -333,8 +339,8 @@ def apply_dual(g: DirectedCyclicGraph, edge: tuple[int, int], x: EdgeFunction) -
     if x.graph != g:
         raise ValueError("edge function lives on a different graph")
     i = g.edge_index(*edge)
-    out = np.zeros(g.n, dtype=complex)
-    out[g.source(i)] = x.values[i]
+    out = np.zeros((*x.values.shape[:-1], g.n), dtype=complex)
+    out[..., g.source(i)] = x.values[..., i]
     return VertexFunction(g.n, out)
 
 
@@ -346,14 +352,19 @@ def complete_graph_edges(n: int) -> np.ndarray:
     return np.stack([u, v + (v >= u)], axis=1)
 
 
-def complete_graph_projector(g: DirectedCyclicGraph) -> np.ndarray:
-    """Diagonal idempotent on the complete-graph edge space keeping E.
+def complete_graph_projector(g: DirectedCyclicGraph) -> "scipy.sparse.dia_array":
+    """Diagonal idempotent on the complete-graph edge space keeping E, as an
+    n(n - 1)-square `scipy.sparse` diagonal array (dense, it would hold
+    n^2(n - 1)^2 complex entries).
 
     The complete graph is loop-free, so self-loops of g are outside its edge
     set and simply do not appear.
     """
+    from scipy import sparse
+
     full = complete_graph_edges(g.n)
-    return np.diag((g.find_edges(full[:, 0], full[:, 1]) >= 0).astype(complex))
+    keep = (g.find_edges(full[:, 0], full[:, 1]) >= 0).astype(complex)
+    return sparse.dia_array((keep[None, :], [0]), shape=(len(keep), len(keep)))
 
 
 def inner_product(u: HilbertVector, v: HilbertVector) -> complex:

@@ -248,8 +248,7 @@ def test_criterion_8_hermitian_module_suite(capsys):
             count += 1
         if not g.has_self_loop():
             proj = graphs.complete_graph_projector(g)
-            if proj.size:
-                res_proj = max(res_proj, float(np.max(np.abs(proj @ proj - proj))))
+            res_proj = max(res_proj, float(np.max(np.abs((proj @ proj - proj).data), initial=0.0)))
         basis = graphs.orthonormal_basis(g)
         gram = np.array(
             [[graphs.inner_product(u, v) for v in basis] for u in basis]

@@ -218,6 +218,36 @@ def test_matrix_free_unit_action_matches_the_matrix(g, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(g=graphs_st, shape=st.lists(st.integers(0, 3), max_size=2).map(tuple), seed=seeds)
+@example(g=EMPTY, shape=(2, 3), seed=0)
+@example(g=LOOPS_AND_SINKS, shape=(3,), seed=1)
+@example(g=LOOPS_AND_SINKS, shape=(), seed=2)
+def test_stacked_edge_functions_match_the_single_ones(g, shape, seed):
+    # batch shapes (), (k,) and (k, l): the stacked pairing, left action and
+    # dual functionals equal the per-sample results exactly
+    m = g.num_edges
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.standard_normal((2, *shape, m)) + 1j * rng.standard_normal((2, *shape, m))
+    fs = rng.standard_normal((*shape, g.n)) + 1j * rng.standard_normal((*shape, g.n))
+    x, y, f = EdgeFunction(g, xs), EdgeFunction(g, ys), VertexFunction(g.n, fs)
+    pairing = graphs.hermitian_pairing(x, y).values
+    action = graphs.left_action(f, x).values
+    duals = [graphs.apply_dual(g, e, x).values for e in g.edges]
+    assert pairing.shape == (*shape, g.n) and action.shape == (*shape, m)
+    for i in np.ndindex(shape):
+        xi, yi = EdgeFunction(g, xs[i]), EdgeFunction(g, ys[i])
+        assert np.array_equal(pairing[i], graphs.hermitian_pairing(xi, yi).values)
+        assert np.array_equal(action[i], graphs.left_action(VertexFunction(g.n, fs[i]), xi).values)
+        for e, dual in zip(g.edges, duals):
+            assert np.array_equal(dual[i], graphs.apply_dual(g, e, xi).values)
+    # a wrong last axis, or no axis at all, is still rejected
+    with pytest.raises(ValueError, match="last axis of length"):
+        EdgeFunction(g, np.zeros((*shape, m + 1)))
+    with pytest.raises(ValueError, match="last axis of length"):
+        EdgeFunction(g, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
 @given(g=graphs_st)
 @example(g=EMPTY)
 @example(g=LOOPS_AND_SINKS)

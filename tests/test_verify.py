@@ -1,5 +1,5 @@
-"""The self-check battery: its random inputs, its distance-axiom check and its
-projector check."""
+"""The self-check battery: its random inputs, the names and order of its
+checks, its wedge-associativity, distance-axiom and projector checks."""
 
 import warnings
 
@@ -8,6 +8,54 @@ import pytest
 
 from kahleredge import graphs, verify
 from kahleredge.graphs import DirectedCyclicGraph
+from kahleredge.polygon import Calculus
+
+POLYGON_SUITE = """
+    star-graded-antihomomorphism star-involution J-derivation J-squared J-star-compatible
+    d-of-unit leibniz kappa-real kappa-central lefschetz-rank hodge-star-squared
+    hodge-consistency metric-positive metric-conjugate-symmetric tau-faithful""".split()
+GRAPH_SUITE = """
+    hermitian-positive hermitian-symmetric dual-basis-identity projector-idempotent onb-gram
+    laplacian-composite zeta-dagger-closed-form adjoint-inner-product laplacian-psd
+    unit-action-agreement dirac-squared-block commutator-potential-free
+    commutator-norm-formula unit-distance diameter-bound metric-axioms
+    numeric-oracle-agreement""".split()
+SPECTRAL_SUITE = [
+    "regulargon-closed-form[n<=64]", "kernel-parity[n<=64]", "alternating-kernel[n<=64]",
+    "regular-gershgorin-top", "regular-top-eigenvector", "regular-row-col-sums",
+    "trace-conservation",
+]
+
+
+def bidirected_8gon_with_loop():
+    n = 8
+    edges = [(mu, (mu + 1) % n) for mu in range(n)] + [(mu, (mu - 1) % n) for mu in range(n)]
+    return DirectedCyclicGraph(n, edges + [(3, 3)])
+
+
+def test_run_checks_names_in_order():
+    # each polygon block opens with associativity on the min(n, 6)-gon; the
+    # graph with a self-loop has no projector check
+    want = []
+    for n in (3, 4, 5, 8, 12):
+        want.append(f"wedge-associativity[n={min(n, 6)}]")
+        want += [f"{name}[n={n}]" for name in POLYGON_SUITE]
+    for tag, loop in (("|V|=8,|E|=17", True), ("|V|=5,|E|=5", False), ("|V|=4,|E|=8", False)):
+        want += [f"{name}[{tag}]" for name in GRAPH_SUITE
+                 if not (loop and name == "projector-idempotent")]
+    want += SPECTRAL_SUITE
+    got = [r.name for r in verify.run_checks(bidirected_8gon_with_loop(), seed=1)]
+    assert len(got) == 137
+    assert got == want
+
+
+def test_non_associative_wedge_fails_in_every_polygon_block(monkeypatch):
+    # w(a, b) = a ^ b + a: w(w(a, b), c) - w(a, w(b, c)) = a ^ c
+    wedge = Calculus.wedge
+    monkeypatch.setattr(Calculus, "wedge", lambda self, a, b: wedge(self, a, b) + a)
+    results = [r for r in verify.run_checks() if r.name.startswith("wedge-associativity")]
+    assert [r.name for r in results] == [f"wedge-associativity[n={m}]" for m in (3, 4, 5, 6, 6)]
+    assert not any(r.passed for r in results)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
@@ -50,9 +98,11 @@ def test_metric_axioms_catch_asymmetry_next_to_inf(monkeypatch):
 @pytest.mark.parametrize("entry, value", [((0, 1), 1e-9), ((2, 2), 2.0)],
                          ids=["off-diagonal", "diagonal"])
 def test_projector_check_catches_a_stray_entry(monkeypatch, entry, value):
-    # a stray entry off the diagonal, or a 2 on it, is not an idempotent
+    # a stray entry off the diagonal, or a 2 on it, is not an idempotent; the
+    # sparse diagonal array takes no entry off its diagonals, so the stray is
+    # written into a copy in a format that does
     g = DirectedCyclicGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    proj = graphs.complete_graph_projector(g)
+    proj = graphs.complete_graph_projector(g).tolil()
     proj[entry] = value
     monkeypatch.setattr(graphs, "complete_graph_projector", lambda graph: proj.copy())
     results = verify.edge_module_checks(g, np.random.default_rng(0))
