@@ -3,7 +3,7 @@ Connes-style vertex distances on finite directed graphs."""
 
 from .connection import (
     PotentialCoefficients,
-    apply_laplacian_unit,
+    apply_laplacian,
     dbar,
     laplacian,
     parse_potential,
@@ -58,7 +58,7 @@ __all__ = [
     "zeta_operator",
     "dbar",
     "laplacian",
-    "apply_laplacian_unit",
+    "apply_laplacian",
     "Spectrum",
     "eig_selfadjoint",
     "ngon_closed_form",

@@ -7,11 +7,16 @@ zeta (a left-module map with scalar coefficients) shifts mass between edges
 sourced at consecutive vertices.  The Laplacian dbar^dagger dbar is the
 square of the resulting Dirac-type operator restricted to the edge block; it
 is written entry by entry from the potential's blocks C_mu, with no matrix
-product over all edges (see `laplacian`).
+product over all edges (see `laplacian`), and applied without a matrix, to
+one edge function or a stack of them, under any potential
+(`apply_laplacian`).  Every route that places a coefficient reads one index
+of the potential, the edge pair of each valid key
+(`PotentialCoefficients.edge_pairs`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -25,7 +30,7 @@ __all__ = [
     "zeta_operator",
     "dbar",
     "laplacian",
-    "apply_laplacian_unit",
+    "apply_laplacian",
     "composite_blocks",
     "zeta_dagger_closed_form",
 ]
@@ -76,21 +81,24 @@ class PotentialCoefficients:
     def is_valid_key(graph: DirectedCyclicGraph, mu: int, nu: int, nup: int) -> bool:
         return bool(np.all(graph.find_edges([mu, (mu - 1) % graph.n], [nu, nup]) >= 0))
 
-    @staticmethod
-    def key_edges(graph: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
-        """Edge indices (e, e') of mu->nu and (mu-1)->nu' for every valid key,
-        in key order: edge e repeats once per edge leaving s(e)-1."""
-        back = (graph.sources - 1) % graph.n
-        counts = graph.out_degrees[back]
-        edge = np.repeat(np.arange(graph.num_edges), counts)
+    @functools.cached_property
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only edge indices (e, e') of mu->nu and (mu-1)->nu' for every
+        valid key, in key order: edge e repeats once per edge leaving s(e)-1.
+        Built on first use and kept, since it depends on the graph alone."""
+        g = self.graph
+        back = (g.sources - 1) % g.n
+        counts = g.out_degrees[back]
+        edge = np.repeat(np.arange(g.num_edges), counts)
         first = np.cumsum(counts) - counts  # position of the first key of each edge
-        partner = np.arange(len(edge)) + np.repeat(graph.offsets[back] - first, counts)
+        partner = np.arange(len(edge)) + np.repeat(g.offsets[back] - first, counts)
+        edge.flags.writeable = partner.flags.writeable = False
         return edge, partner
 
     @classmethod
     def valid_keys(cls, graph: DirectedCyclicGraph) -> np.ndarray:
         """The valid keys as rows (mu, nu, nu') of an integer array, in key order."""
-        edge, partner = cls.key_edges(graph)
+        edge, partner = cls(graph).edge_pairs
         return np.stack(
             [graph.sources[edge], graph.targets[edge], graph.targets[partner]], axis=1
         )
@@ -178,7 +186,7 @@ def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarra
         raise ValueError("potential defined on a different graph")
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
-    edge, partner = PotentialCoefficients.key_edges(g)
+    edge, partner = c.edge_pairs
     mat[partner, edge] = c.values
     return mat
 
@@ -201,61 +209,60 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     the same uniform 1/n weight, so the basis Gram matrix is a multiple of
     the identity.
 
-    L = I + zeta + zeta^dagger + zeta^dagger zeta, written from the blocks
-    C_mu (rows: the edges leaving mu, columns: those leaving mu-1) with no
-    product over all edges: zeta holds C_mu^T at (edges leaving mu-1, edges
-    leaving mu), zeta^dagger conj(C_mu) at the transposed place, and
-    zeta^dagger zeta is block diagonal by source, conj(C_mu) C_mu^T on the
-    edges leaving mu.  These supports, the entries (e', e) with s(e') equal
-    to s(e) - 1, s(e) + 1 and s(e), are disjoint because n >= 3, so plain
-    assignment places them; the identity, inside the last, is added at the
-    end.  Vertices whose blocks share a shape share one batched matmul; the
-    only loop is over the distinct shapes.  Conjugating a coefficient whose
-    imaginary part is +0 gives -0; adding 0.0 restores +0, as in the product
-    dbar^dagger dbar, so the unit and zero potentials give its entries bit
-    for bit.
+    L = I + zeta + zeta^dagger + zeta^dagger zeta, with no product over all
+    edges: zeta and zeta^dagger place each coefficient c[key] at its edge
+    pair (e, e') and conj(c[key]) at (e', e), and zeta^dagger zeta is block
+    diagonal by source, conj(C_mu) C_mu^T on the edges leaving mu (C_mu: rows
+    the edges leaving mu, columns those leaving mu-1).  These supports, the
+    entries (e', e) with s(e') equal to s(e) - 1, s(e) + 1 and s(e), are
+    disjoint because n >= 3, so plain assignment places them; the identity,
+    inside the last, is added at the end.  Vertices whose blocks share a
+    shape share one batched matmul; the only loop is over the distinct
+    shapes.  Conjugating a coefficient whose imaginary part is +0 gives -0;
+    adding 0.0 restores +0, as in the product dbar^dagger dbar, so the unit
+    and zero potentials give its entries bit for bit.
     """
     if c.graph != g:
         raise ValueError("potential defined on a different graph")
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
+    edge, partner = c.edge_pairs
+    mat[partner, edge] = c.values  # zeta
+    mat[edge, partner] = c.values.conj() + 0.0  # zeta^dagger, +0 imaginary parts: see above
     here = g.out_degrees
-    prev = (np.arange(g.n) - 1) % g.n
-    back = here[prev]
+    back = here[(np.arange(g.n) - 1) % g.n]
     shapes = here * (g.n + 1) + back  # (d_mu, d_{mu-1}) as one integer
     for shape in np.unique(shapes[here * back > 0]).tolist():
         d, dp = divmod(shape, g.n + 1)
         mu = np.flatnonzero(shapes == shape)
         block = c.values[c.block_offsets[mu, None] + np.arange(d * dp)].reshape(-1, d, dp)
-        bar = block.conj() + 0.0  # +0, not -0, imaginary parts: see above
         e = (g.offsets[mu, None] + np.arange(d))[:, :, None]  # edges leaving mu
-        ep = (g.offsets[prev[mu], None] + np.arange(dp))[:, None, :]  # and mu-1
-        mat[ep, e] = block  # zeta
-        mat[e, ep] = bar  # zeta^dagger
-        mat[e, e.transpose(0, 2, 1)] = np.matmul(bar, block.transpose(0, 2, 1))  # zeta^dagger zeta
+        mat[e, e.transpose(0, 2, 1)] = np.matmul(block.conj() + 0.0, block.transpose(0, 2, 1))
     mat.reshape(-1)[:: m + 1] += 1.0
     return mat
 
 
-def apply_laplacian_unit(g: DirectedCyclicGraph, f: EdgeFunction) -> EdgeFunction:
-    """Matrix-free unit-potential Laplacian.
+def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients,
+                    f: EdgeFunction) -> EdgeFunction:
+    """Matrix-free twisted edge Laplacian, L f = dbar^dagger (dbar f), on an
+    edge function or a stack of them (`values` of shape (..., m)).
 
-    L(f)(e) = f(e) + deg(s(e)-1) * sum of f over edges with the same source
-    as e, plus the sums of f over edges sourced one step behind and one step
-    ahead of s(e) along the cycle.
+    Each factor is one scatter over the valid keys, through their edge pairs
+    (e, e'): dbar = I + zeta adds c[key] x(e) at e', and dbar^dagger adds
+    conj(c[key]) y(e') at e.  The batch axes are folded into the scatter's
+    flat index, so a stack costs one scatter per factor too.
     """
+    if c.graph != g:
+        raise ValueError("potential defined on a different graph")
     if f.graph != g:
         raise ValueError("edge function lives on a different graph")
-    n = g.n
-    source_sum = np.zeros(n, dtype=complex)
-    np.add.at(source_sum, g.sources, f.values)
-    prev, nxt = (g.sources - 1) % n, (g.sources + 1) % n
-    out = (
-        f.values
-        + g.out_degrees[prev] * source_sum[g.sources]
-        + source_sum[prev]
-        + source_sum[nxt]
-    )
+    edge, partner = c.edge_pairs
+    batch = f.values.shape[:-1]
+    rows = g.num_edges * np.arange(math.prod(batch)).reshape(*batch, 1)  # flat row starts
+    y = f.values.copy()
+    np.add.at(y.reshape(-1), (rows + partner).ravel(), (c.values * f.values[..., edge]).ravel())
+    out = y.copy()
+    np.add.at(out.reshape(-1), (rows + edge).ravel(), (c.values.conj() * y[..., partner]).ravel())
     return EdgeFunction(g, out)
 
 
@@ -306,6 +313,6 @@ def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[s
 def laplacian_unit_int(g: DirectedCyclicGraph) -> np.ndarray:
     """Unit-potential Laplacian assembled in exact integer arithmetic."""
     a = np.eye(g.num_edges, dtype=np.int64)
-    edge, partner = PotentialCoefficients.key_edges(g)
+    edge, partner = PotentialCoefficients(g).edge_pairs
     a[partner, edge] += 1
     return a.T @ a

@@ -263,10 +263,6 @@ class EdgeFunction:
         values[graph.edge_index(u, v)] = 1.0
         return EdgeFunction(graph, values)
 
-    @staticmethod
-    def zero(graph: DirectedCyclicGraph) -> "EdgeFunction":
-        return EdgeFunction(graph, np.zeros(graph.num_edges, dtype=complex))
-
     def __add__(self, other: "EdgeFunction") -> "EdgeFunction":
         self._check(other)
         return EdgeFunction(self.graph, self.values + other.values)

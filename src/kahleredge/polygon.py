@@ -175,28 +175,6 @@ class GradedForm:
         """Largest coefficient modulus over the whole stack."""
         return float(np.max(np.abs(self.coeffs), initial=0.0))
 
-    def is_close(self, other: "GradedForm", tol: float = 1e-9) -> bool:
-        return (self - other).max_abs() <= tol
-
-    def render(self) -> str:
-        """Debug rendering of a single form, e.g. ``(2+0i)*xi[0->1] + (0+1i)*vol[2]``."""
-        if self.shape:
-            raise TypeError("render takes a single form")
-        n = self.n
-        labels = (
-            lambda mu: f"delta[{mu}]",
-            lambda mu: f"xi[{mu}->{(mu + 1) % n}]",
-            lambda mu: f"xi[{mu}->{(mu - 1) % n}]",
-            lambda mu: f"vol[{mu}]",
-        )
-        terms = []
-        for row, label in zip(self.coeffs, labels):
-            for mu in np.flatnonzero(row):
-                z = row[mu]
-                sign = "+" if z.imag >= 0 else "-"
-                terms.append(f"({z.real:g}{sign}{abs(z.imag):g}i)*{label(mu)}")
-        return " + ".join(terms) if terms else "0"
-
     def _check(self, other: "GradedForm"):
         if self.n != other.n:
             raise ValueError(f"vertex count mismatch: {self.n} != {other.n}")

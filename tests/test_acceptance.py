@@ -121,10 +121,11 @@ def test_criterion_5_matrix_free_unit_action(capsys):
         g = random_graph(rng, max_n=8)
         if not g.num_edges:
             continue
-        lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+        unit = PotentialCoefficients.unit(g)
+        lap = connection.laplacian(g, unit)
         for _ in range(25):
             f = EdgeFunction(g, random_edge_values(rng, g.num_edges))
-            direct = connection.apply_laplacian_unit(g, f).values
+            direct = connection.apply_laplacian(g, unit, f).values
             worst = max(worst, float(np.max(np.abs(direct - lap @ f.values))))
             count += 1
     ok = worst <= 1e-12

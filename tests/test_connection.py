@@ -149,7 +149,8 @@ def test_laplacian_empty_edge_set():
 
 def test_apply_laplacian_unit_examples():
     g = ngon(3)
-    out = connection.apply_laplacian_unit(g, EdgeFunction.chi(g, 0, 1))
+    out = connection.apply_laplacian(g, PotentialCoefficients.unit(g),
+                                     EdgeFunction.chi(g, 0, 1))
     expect = (
         2.0 * EdgeFunction.chi(g, 0, 1)
         + EdgeFunction.chi(g, 1, 2)
@@ -161,7 +162,8 @@ def test_apply_laplacian_unit_examples():
         g = ngon(n)
         ones = EdgeFunction(g, np.ones(n))
         assert np.allclose(
-            connection.apply_laplacian_unit(g, ones).values, 4.0 * np.ones(n)
+            connection.apply_laplacian(g, PotentialCoefficients.unit(g), ones).values,
+            4.0 * np.ones(n),
         )
 
 
@@ -169,9 +171,10 @@ def test_apply_laplacian_unit_matches_matrix():
     rng = np.random.default_rng(13)
     for _ in range(20):
         g = random_graph(rng)
-        lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+        unit = PotentialCoefficients.unit(g)
+        lap = connection.laplacian(g, unit)
         f = EdgeFunction(g, random_edge_values(rng, g.num_edges))
-        direct = connection.apply_laplacian_unit(g, f).values
+        direct = connection.apply_laplacian(g, unit, f).values
         assert np.max(np.abs(direct - lap @ f.values), initial=0.0) <= 1e-12
 
 

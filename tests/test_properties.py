@@ -4,8 +4,9 @@ the cut-cycle distances, each against a reference written out here edge by
 edge; the numeric distance bracket against the exact distances, and the
 norm bound it certifies with against the SVD of the whole commutator; the
 Laplacian against the dense product dbar^dagger dbar, and its and the Dirac
-operator's structure; the graph suites of `verify` on every graph; and the
-CLI's number format."""
+operator's structure; the matrix-free Laplacian against the assembled one,
+on stacks, and the key index it reads; the graph suites of `verify` on
+every graph; and the CLI's number format."""
 
 import contextlib
 import io
@@ -20,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from kahleredge import cli, connection, dirac, graphs, verify
+from kahleredge import cli, connection, dirac, graphs, spectra, verify
 from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph, EdgeFunction
 from kahleredge.polygon import VertexFunction
@@ -210,11 +211,63 @@ def test_integer_unit_laplacian_is_exact(g):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_matrix_free_unit_action_matches_the_matrix(g, seed):
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+    unit = PotentialCoefficients.unit(g)
+    lap = connection.laplacian(g, unit)
     rng = np.random.default_rng(seed)
     f = EdgeFunction(g, rng.standard_normal(g.num_edges) + 1j * rng.standard_normal(g.num_edges))
-    direct = connection.apply_laplacian_unit(g, f).values
+    direct = connection.apply_laplacian(g, unit, f).values
     assert np.max(np.abs(direct - lap @ f.values), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, shape=st.lists(st.integers(0, 3), max_size=2).map(tuple), seed=seeds)
+@example(g=EMPTY, shape=(2, 3), seed=0)
+@example(g=LOOPS_AND_SINKS, shape=(3,), seed=1)
+@example(g=HUBS, shape=(), seed=2)
+@example(g=HUBS, shape=(2, 2), seed=3)
+def test_matrix_free_action_matches_the_matrix(g, shape, seed):
+    # every potential, batch shapes (), (k,) and (k, l): each sample of the
+    # stack is the assembled Laplacian times that sample
+    rng = np.random.default_rng(seed)
+    m = g.num_edges
+    f = EdgeFunction(g, rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m)))
+    for c in (PotentialCoefficients.random(g, rng), PotentialCoefficients.unit(g),
+              PotentialCoefficients.zero(g)):
+        lap = connection.laplacian(g, c)
+        direct = connection.apply_laplacian(g, c, f).values
+        assert direct.shape == (*shape, m)
+        tol = (1e-12 * max(1.0, np.abs(lap).max(initial=0.0))
+               * max(1.0, np.abs(f.values).max(initial=0.0)))
+        assert np.max(np.abs(direct - f.values @ lap.T), initial=0.0) <= tol
+
+
+def test_matrix_free_action_rejects_a_foreign_graph():
+    g, other = LOOPS_AND_SINKS, HUBS
+    f = EdgeFunction(g, np.ones(g.num_edges))
+    with pytest.raises(ValueError, match="potential defined on a different graph"):
+        connection.apply_laplacian(g, PotentialCoefficients.unit(other), f)
+    with pytest.raises(ValueError, match="edge function lives on a different graph"):
+        connection.apply_laplacian(g, PotentialCoefficients.unit(g),
+                                   EdgeFunction(other, np.ones(other.num_edges)))
+
+
+def test_edge_pairs_are_read_only_and_built_once_per_potential(monkeypatch):
+    builds = []
+    cached = PotentialCoefficients.__dict__["edge_pairs"]
+    build = cached.func
+
+    def counted(potential):
+        builds.append(potential)
+        return build(potential)
+
+    monkeypatch.setattr(cached, "func", counted)
+    g = spectra.make_circulant_regular(16, 4)
+    c = PotentialCoefficients.random(g, np.random.default_rng(0))
+    dirac.distance_bracket(g, c)  # 16 norm bounds, one per column
+    assert builds == [c]
+    for index in c.edge_pairs:
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
 
 
 @settings(max_examples=60, deadline=None)
