@@ -21,7 +21,6 @@ from .graphs import (
     DirectedCyclicGraph,
     EdgeFunction,
     GraphFormatError,
-    HilbertVector,
     complete_graph_projector,
     hermitian_pairing,
     inner_product,
@@ -45,7 +44,6 @@ __all__ = [
     "make_calculus",
     "DirectedCyclicGraph",
     "EdgeFunction",
-    "HilbertVector",
     "GraphFormatError",
     "parse_graph",
     "left_action",

@@ -9,20 +9,20 @@ square of the resulting Dirac-type operator restricted to the edge block; it
 is written entry by entry from the potential's blocks C_mu, with no matrix
 product over all edges (see `laplacian`), and applied without a matrix, to
 one edge function or a stack of them, under any potential
-(`apply_laplacian`).  Every route that places a coefficient reads one index
-of the potential, the edge pair of each valid key
-(`PotentialCoefficients.edge_pairs`).
+(`apply_laplacian`).  Every route that places a coefficient reads one index,
+the edge pair of each valid key, which depends on the graph alone and is
+kept on it (`DirectedCyclicGraph.edge_pairs`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
 import numpy as np
 
-from .graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError, _first_bad, _integer_rows
+from .graphs import (DirectedCyclicGraph, EdgeFunction, GraphFormatError, _first_bad,
+                     _integer_rows, _scatter_add)
 
 __all__ = [
     "PotentialCoefficients",
@@ -81,24 +81,10 @@ class PotentialCoefficients:
     def is_valid_key(graph: DirectedCyclicGraph, mu: int, nu: int, nup: int) -> bool:
         return bool(np.all(graph.find_edges([mu, (mu - 1) % graph.n], [nu, nup]) >= 0))
 
-    @functools.cached_property
-    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only edge indices (e, e') of mu->nu and (mu-1)->nu' for every
-        valid key, in key order: edge e repeats once per edge leaving s(e)-1.
-        Built on first use and kept, since it depends on the graph alone."""
-        g = self.graph
-        back = (g.sources - 1) % g.n
-        counts = g.out_degrees[back]
-        edge = np.repeat(np.arange(g.num_edges), counts)
-        first = np.cumsum(counts) - counts  # position of the first key of each edge
-        partner = np.arange(len(edge)) + np.repeat(g.offsets[back] - first, counts)
-        edge.flags.writeable = partner.flags.writeable = False
-        return edge, partner
-
     @classmethod
     def valid_keys(cls, graph: DirectedCyclicGraph) -> np.ndarray:
         """The valid keys as rows (mu, nu, nu') of an integer array, in key order."""
-        edge, partner = cls(graph).edge_pairs
+        edge, partner = graph.edge_pairs
         return np.stack(
             [graph.sources[edge], graph.targets[edge], graph.targets[partner]], axis=1
         )
@@ -186,7 +172,7 @@ def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarra
         raise ValueError("potential defined on a different graph")
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
-    edge, partner = c.edge_pairs
+    edge, partner = g.edge_pairs
     mat[partner, edge] = c.values
     return mat
 
@@ -226,7 +212,7 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
         raise ValueError("potential defined on a different graph")
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
-    edge, partner = c.edge_pairs
+    edge, partner = g.edge_pairs
     mat[partner, edge] = c.values  # zeta
     mat[edge, partner] = c.values.conj() + 0.0  # zeta^dagger, +0 imaginary parts: see above
     here = g.out_degrees
@@ -256,13 +242,11 @@ def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients,
         raise ValueError("potential defined on a different graph")
     if f.graph != g:
         raise ValueError("edge function lives on a different graph")
-    edge, partner = c.edge_pairs
-    batch = f.values.shape[:-1]
-    rows = g.num_edges * np.arange(math.prod(batch)).reshape(*batch, 1)  # flat row starts
+    edge, partner = g.edge_pairs
     y = f.values.copy()
-    np.add.at(y.reshape(-1), (rows + partner).ravel(), (c.values * f.values[..., edge]).ravel())
+    _scatter_add(y, partner, c.values * f.values[..., edge])
     out = y.copy()
-    np.add.at(out.reshape(-1), (rows + edge).ravel(), (c.values.conj() * y[..., partner]).ravel())
+    _scatter_add(out, edge, c.values.conj() * y[..., partner])
     return EdgeFunction(g, out)
 
 
@@ -313,6 +297,6 @@ def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[s
 def laplacian_unit_int(g: DirectedCyclicGraph) -> np.ndarray:
     """Unit-potential Laplacian assembled in exact integer arithmetic."""
     a = np.eye(g.num_edges, dtype=np.int64)
-    edge, partner = PotentialCoefficients(g).edge_pairs
+    edge, partner = g.edge_pairs
     a[partner, edge] += 1
     return a.T @ a

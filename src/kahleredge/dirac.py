@@ -90,7 +90,7 @@ def _norm_bound(g: DirectedCyclicGraph, c: PotentialCoefficients, f: np.ndarray)
     """The Schur test sqrt(||Y||_1 ||Y||_inf) >= ||[D, f]|| for a real vertex
     function `f`, from the m diagonal entries and the K potential entries of Y."""
     m = g.num_edges
-    edge, partner = c.edge_pairs
+    edge, partner = g.edge_pairs
     cols = np.concatenate([np.arange(m), edge])  # e, for the entries (e', e) of Y
     rows = np.concatenate([np.arange(m), partner])  # e'
     coefficients = np.concatenate([np.ones(m), c.values])  # dbar[e', e]

@@ -4,15 +4,19 @@ A graph is a few integer arrays over its edges in canonical lexicographic
 (source, target) order, the order in which every matrix in the package
 indexes edge coordinates: sources, targets, the sorted keys source*n + target
 that `find_edges` binary-searches, and out-edge offsets (CSR style) that
-index the edges leaving each vertex.  Edges are checked once, as arrays, and
-an error names the first bad edge in input order (in a graph file, its
-line).  The module of edge functions is a left module over vertex functions
-through the source map, with the canonical positive-definite Hermitian
-pairing and the 1/n-weighted inner product on the two-block Hilbert space.
+index the edges leaving each vertex, plus the edge pair of every valid
+potential key (`edge_pairs`), built on first use.  Edges are checked once,
+as arrays, and an error names the first bad edge in input order (in a graph
+file, its line).  The module of edge functions is a left module over vertex
+functions through the source map, with the canonical positive-definite
+Hermitian pairing.  A vector of the two-block Hilbert space is a plain
+array of shape (..., 2m), as the Dirac operator is a plain matrix;
+`inner_product` is its 1/n-weighted inner product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,7 +28,6 @@ from .polygon import VertexFunction
 __all__ = [
     "DirectedCyclicGraph",
     "EdgeFunction",
-    "HilbertVector",
     "GraphFormatError",
     "parse_graph",
     "left_action",
@@ -165,6 +168,20 @@ class DirectedCyclicGraph:
     def has_self_loop(self) -> bool:
         return bool(np.any(self.sources == self.targets))
 
+    @functools.cached_property
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only edge indices (e, e') of mu->nu and (mu-1)->nu' for every
+        valid key of a potential, in key order: edge e repeats once per edge
+        leaving s(e)-1.  Built on first use and kept, since it depends on the
+        graph alone."""
+        back = (self.sources - 1) % self.n
+        counts = self.out_degrees[back]
+        edge = np.repeat(np.arange(self.num_edges), counts)
+        first = np.cumsum(counts) - counts  # position of the first key of each edge
+        partner = np.arange(len(edge)) + np.repeat(self.offsets[back] - first, counts)
+        edge.flags.writeable = partner.flags.writeable = False
+        return edge, partner
+
     def __eq__(self, other) -> bool:
         # identity first: operators check their graphs on every call
         return self is other or (
@@ -281,42 +298,21 @@ class EdgeFunction:
             raise ValueError("edge functions live on different graphs")
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertVector:
-    """Element of the two-block Hilbert space.
-
-    `top` holds the edge-function block; `bottom` holds, at edge index e, the
-    coefficient of xi[s(e)+1 -> s(e)] (x) chi_e.
-    """
-
-    graph: DirectedCyclicGraph
-    top: np.ndarray
-    bottom: np.ndarray
-
-    def __post_init__(self):
-        m = self.graph.num_edges
-        for name in ("top", "bottom"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.shape != (m,):
-                raise ValueError(f"{name} block must have length {m}, got shape {arr.shape}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @staticmethod
-    def from_blocks(graph, top=None, bottom=None) -> "HilbertVector":
-        m = graph.num_edges
-        z = np.zeros(m, dtype=complex)
-        return HilbertVector(graph, z if top is None else top, z if bottom is None else bottom)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.top, self.bottom])
-
-
 def left_action(f: VertexFunction, x: EdgeFunction) -> EdgeFunction:
     """Scale the value at edge e by f at the source of e."""
     if f.n != x.graph.n:
         raise ValueError(f"vertex count mismatch: {f.n} != {x.graph.n}")
     return EdgeFunction(x.graph, f.values[..., x.graph.sources] * x.values)
+
+
+def _scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """out[..., index[k]] += values[..., k] for every k, in k order, where
+    `out` is C-contiguous and `values` has its batch axes: one flat
+    np.add.at with the batch axes folded into the index, since an ellipsis
+    in the index would take NumPy's slow path."""
+    batch = out.shape[:-1]
+    rows = out.shape[-1] * np.arange(math.prod(batch)).reshape(*batch, 1)  # flat row starts
+    np.add.at(out.reshape(-1), (rows + index).ravel(), values.ravel())
 
 
 def hermitian_pairing(x: EdgeFunction, y: EdgeFunction) -> VertexFunction:
@@ -326,7 +322,7 @@ def hermitian_pairing(x: EdgeFunction, y: EdgeFunction) -> VertexFunction:
     g = x.graph
     terms = np.conj(y.values) * x.values
     out = np.zeros((*terms.shape[:-1], g.n), dtype=complex)
-    np.add.at(out, (..., g.sources), terms)
+    _scatter_add(out, g.sources, terms)
     return VertexFunction(g.n, out)
 
 
@@ -363,27 +359,25 @@ def complete_graph_projector(g: DirectedCyclicGraph) -> "scipy.sparse.dia_array"
     return sparse.dia_array((keep[None, :], [0]), shape=(len(keep), len(keep)))
 
 
-def inner_product(u: HilbertVector, v: HilbertVector) -> complex:
-    """(1/n) times the coordinate pairing of both blocks; linear in u."""
-    if u.graph != v.graph:
-        raise ValueError("vectors live on different graphs")
-    n = u.graph.n
-    return complex(
-        (np.vdot(v.top, u.top) + np.vdot(v.bottom, u.bottom)) / n
-    )
+def inner_product(g: DirectedCyclicGraph, u, v) -> complex | np.ndarray:
+    """The inner product (1/n) sum conj(v) u of the Hilbert space
+    C(E) + Omega^{0,1}(E), linear in u, over the last axis of two arrays of
+    shape (..., 2m) whose stacks broadcast; a complex for two single vectors.
+
+    A vector is the edge-function block followed by the block whose entry at
+    edge index e is the coefficient of xi[s(e)+1 -> s(e)] (x) chi_e, the
+    layout on which `dirac.dirac_operator` acts.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    dim = 2 * g.num_edges
+    for name, arr in (("u", u), ("v", v)):
+        if arr.ndim == 0 or arr.shape[-1] != dim:
+            raise ValueError(f"{name} must have last axis of length {dim}, got shape {arr.shape}")
+    out = np.einsum("...i,...i->...", np.conj(v), u) / g.n
+    return complex(out) if out.ndim == 0 else out
 
 
-def orthonormal_basis(g: DirectedCyclicGraph) -> list[HilbertVector]:
-    """sqrt(n)-scaled coordinate vectors, top block first, canonical order."""
-    m = g.num_edges
-    s = math.sqrt(g.n)
-    basis = []
-    for i in range(m):
-        top = np.zeros(m, dtype=complex)
-        top[i] = s
-        basis.append(HilbertVector.from_blocks(g, top=top))
-    for i in range(m):
-        bottom = np.zeros(m, dtype=complex)
-        bottom[i] = s
-        basis.append(HilbertVector.from_blocks(g, bottom=bottom))
-    return basis
+def orthonormal_basis(g: DirectedCyclicGraph) -> np.ndarray:
+    """The sqrt(n)-scaled coordinate vectors as the rows of a (2m, 2m)
+    array, top block first, canonical order."""
+    return math.sqrt(g.n) * np.eye(2 * g.num_edges, dtype=complex)

@@ -8,7 +8,7 @@ import pytest
 
 from kahleredge import connection, dirac, graphs, spectra
 from kahleredge.connection import PotentialCoefficients
-from kahleredge.graphs import EdgeFunction, HilbertVector
+from kahleredge.graphs import EdgeFunction
 from kahleredge.polygon import Calculus
 
 from conftest import random_graph, random_edge_values
@@ -252,7 +252,7 @@ def test_criterion_8_hermitian_module_suite(capsys):
             res_proj = max(res_proj, float(np.max(np.abs((proj @ proj - proj).data), initial=0.0)))
         basis = graphs.orthonormal_basis(g)
         gram = np.array(
-            [[graphs.inner_product(u, v) for v in basis] for u in basis]
+            [[graphs.inner_product(g, u, v) for v in basis] for u in basis]
         )
         res_gram = max(res_gram, float(np.max(np.abs(gram - np.eye(2 * m)))))
     ok = max(res_pos, res_sym, res_proj, res_gram) <= 1e-12

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from kahleredge import graphs
-from kahleredge.graphs import (
-    DirectedCyclicGraph,
-    EdgeFunction,
-    GraphFormatError,
-    HilbertVector,
-)
+from kahleredge.graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError
 from kahleredge.dirac import connes_distance
 from kahleredge.operators import DenseOperator
 from kahleredge.polygon import GradedForm, VertexFunction
@@ -86,7 +81,6 @@ ARRAY_HOLDERS = {
     "GradedForm": lambda: GradedForm(np.ones((4, 3))),
     "VertexFunction": lambda: VertexFunction(3, np.ones(3)),
     "EdgeFunction": lambda: EdgeFunction(ngon(3), np.ones(3)),
-    "HilbertVector": lambda: HilbertVector.from_blocks(ngon(3), top=np.ones(3)),
     "Spectrum": lambda: Spectrum(np.ones(3)),
     "DenseOperator": lambda: DenseOperator(np.eye(3)),
     "DistanceResult": lambda: connes_distance(ngon(3), 0, 1),
@@ -215,24 +209,23 @@ def test_complete_graph_projector():
 
 def test_inner_product_normalization():
     g = ngon(3)
-    top = HilbertVector.from_blocks(g, top=EdgeFunction.chi(g, 0, 1).values)
-    bot = HilbertVector.from_blocks(g, bottom=EdgeFunction.chi(g, 0, 1).values)
-    assert graphs.inner_product(top, top) == pytest.approx(1.0 / 3.0)
-    assert graphs.inner_product(bot, bot) == pytest.approx(1.0 / 3.0)
-    assert graphs.inner_product(top, bot) == pytest.approx(0.0)
+    chi = EdgeFunction.chi(g, 0, 1).values
+    top = np.concatenate([chi, np.zeros(3)])
+    bot = np.concatenate([np.zeros(3), chi])
+    assert graphs.inner_product(g, top, top) == pytest.approx(1.0 / 3.0)
+    assert graphs.inner_product(g, bot, bot) == pytest.approx(1.0 / 3.0)
+    assert graphs.inner_product(g, top, bot) == pytest.approx(0.0)
 
 
 def test_inner_product_sesquilinear():
     g = ngon(4)
     rng = np.random.default_rng(2)
-    u = HilbertVector(g, random_edge_values(rng, 4), random_edge_values(rng, 4))
-    v = HilbertVector(g, random_edge_values(rng, 4), random_edge_values(rng, 4))
+    u = np.concatenate([random_edge_values(rng, 4), random_edge_values(rng, 4)])
+    v = np.concatenate([random_edge_values(rng, 4), random_edge_values(rng, 4)])
     z = 2.0 - 1.5j
-    zu = HilbertVector(g, z * u.top, z * u.bottom)
-    zv = HilbertVector(g, z * v.top, z * v.bottom)
-    assert graphs.inner_product(zu, v) == pytest.approx(z * graphs.inner_product(u, v))
-    assert graphs.inner_product(u, zv) == pytest.approx(
-        np.conj(z) * graphs.inner_product(u, v)
+    assert graphs.inner_product(g, z * u, v) == pytest.approx(z * graphs.inner_product(g, u, v))
+    assert graphs.inner_product(g, u, z * v) == pytest.approx(
+        np.conj(z) * graphs.inner_product(g, u, v)
     )
 
 
@@ -240,12 +233,11 @@ def test_orthonormal_basis():
     g = ngon(3)
     basis = graphs.orthonormal_basis(g)
     assert len(basis) == 6
-    for vec in basis:
-        arr = vec.as_array()
+    for arr in basis:
         assert np.count_nonzero(arr) == 1
         assert np.max(np.abs(arr)) == pytest.approx(np.sqrt(3.0))
     gram = np.array(
-        [[graphs.inner_product(u, v) for v in basis] for u in basis]
+        [[graphs.inner_product(g, u, v) for v in basis] for u in basis]
     )
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
@@ -255,4 +247,4 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         EdgeFunction(g, [1.0, 2.0])
     with pytest.raises(ValueError):
-        HilbertVector(g, np.zeros(2), np.zeros(3))
+        graphs.inner_product(g, np.zeros(5), np.zeros(6))

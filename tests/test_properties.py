@@ -5,7 +5,8 @@ edge; the numeric distance bracket against the exact distances, and the
 norm bound it certifies with against the SVD of the whole commutator; the
 Laplacian against the dense product dbar^dagger dbar, and its and the Dirac
 operator's structure; the matrix-free Laplacian against the assembled one,
-on stacks, and the key index it reads; the graph suites of `verify` on
+on stacks, and the key index it reads; the inner product on stacked
+vectors of the Hilbert space; the graph suites of `verify` on
 every graph; and the CLI's number format."""
 
 import contextlib
@@ -251,21 +252,22 @@ def test_matrix_free_action_rejects_a_foreign_graph():
                                    EdgeFunction(other, np.ones(other.num_edges)))
 
 
-def test_edge_pairs_are_read_only_and_built_once_per_potential(monkeypatch):
+def test_edge_pairs_are_read_only_and_built_once_per_graph(monkeypatch):
     builds = []
-    cached = PotentialCoefficients.__dict__["edge_pairs"]
+    cached = DirectedCyclicGraph.__dict__["edge_pairs"]
     build = cached.func
 
-    def counted(potential):
-        builds.append(potential)
-        return build(potential)
+    def counted(graph):
+        builds.append(graph)
+        return build(graph)
 
     monkeypatch.setattr(cached, "func", counted)
     g = spectra.make_circulant_regular(16, 4)
-    c = PotentialCoefficients.random(g, np.random.default_rng(0))
-    dirac.distance_bracket(g, c)  # 16 norm bounds, one per column
-    assert builds == [c]
-    for index in c.edge_pairs:
+    unit = PotentialCoefficients.unit(g)
+    for c in PotentialCoefficients.random(g, np.random.default_rng(0)), unit:
+        dirac.distance_bracket(g, c)  # 16 norm bounds, one per column
+    assert len(builds) == 1 and builds[0] is g
+    for index in g.edge_pairs:
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 0
 
@@ -298,6 +300,48 @@ def test_stacked_edge_functions_match_the_single_ones(g, shape, seed):
         EdgeFunction(g, np.zeros((*shape, m + 1)))
     with pytest.raises(ValueError, match="last axis of length"):
         EdgeFunction(g, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, shape=st.lists(st.integers(0, 3), max_size=2).map(tuple), seed=seeds)
+@example(g=EMPTY, shape=(2, 3), seed=0)
+@example(g=LOOPS_AND_SINKS, shape=(3,), seed=1)
+@example(g=HUBS, shape=(), seed=2)
+@example(g=HUBS, shape=(2, 3), seed=3)
+def test_stacked_inner_products_match_the_single_ones(g, shape, seed):
+    # vectors of the Hilbert space are plain (..., 2m) arrays; batch shapes
+    # (), (k,) and (k, l): the stacked inner product equals the per-pair one
+    # exactly, and it is sesquilinear
+    dim = 2 * g.num_edges
+    rng = np.random.default_rng(seed)
+    us, vs, ws = rng.standard_normal((3, *shape, dim)) + 1j * rng.standard_normal((3, *shape, dim))
+    z, v = complex(*rng.standard_normal(2)), rng.standard_normal(dim) + 0j
+    got = graphs.inner_product(g, us, vs)
+    assert np.shape(got) == shape and isinstance(got, complex) == (shape == ())
+    for i in np.ndindex(shape):
+        single = graphs.inner_product(g, us[i], vs[i])
+        assert isinstance(single, complex) and single == np.asarray(got)[i]
+    # a single vector broadcasts against a stack
+    assert np.array_equal(graphs.inner_product(g, us, v),
+                          graphs.inner_product(g, us, np.broadcast_to(v, us.shape)))
+    tol = 1e-12 * (1 + dim)
+    assert np.allclose(graphs.inner_product(g, z * us + ws, vs),
+                       z * got + graphs.inner_product(g, ws, vs), rtol=0, atol=tol)
+    assert np.allclose(graphs.inner_product(g, us, z * vs + ws),
+                       np.conj(z) * got + graphs.inner_product(g, us, ws), rtol=0, atol=tol)
+    # the basis is one vector per row, and its Gram matrix is the identity
+    basis = graphs.orthonormal_basis(g)
+    gram = graphs.inner_product(g, basis[:, None], basis[None, :])
+    assert basis.shape == gram.shape == (dim, dim)
+    assert np.max(np.abs(gram - np.eye(dim)), initial=0.0) <= 1e-12
+    # a last axis of any other length, or none at all, is rejected
+    for bad in ([dim - 1] if dim else []) + [dim + 1]:
+        with pytest.raises(ValueError, match="last axis of length"):
+            graphs.inner_product(g, np.zeros((*shape, bad)), vs)
+        with pytest.raises(ValueError, match="last axis of length"):
+            graphs.inner_product(g, us, np.zeros(bad))
+    with pytest.raises(ValueError, match="last axis of length"):
+        graphs.inner_product(g, 0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
