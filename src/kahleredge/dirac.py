@@ -20,8 +20,14 @@ segments, and for a target nu the real functions obeying this with f(nu) = 0
 and f <= n are closed under pointwise max.  So the one maximiser of
 sum_mu f(mu) over them is their pointwise largest member: d(., nu) on nu's
 constraint component, and the cap n elsewhere, where no constraint links mu
-to nu and the distance is unbounded.  One linear program per column, all n
-stacked block-diagonally, gives every upper bound.  Lower bound: a single
+to nu and the distance is unbounded.  The layout of these programs follows
+the cuts.  With no cut the rows are invariant under rotation, so one program
+with n variables, for column 0, gives every column by f_nu(mu) = f_0(mu - nu).
+With cuts, a variable off its column's arc (the stretch of the cycle between
+two cuts) shares no row with those on it and sits at the cap, so each column
+keeps the variables of its arc alone and the columns are stacked
+block-diagonally: sum over the arcs C of |C|^2 variables, still n^2 with a
+single cut.  Lower bound: a single
 function of the unit ball is a witness for every pair it separates, so the
 column maximiser, rescaled by an upper bound on the norm of its commutator,
 certifies its whole column with one norm; the indicator of a constraint
@@ -42,8 +48,9 @@ builds neither D nor dbar and takes no SVD.
 SciPy is imported only inside the functions that use it, so the exact
 distances and everything else outside the numeric bracket and the operator
 norms load on numpy alone.  `linprog` is a module-level function that
-forwards to SciPy's because it is the seam at which the benchmark's tracer
-(`perfbench/spans.py`) wraps the LP solver, by this name.
+forwards to SciPy's `milp`, HiGHS with no integer variable, because it is the
+seam at which the benchmark's tracer (`perfbench/spans.py`) wraps the LP
+solver, by this name.
 """
 
 from __future__ import annotations
@@ -124,10 +131,12 @@ def operator_norm(M) -> float:
 
 
 def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first call."""
-    from scipy.optimize import linprog
+    """`scipy.optimize.milp`, imported on the first call: HiGHS, here with no
+    integer variable, so the LP solver without `scipy.optimize.linprog`'s
+    per-call set-up."""
+    from scipy.optimize import milp
 
-    return linprog(*args, **kwargs)
+    return milp(*args, **kwargs)
 
 
 def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -173,9 +182,10 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
 def distance_bracket(g: DirectedCyclicGraph,
                      c: PotentialCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Independent numeric bracket (lower, upper) of the whole distance
-    matrix, inf where unbounded (see the module docstring): one linear program
-    per target vertex, all stacked block-diagonally, one certified column
-    maximiser per target and one indicator per constraint component.  No pair
+    matrix, inf where unbounded (see the module docstring): one call to the
+    LP solver, with n variables for column 0 when no vertex is a cut and one
+    block per column on its arc otherwise, one certified column maximiser
+    per target and one indicator per constraint component.  No pair
     is left open: the commutator norm of f is its largest step across a
     constraint segment, so each column maximiser certifies its own column.
     Each norm is the Schur test on the nonzero entries of the block Y of
@@ -185,18 +195,34 @@ def distance_bracket(g: DirectedCyclicGraph,
     if c.graph != g:
         raise ValueError("potential defined on a different graph")
     n = g.n
-    # rows e_lam - e_(lam+1) and their negatives, interleaved, once per column
-    lam = np.flatnonzero(g.out_degrees)
-    segments = np.eye(n)[lam] - np.eye(n)[(lam + 1) % n]
-    rows = np.stack([segments, -segments], axis=1).reshape(-1, n)
-    blocks = sparse.kron(sparse.eye_array(n), rows, format="csr")
-    bounds = np.tile([-np.inf, float(n)], (n * n, 1))
-    bounds[:: n + 1] = 0.0  # f(nu) = 0 in column nu: the gauge of each column
-    res = linprog(-np.ones(n * n), A_ub=blocks, b_ub=np.ones(blocks.shape[0]),
-                  bounds=bounds, method="highs")
+    cut = g.out_degrees == 0
+    if cut.any():
+        # column nu on its arc: from the vertex after the last cut behind nu
+        # to the first cut at or ahead of it
+        ends = np.flatnonzero(cut)
+        ahead = np.searchsorted(ends, np.arange(n))
+        start = (ends[ahead - 1] + 1) % n
+        size = (ends[ahead % len(ends)] - start) % n + 1
+    else:
+        start, size = np.zeros(1, dtype=int), np.array([n])  # column 0 on the cycle
+    col = np.repeat(np.arange(len(size)), size)  # the column of each variable
+    vertex = (start[col] + np.arange(len(col)) - (np.cumsum(size) - size)[col]) % n
+    # one row -1 <= f(lam) - f(lam+1) <= 1 per segment: the last variable of
+    # an arc is its cut, so lam + 1 stays in the arc, and wraps only on the cycle
+    lam = np.flatnonzero(~cut[vertex])
+    pairs = np.stack([lam, (lam + 1) % len(col)], axis=1).ravel()  # two entries per row
+    blocks = sparse.csr_array((np.tile([1.0, -1.0], len(lam)), pairs,
+                               np.arange(0, len(pairs) + 1, 2)), shape=(len(lam), len(col)))
+    gauge = vertex == col  # f(nu) = 0 in column nu
+    res = linprog(-np.ones(len(col)), constraints=(blocks, -1.0, 1.0),
+                  bounds=(np.where(gauge, 0.0, -np.inf), np.where(gauge, 0.0, float(n))))
     if res.status != 0:
         raise RuntimeError(f"distance LP failed with status {res.status}: {res.message}")
-    witnesses = res.x.reshape(n, n)  # row nu: the maximiser of column nu
+    if cut.any():  # row nu: the maximiser of column nu, the cap n off its arc
+        witnesses = np.full((n, n), float(n))
+        witnesses[col, vertex] = res.x
+    else:  # rotation maps column 0 onto column nu: f_nu(mu) = f_0(mu - nu)
+        witnesses = res.x[(np.arange(n) - np.arange(n)[:, None]) % n]
     upper = np.where(witnesses.T >= n - 0.5, np.inf, witnesses.T)
 
     lower = np.empty((n, n))

@@ -365,7 +365,7 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
             res = max(res, float(np.max(excess, where=via, initial=0.0)))
     out.append(CheckResult(f"metric-axioms[{tag}]", res, 1e-12))
 
-    if full_degree and n <= 8:
+    if n <= 8:
         c = connection.PotentialCoefficients.random(g, rng)
         bracket = np.stack(distance_bracket(g, c))
         res = float(np.any(np.isfinite(bracket) != finite))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ def test_distance_numeric_bracket(capsys, tmp_path):
     upper = np.array(data["upper"], dtype=float)
     assert np.max(np.abs(lower - dist)) <= 1e-6
     assert np.max(np.abs(upper - dist)) <= 1e-6
+
+
+def test_distance_lp_failure_is_a_data_error(monkeypatch, capsys, tmp_path):
+    failed = SimpleNamespace(status=2, message="The problem is infeasible.", x=None)
+    monkeypatch.setattr(dirac, "linprog", lambda *args, **kwargs: failed)
+    g = graphs.parse_graph(ngon_text(5))
+    with pytest.raises(RuntimeError, match="distance LP failed with status 2"):
+        dirac.distance_bracket(g, connection.PotentialCoefficients.unit(g))
+    code, out, err = run(capsys, "distance", "--graph", write_graph(tmp_path, ngon_text(5)),
+                         "--numeric")
+    assert code == 2 and out == ""
+    assert "distance LP failed with status 2: The problem is infeasible." in err
 
 
 def test_distance_seed_has_no_effect(capsys, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kahleredge import connection, dirac, graphs
+from kahleredge import connection, dirac, graphs, spectra
 from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph
 from kahleredge.polygon import VertexFunction
@@ -195,6 +195,31 @@ def test_numeric_bracket_takes_no_dense_route(monkeypatch):
     assert np.isinf(got[0]).any() and np.isinf(got[1]).any()
     with pytest.raises(ValueError, match="different graph"):
         dirac.distance_bracket(ngon(8), c)
+
+
+@pytest.mark.parametrize("g, variables", [
+    # no cut: one program for column 0, the rest by rotation
+    (spectra.make_circulant_regular(16, 4), 16),
+    # cuts 3 and 5: arcs {4, 5} and {6, ..., 9, 0, ..., 3}, 2^2 + 8^2 variables
+    (DirectedCyclicGraph(10, [(mu, (mu + 1) % 10) for mu in range(10) if mu not in (3, 5)]), 68),
+    # one cut leaves one arc of all n vertices: n^2
+    (DirectedCyclicGraph(7, [(mu, (mu + 1) % 7) for mu in range(7) if mu != 2]), 49),
+    # every vertex a cut: one variable, the gauge, per column
+    (DirectedCyclicGraph(5, []), 5),
+], ids=["no-cut", "two-cuts", "one-cut", "edgeless"])
+def test_bracket_lp_layout_follows_the_cuts(monkeypatch, g, variables):
+    sizes = []
+    solve = dirac.linprog
+
+    def counted(c, *args, **kwargs):
+        sizes.append(len(c))
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(dirac, "linprog", counted)
+    lower, upper = dirac.distance_bracket(g, PotentialCoefficients.unit(g))
+    assert sizes == [variables]
+    exact = dirac.all_pairs_distances(g)
+    assert np.array_equal(lower, exact) and np.array_equal(upper, exact)
 
 
 def test_vertex_bounds_checked():

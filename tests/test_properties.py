@@ -29,6 +29,8 @@ from kahleredge.polygon import VertexFunction
 
 EMPTY = DirectedCyclicGraph(4, [])
 LOOPS_AND_SINKS = DirectedCyclicGraph(5, [(0, 0), (0, 3), (1, 2), (1, 1), (3, 4), (3, 0)])
+# vertex 4 alone has no out-edge: one cut, so one arc of all 7 vertices
+ONE_CUT = DirectedCyclicGraph(7, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (5, 1), (6, 0)])
 # two adjacent hubs, 0 and 1, each with an edge to every other vertex, on the
 # 6-gon: blocks C_mu of shapes 5 x 1, 5 x 5, 1 x 5 and 1 x 1
 HUBS = DirectedCyclicGraph(6, [(u, v) for u in (0, 1) for v in range(6) if v != u]
@@ -362,6 +364,8 @@ def test_distances_are_shortest_paths_on_the_segments(g):
 @given(g=graphs_st, seed=seeds)
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
+@example(g=spectra.make_circulant_regular(8, 2), seed=2)  # no cut: one rotated program
+@example(g=ONE_CUT, seed=3)  # one arc of all n vertices
 def test_numeric_bracket_holds_the_exact_distances(g, seed):
     exact = dirac.all_pairs_distances(g)
     c = PotentialCoefficients.random(g, np.random.default_rng(seed))
