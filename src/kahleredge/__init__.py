@@ -19,7 +19,6 @@ from .dirac import (
 )
 from .graphs import (
     DirectedCyclicGraph,
-    EdgeFunction,
     GraphFormatError,
     complete_graph_projector,
     hermitian_pairing,
@@ -43,7 +42,6 @@ __all__ = [
     "VertexFunction",
     "make_calculus",
     "DirectedCyclicGraph",
-    "EdgeFunction",
     "GraphFormatError",
     "parse_graph",
     "left_action",

@@ -48,6 +48,13 @@ class DataError(Exception):
     pass
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: a bad value is "invalid non_negative_int value"."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 #: rows formatted together: bounds the index arrays of one block
 ROW_BLOCK = 256
 
@@ -280,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full consistency-check battery")
     p.add_argument("--graph", help="edge-list graph file")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random samples")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="seed of the random samples")
     p.add_argument(
         "--corrupt-wedge-sign",
         action="store_true",

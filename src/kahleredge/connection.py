@@ -1,6 +1,7 @@
 """Holomorphic connections on the edge module and the twisted edge Laplacian.
 
-Every operator is a dense complex ndarray in the edge-indexed bases.  The
+Every operator is a dense complex ndarray in the edge-indexed bases, and an
+edge function a plain array of shape (..., m), any leading axes a stack.  The
 base connection pairs every edge with its twisted partner one edge back along
 the cycle, so it is the identity there and dbar = I + zeta; the potential
 zeta (a left-module map with scalar coefficients) shifts mass between edges
@@ -21,8 +22,8 @@ import operator
 
 import numpy as np
 
-from .graphs import (DirectedCyclicGraph, EdgeFunction, GraphFormatError, _first_bad,
-                     _integer_rows, _scatter_add)
+from .graphs import (DirectedCyclicGraph, GraphFormatError, _first_bad, _integer_rows,
+                     _last_axis, _scatter_add)
 
 __all__ = [
     "PotentialCoefficients",
@@ -228,10 +229,10 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     return mat
 
 
-def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients,
-                    f: EdgeFunction) -> EdgeFunction:
+def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.ndarray:
     """Matrix-free twisted edge Laplacian, L f = dbar^dagger (dbar f), on an
-    edge function or a stack of them (`values` of shape (..., m)).
+    edge function or a stack of them, an array of shape (..., m); returns a
+    new complex array of the same shape.
 
     Each factor is one scatter over the valid keys, through their edge pairs
     (e, e'): dbar = I + zeta adds c[key] x(e) at e', and dbar^dagger adds
@@ -240,14 +241,13 @@ def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients,
     """
     if c.graph != g:
         raise ValueError("potential defined on a different graph")
-    if f.graph != g:
-        raise ValueError("edge function lives on a different graph")
+    f = _last_axis(f, g.num_edges)
     edge, partner = g.edge_pairs
-    y = f.values.copy()
-    _scatter_add(y, partner, c.values * f.values[..., edge])
+    y = f.copy()
+    _scatter_add(y, partner, c.values * f[..., edge])
     out = y.copy()
     _scatter_add(out, edge, c.values.conj() * y[..., partner])
-    return EdgeFunction(g, out)
+    return out
 
 
 # ----------------------------------------------------------------- closed forms

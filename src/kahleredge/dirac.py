@@ -1,7 +1,8 @@
 """Dirac operator, commutators and the induced metric on vertices.
 
 D = [[0, dbar^dagger], [dbar, 0]], with dbar = I + zeta, and its commutators
-with vertex functions are dense complex 2m x 2m ndarrays.
+with vertex functions are dense complex 2m x 2m ndarrays.  A vertex function
+is a plain array of shape (n,), as in `graphs`.
 
 The distance between two vertices (as pure states) is the supremum of
 |f(mu) - f(nu)| over functions whose Dirac commutator has operator norm at
@@ -61,8 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import PotentialCoefficients, dbar
-from .graphs import DirectedCyclicGraph
-from .polygon import VertexFunction
+from .graphs import DirectedCyclicGraph, _last_axis
 
 __all__ = [
     "DistanceResult",
@@ -75,11 +75,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DistanceResult:
-    """Distance value (math.inf when unbounded) with an optional witness
-    function attaining it under the unit commutator-norm constraint."""
+    """Distance value (math.inf when unbounded) with a witness attaining it
+    under the unit commutator-norm constraint: a real vertex function, an
+    (n,) array, or None when the distance is unbounded."""
 
     value: float
-    witness: VertexFunction | None = None
+    witness: np.ndarray | None = None
 
 
 def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
@@ -106,18 +107,17 @@ def _norm_bound(g: DirectedCyclicGraph, c: PotentialCoefficients, f: np.ndarray)
                      * np.bincount(rows, entries, m).max(initial=0.0))
 
 
-def commutator_with_function(D: np.ndarray, f: VertexFunction,
-                             g: DirectedCyclicGraph) -> np.ndarray:
-    """[D, f] with f acting diagonally on both blocks."""
-    if f.n != g.n:
-        raise ValueError(f"vertex count mismatch: {f.n} != {g.n}")
+def commutator_with_function(D: np.ndarray, f, g: DirectedCyclicGraph) -> np.ndarray:
+    """[D, f] for a vertex function f of shape (n,), acting diagonally on
+    both blocks; a stack of shape (..., n) gives the stack of commutators."""
+    f = _last_axis(f, g.n, "vertex function")
     if D.shape[0] != 2 * g.num_edges:
         raise ValueError("operator does not act on the full space of this graph")
     # f at each edge's source on the top block, one step ahead on the bottom
-    diag = f.values[np.concatenate([g.sources, (g.sources + 1) % g.n])]
+    diag = f[..., np.concatenate([g.sources, (g.sources + 1) % g.n])]
     # factored difference: entries whose two diagonal values coincide vanish
     # exactly, making the result bitwise independent of the potential
-    return D * (diag[np.newaxis, :] - diag[:, np.newaxis])
+    return D * (diag[..., np.newaxis, :] - diag[..., :, np.newaxis])
 
 
 def operator_norm(M) -> float:
@@ -166,9 +166,10 @@ def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.nda
 
 
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
-    """Exact distance between vertices mu and nu, with a witness function."""
-    if not (0 <= mu < g.n and 0 <= nu < g.n):
-        raise ValueError(f"vertices must lie in 0..{g.n - 1}, got ({mu}, {nu})")
+    """Exact distance between the integer vertices mu and nu, with a witness
+    function."""
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < g.n for x in (mu, nu)):
+        raise ValueError(f"vertices must be integers in 0..{g.n - 1}, got ({mu}, {nu})")
     dist = _walks(g, np.arange(g.n), np.array([nu]))[:, 0]
     value = float(dist[mu])
     if math.isinf(value):
@@ -176,7 +177,7 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     # clamped path-distance function: 1-Lipschitz across every constraint
     # edge, difference at (mu, nu) equal to the distance
     witness = np.minimum(dist, value)
-    return DistanceResult(value, VertexFunction(g.n, witness))
+    return DistanceResult(value, witness)
 
 
 def distance_bracket(g: DirectedCyclicGraph,

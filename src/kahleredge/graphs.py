@@ -9,9 +9,12 @@ potential key (`edge_pairs`), built on first use.  Edges are checked once,
 as arrays, and an error names the first bad edge in input order (in a graph
 file, its line).  The module of edge functions is a left module over vertex
 functions through the source map, with the canonical positive-definite
-Hermitian pairing.  A vector of the two-block Hilbert space is a plain
-array of shape (..., 2m), as the Dirac operator is a plain matrix;
-`inner_product` is its 1/n-weighted inner product.
+Hermitian pairing.  Its elements are plain arrays, as the Dirac operator is
+a plain matrix: an edge function has shape (..., m) and a vertex function
+(..., n), any leading axes a stack, and the graph is passed alongside.
+Inputs are read as complex arrays and never written into.  A vector of the
+two-block Hilbert space is a plain array of shape (..., 2m); `inner_product`
+is its 1/n-weighted inner product.
 """
 
 from __future__ import annotations
@@ -19,15 +22,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .polygon import VertexFunction
-
 __all__ = [
     "DirectedCyclicGraph",
-    "EdgeFunction",
     "GraphFormatError",
     "parse_graph",
     "left_action",
@@ -142,9 +141,14 @@ class DirectedCyclicGraph:
         vertex arrays u, v; -1 where there is no such edge.
 
         Vertices are range-checked before the key u*n + v is used: otherwise
-        (0, n) would find the edge 1->0.
+        (0, n) would find the edge 1->0.  A non-empty vertex array that is not
+        of an integer dtype is a ValueError: its key could equal an edge's, as
+        1.5*4 + 0 is the key of 1->2 on four vertices.
         """
         u, v = np.asarray(u), np.asarray(v)
+        for arr in (u, v):
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValueError(f"vertices must be integers, got an array of dtype {arr.dtype}")
         n, m = self.n, self.num_edges
         inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
         if not m:
@@ -254,55 +258,21 @@ def format_graph(g: DirectedCyclicGraph) -> str:
     return f"n {g.n}\n" + ("%d %d\n" * g.num_edges) % tuple(pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeFunction:
-    """A complex function on the edge set, in canonical edge order, or a
-    stack of them: `values` has shape (..., m), as a `VertexFunction`'s has
-    (..., n).  `hermitian_pairing`, `left_action` and `apply_dual`
-    broadcast over the leading axes."""
-
-    graph: DirectedCyclicGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)
-        if arr.ndim == 0 or arr.shape[-1] != self.graph.num_edges:
-            raise ValueError(
-                f"edge function must have last axis of length {self.graph.num_edges}, "
-                f"got shape {arr.shape}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @staticmethod
-    def chi(graph: DirectedCyclicGraph, u: int, v: int) -> "EdgeFunction":
-        values = np.zeros(graph.num_edges, dtype=complex)
-        values[graph.edge_index(u, v)] = 1.0
-        return EdgeFunction(graph, values)
-
-    def __add__(self, other: "EdgeFunction") -> "EdgeFunction":
-        self._check(other)
-        return EdgeFunction(self.graph, self.values + other.values)
-
-    def __sub__(self, other: "EdgeFunction") -> "EdgeFunction":
-        self._check(other)
-        return EdgeFunction(self.graph, self.values - other.values)
-
-    def __mul__(self, scalar) -> "EdgeFunction":
-        return EdgeFunction(self.graph, self.values * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "EdgeFunction"):
-        if self.graph != other.graph:
-            raise ValueError("edge functions live on different graphs")
+def _last_axis(x, length: int, name: str = "edge function") -> np.ndarray:
+    """`x` as a complex array (`x` itself if it is one: callers only read
+    it), after checking that its last axis has `length` entries."""
+    arr = np.asarray(x, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] != length:
+        raise ValueError(f"{name} must have last axis of length {length}, got shape {arr.shape}")
+    return arr
 
 
-def left_action(f: VertexFunction, x: EdgeFunction) -> EdgeFunction:
-    """Scale the value at edge e by f at the source of e."""
-    if f.n != x.graph.n:
-        raise ValueError(f"vertex count mismatch: {f.n} != {x.graph.n}")
-    return EdgeFunction(x.graph, f.values[..., x.graph.sources] * x.values)
+def left_action(g: DirectedCyclicGraph, f, x) -> np.ndarray:
+    """Scale the value at edge e by f at the source of e, for a vertex
+    function f of shape (..., n) and an edge function x of shape (..., m);
+    stacks broadcast over their leading axes."""
+    f, x = _last_axis(f, g.n, "vertex function"), _last_axis(x, g.num_edges)
+    return f[..., g.sources] * x
 
 
 def _scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -315,25 +285,24 @@ def _scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None
     np.add.at(out.reshape(-1), (rows + index).ravel(), values.ravel())
 
 
-def hermitian_pairing(x: EdgeFunction, y: EdgeFunction) -> VertexFunction:
+def hermitian_pairing(g: DirectedCyclicGraph, x, y) -> np.ndarray:
     """h(x, y)(mu) = sum over edges e sourced at mu of conj(y(e)) * x(e),
-    summed in edge order; stacks broadcast over their leading axes."""
-    x._check(y)
-    g = x.graph
-    terms = np.conj(y.values) * x.values
+    summed in edge order, as an array of shape (..., n) for edge functions of
+    shape (..., m) whose stacks broadcast."""
+    terms = np.conj(_last_axis(y, g.num_edges)) * _last_axis(x, g.num_edges)
     out = np.zeros((*terms.shape[:-1], g.n), dtype=complex)
     _scatter_add(out, g.sources, terms)
-    return VertexFunction(g.n, out)
+    return out
 
 
-def apply_dual(g: DirectedCyclicGraph, edge: tuple[int, int], x: EdgeFunction) -> VertexFunction:
-    """Evaluate the dual-basis functional of `edge` on x: x(e) * delta at s(e)."""
-    if x.graph != g:
-        raise ValueError("edge function lives on a different graph")
+def apply_dual(g: DirectedCyclicGraph, edge: tuple[int, int], x) -> np.ndarray:
+    """Evaluate the dual-basis functional of `edge` on the edge function x of
+    shape (..., m): x(e) * delta at s(e), of shape (..., n)."""
+    x = _last_axis(x, g.num_edges)
     i = g.edge_index(*edge)
-    out = np.zeros((*x.values.shape[:-1], g.n), dtype=complex)
-    out[..., g.source(i)] = x.values[..., i]
-    return VertexFunction(g.n, out)
+    out = np.zeros((*x.shape[:-1], g.n), dtype=complex)
+    out[..., g.source(i)] = x[..., i]
+    return out
 
 
 def complete_graph_edges(n: int) -> np.ndarray:
@@ -368,11 +337,7 @@ def inner_product(g: DirectedCyclicGraph, u, v) -> complex | np.ndarray:
     edge index e is the coefficient of xi[s(e)+1 -> s(e)] (x) chi_e, the
     layout on which `dirac.dirac_operator` acts.
     """
-    u, v = np.asarray(u), np.asarray(v)
-    dim = 2 * g.num_edges
-    for name, arr in (("u", u), ("v", v)):
-        if arr.ndim == 0 or arr.shape[-1] != dim:
-            raise ValueError(f"{name} must have last axis of length {dim}, got shape {arr.shape}")
+    u, v = _last_axis(u, 2 * g.num_edges, "u"), _last_axis(v, 2 * g.num_edges, "v")
     out = np.einsum("...i,...i->...", np.conj(v), u) / g.n
     return complex(out) if out.ndim == 0 else out
 

@@ -37,6 +37,14 @@ class Spectrum:
     residual: float | None = None
 
 
+def _square(M) -> np.ndarray:
+    """`M` as a complex array, after checking that it is a square matrix."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got {A.shape}")
+    return A
+
+
 def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a self-adjoint matrix via LAPACK (numpy ``eigh``).
 
@@ -48,12 +56,9 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     route gives bitwise the eigenvalues of the complex one: the symmetrised
     real part is the same either way.
     """
-    A = np.asarray(M, dtype=complex)
+    A = _square(M)
     if not A.imag.any():
         A = A.real
-    m, mc = A.shape
-    if m != mc:
-        raise ValueError(f"matrix must be square, got {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     norm = float(np.linalg.norm(A))
@@ -84,9 +89,7 @@ def ngon_closed_form(n: int) -> np.ndarray:
 
 def gershgorin_radius(M) -> float:
     """Max over rows of |diagonal| plus the off-diagonal absolute row sum."""
-    A = np.array(M, dtype=complex)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
+    A = _square(M)
     if A.shape[0] == 0:
         return 0.0
     absA = np.abs(A)

@@ -174,10 +174,10 @@ def edge_module_checks(g: graphs.DirectedCyclicGraph,
 
     # 60 sample pairs (x, y) as one stack
     pairs = _complex_normal(rng, (60, 2, m))
-    x, y = graphs.EdgeFunction(g, pairs[:, 0]), graphs.EdgeFunction(g, pairs[:, 1])
-    hxx = graphs.hermitian_pairing(x, x).values
+    x, y = pairs[:, 0], pairs[:, 1]
+    hxx = graphs.hermitian_pairing(g, x, x)
     res_pos = max(0.0, float(np.max(np.abs(hxx.imag))), float(np.max(-hxx.real)))
-    diff = graphs.hermitian_pairing(x, y).values - np.conj(graphs.hermitian_pairing(y, x).values)
+    diff = graphs.hermitian_pairing(g, x, y) - np.conj(graphs.hermitian_pairing(g, y, x))
     res_sym = float(np.max(np.abs(diff)))
     out.append(CheckResult(f"hermitian-positive[{tag}]", res_pos, 1e-12))
     out.append(CheckResult(f"hermitian-symmetric[{tag}]", res_sym, 1e-12))
@@ -186,9 +186,10 @@ def edge_module_checks(g: graphs.DirectedCyclicGraph,
     # sum_j z_j chi_j with distinct weights z, the functional of edge i gives z_i
     edges = g.edges
     z = np.arange(1.0, m + 1)
-    probe = graphs.EdgeFunction(g, sum(
-        (w * graphs.EdgeFunction.chi(g, *e).values for w, e in zip(z, edges)), np.zeros(m)))
-    got = np.array([np.sum(graphs.apply_dual(g, e, probe).values) for e in edges])
+    probe = np.zeros(m)
+    for w, e in zip(z, edges):
+        probe[g.edge_index(*e)] += w
+    got = np.array([np.sum(graphs.apply_dual(g, e, probe)) for e in edges])
     res = float(np.max(np.abs(got - z), initial=0.0))
     out.append(CheckResult(f"dual-basis-identity[{tag}]", res, 1e-12))
 
@@ -255,9 +256,9 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
     # matrix-free unit action agrees with the assembled matrix
     unit = connection.PotentialCoefficients.unit(g)
     lap_unit = connection.laplacian(g, unit)
-    f = graphs.EdgeFunction(g, _complex_normal(rng, (25, m)))  # 25 samples as one stack
-    direct = connection.apply_laplacian(g, unit, f).values
-    res = float(np.max(np.abs(direct - f.values @ lap_unit.T), initial=0.0))
+    f = _complex_normal(rng, (25, m))  # 25 samples as one stack
+    direct = connection.apply_laplacian(g, unit, f)
+    res = float(np.max(np.abs(direct - f @ lap_unit.T), initial=0.0))
     out.append(CheckResult(f"unit-action-agreement[{tag}]", res, 1e-12))
 
     # the squared Dirac operator is block diagonal with the Laplacian on top
@@ -324,7 +325,7 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
 
     # commutator does not depend on the potential
     D = dirac_operator(g, connection.PotentialCoefficients.zero(g))
-    f = graphs.VertexFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     base = commutator_with_function(D, f, g)
     res = 0.0
     for _ in range(5):
@@ -336,10 +337,10 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
     # operator norm of the commutator equals the largest adjacent difference
     res = 0.0
     for _ in range(25):
-        f = graphs.VertexFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nrm = operator_norm(commutator_with_function(D, f, g))
         # hypot, as abs of a complex scalar: np.abs of an array can round the last bit apart
-        diffs = f.values[g.sources] - f.values[(g.sources + 1) % n]
+        diffs = f[g.sources] - f[(g.sources + 1) % n]
         expect = float(np.max(np.hypot(diffs.real, diffs.imag), initial=0.0))
         res = max(res, abs(nrm - expect))
     out.append(CheckResult(f"commutator-norm-formula[{tag}]", res, 1e-9))

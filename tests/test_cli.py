@@ -326,6 +326,10 @@ def test_verify_negative_control(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "spectrum", "--bogus")[0] == 1
     assert run(capsys, "nosuchcommand")[0] == 1
+    # a seed that is not a non-negative integer is a usage error naming --seed
+    for seed in ("-1", "abc"):
+        code, out, err = run(capsys, "verify", "--seed", seed)
+        assert code == 1 and out == "" and "--seed" in err
 
 
 @pytest.mark.parametrize("argv", [

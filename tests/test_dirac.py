@@ -8,7 +8,6 @@ import pytest
 from kahleredge import connection, dirac, graphs, spectra
 from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph
-from kahleredge.polygon import VertexFunction
 
 from conftest import random_graph
 
@@ -50,7 +49,7 @@ def test_dirac_self_adjoint_and_square_block_diagonal():
 def test_commutator_of_indicator_has_norm_one():
     g = ngon(3)
     d = dirac.dirac_operator(g, PotentialCoefficients.unit(g))
-    f = VertexFunction(3, [1.0, 0.0, 0.0])
+    f = [1.0, 0.0, 0.0]
     com = dirac.commutator_with_function(d, f, g)
     assert dirac.operator_norm(com) == pytest.approx(1.0, abs=1e-9)
 
@@ -59,7 +58,7 @@ def test_commutator_is_potential_independent():
     rng = np.random.default_rng(37)
     for _ in range(10):
         g = random_graph(rng)
-        f = VertexFunction(g.n, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         base = dirac.commutator_with_function(
             dirac.dirac_operator(g, PotentialCoefficients.zero(g)), f, g
         )
@@ -74,10 +73,13 @@ def test_commutator_norm_is_max_adjacent_difference():
     for _ in range(10):
         g = random_graph(rng)
         d = dirac.dirac_operator(g, PotentialCoefficients.zero(g))
-        f = VertexFunction(g.n, rng.standard_normal(g.n))
+        f = rng.standard_normal(g.n)
         nrm = dirac.operator_norm(dirac.commutator_with_function(d, f, g))
-        diffs = [abs(f.values[s] - f.values[(s + 1) % g.n]) for s in g.sources]
+        diffs = [abs(f[s] - f[(s + 1) % g.n]) for s in g.sources]
         assert nrm == pytest.approx(max(diffs, default=0.0), abs=1e-9)
+        # a stack of vertex functions gives the stack of their commutators
+        stack = dirac.commutator_with_function(d, np.stack([f, 2 * f]), g)
+        assert np.array_equal(stack, [dirac.commutator_with_function(d, h, g) for h in (f, 2 * f)])
 
 
 def test_operator_norm_basic():
@@ -108,7 +110,7 @@ def test_5gon_distances():
     g = ngon(5)
     res = dirac.connes_distance(g, 0, 2)
     assert res.value == 2.0
-    w = res.witness.values
+    w = res.witness
     assert abs(w[0] - w[2]) == pytest.approx(2.0)
     mat = dirac.all_pairs_distances(g)
     expect = np.array(
@@ -145,7 +147,7 @@ def test_witness_is_feasible_and_attaining():
             w = res.witness
             nrm = dirac.operator_norm(dirac.commutator_with_function(d, w, g))
             assert nrm <= 1.0 + 1e-9
-            assert abs(w.values[0] - w.values[nu]) == pytest.approx(res.value)
+            assert abs(w[0] - w[nu]) == pytest.approx(res.value)
 
 
 def test_numeric_bracket_on_4gon():
@@ -226,6 +228,11 @@ def test_vertex_bounds_checked():
     g = ngon(3)
     with pytest.raises(ValueError):
         dirac.connes_distance(g, 0, 3)
+    # a non-integer vertex is rejected, not rounded or used as an index
+    g = DirectedCyclicGraph(4, [(1, 2), (2, 3)])
+    for mu, nu in ((0.5, 2), (1, 2.0), (np.float64(1.5), 0)):
+        with pytest.raises(ValueError, match="integers"):
+            dirac.connes_distance(g, mu, nu)
 
 
 def test_constraint_adjacency():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kahleredge import graphs
-from kahleredge.graphs import DirectedCyclicGraph, EdgeFunction, GraphFormatError
+from kahleredge.graphs import DirectedCyclicGraph, GraphFormatError
 from kahleredge.dirac import connes_distance
 from kahleredge.operators import DenseOperator
 from kahleredge.polygon import GradedForm, VertexFunction
@@ -80,7 +80,6 @@ def test_equality_and_hash():
 ARRAY_HOLDERS = {
     "GradedForm": lambda: GradedForm(np.ones((4, 3))),
     "VertexFunction": lambda: VertexFunction(3, np.ones(3)),
-    "EdgeFunction": lambda: EdgeFunction(ngon(3), np.ones(3)),
     "Spectrum": lambda: Spectrum(np.ones(3)),
     "DenseOperator": lambda: DenseOperator(np.eye(3)),
     "DistanceResult": lambda: connes_distance(ngon(3), 0, 1),
@@ -151,22 +150,23 @@ def test_format_parse_round_trip():
 
 def test_left_action_by_source():
     g = ngon(3)
-    chi01 = EdgeFunction.chi(g, 0, 1)
-    out = graphs.left_action(VertexFunction(3, [1.0, 0.0, 0.0]), chi01)
-    assert np.allclose(out.values, chi01.values)
-    out = graphs.left_action(VertexFunction(3, [0.0, 1.0, 0.0]), chi01)
-    assert np.allclose(out.values, 0.0)
+    chi01 = np.eye(g.num_edges)[g.edge_index(0, 1)]
+    out = graphs.left_action(g, [1.0, 0.0, 0.0], chi01)
+    assert np.allclose(out, chi01)
+    out = graphs.left_action(g, [0.0, 1.0, 0.0], chi01)
+    assert np.allclose(out, 0.0)
 
 
 def test_hermitian_pairing_values():
     g = ngon(3)
-    chi01 = EdgeFunction.chi(g, 0, 1)
+    chi01 = np.eye(g.num_edges)[g.edge_index(0, 1)]
     assert np.allclose(
-        graphs.hermitian_pairing(chi01, chi01).values, [1.0, 0.0, 0.0]
+        graphs.hermitian_pairing(g, chi01, chi01), [1.0, 0.0, 0.0]
     )
     g2 = DirectedCyclicGraph(3, [(0, 1), (1, 0)])
-    x = 2.0 * EdgeFunction.chi(g2, 0, 1) + EdgeFunction.chi(g2, 1, 0)
-    assert np.allclose(graphs.hermitian_pairing(x, x).values, [4.0, 1.0, 0.0])
+    chi = np.eye(g2.num_edges)
+    x = 2.0 * chi[g2.edge_index(0, 1)] + chi[g2.edge_index(1, 0)]
+    assert np.allclose(graphs.hermitian_pairing(g2, x, x), [4.0, 1.0, 0.0])
 
 
 def test_hermitian_pairing_positive_and_symmetric():
@@ -174,22 +174,22 @@ def test_hermitian_pairing_positive_and_symmetric():
     for _ in range(20):
         g = random_graph(rng)
         m = g.num_edges
-        x = EdgeFunction(g, random_edge_values(rng, m))
-        y = EdgeFunction(g, random_edge_values(rng, m))
-        hxx = graphs.hermitian_pairing(x, x)
-        assert hxx.is_positive()
+        x = random_edge_values(rng, m)
+        y = random_edge_values(rng, m)
+        hxx = graphs.hermitian_pairing(g, x, x)
+        assert VertexFunction(g.n, hxx).is_positive()
         assert np.allclose(
-            graphs.hermitian_pairing(x, y).values,
-            np.conj(graphs.hermitian_pairing(y, x).values),
+            graphs.hermitian_pairing(g, x, y),
+            np.conj(graphs.hermitian_pairing(g, y, x)),
         )
 
 
 def test_dual_functionals():
     g = ngon(3)
-    chi01 = EdgeFunction.chi(g, 0, 1)
-    chi12 = EdgeFunction.chi(g, 1, 2)
-    assert np.allclose(graphs.apply_dual(g, (0, 1), chi01).values, [1.0, 0.0, 0.0])
-    assert np.allclose(graphs.apply_dual(g, (0, 1), chi12).values, 0.0)
+    chi = np.eye(g.num_edges)
+    chi01, chi12 = chi[g.edge_index(0, 1)], chi[g.edge_index(1, 2)]
+    assert np.allclose(graphs.apply_dual(g, (0, 1), chi01), [1.0, 0.0, 0.0])
+    assert np.allclose(graphs.apply_dual(g, (0, 1), chi12), 0.0)
 
 
 def test_complete_graph_projector():
@@ -209,7 +209,7 @@ def test_complete_graph_projector():
 
 def test_inner_product_normalization():
     g = ngon(3)
-    chi = EdgeFunction.chi(g, 0, 1).values
+    chi = np.eye(g.num_edges)[g.edge_index(0, 1)]
     top = np.concatenate([chi, np.zeros(3)])
     bot = np.concatenate([np.zeros(3), chi])
     assert graphs.inner_product(g, top, top) == pytest.approx(1.0 / 3.0)
@@ -245,6 +245,6 @@ def test_orthonormal_basis():
 def test_shape_validation():
     g = ngon(3)
     with pytest.raises(ValueError):
-        EdgeFunction(g, [1.0, 2.0])
+        graphs.hermitian_pairing(g, [1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         graphs.inner_product(g, np.zeros(5), np.zeros(6))

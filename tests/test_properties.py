@@ -24,8 +24,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from kahleredge import cli, connection, dirac, graphs, spectra, verify
 from kahleredge.connection import PotentialCoefficients
-from kahleredge.graphs import DirectedCyclicGraph, EdgeFunction
-from kahleredge.polygon import VertexFunction
+from kahleredge.graphs import DirectedCyclicGraph
 
 EMPTY = DirectedCyclicGraph(4, [])
 LOOPS_AND_SINKS = DirectedCyclicGraph(5, [(0, 0), (0, 3), (1, 2), (1, 1), (3, 4), (3, 0)])
@@ -88,6 +87,16 @@ def test_lookups_agree_with_the_edge_set(g):
         else:
             with pytest.raises(KeyError):
                 g.edge_index(u, v)
+    # float aliases: the key (u + 1/2)*n + v - n/2 of (u + 1/2, v - n/2) is
+    # that of (u, v), but no float names a vertex; an empty float array is fine
+    fu, fv = (np.array(pairs) + [0.5, -n / 2]).T
+    with pytest.raises(ValueError, match="integers"):
+        g.find_edges(fu, fv)
+    for a, b in zip(fu.tolist(), fv.tolist()):
+        for lookup in (g.has_edge, g.edge_index):
+            with pytest.raises(ValueError, match="integers"):
+                lookup(a, b)
+    assert g.find_edges(np.asarray([]), np.asarray([])).tolist() == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,9 +226,9 @@ def test_matrix_free_unit_action_matches_the_matrix(g, seed):
     unit = PotentialCoefficients.unit(g)
     lap = connection.laplacian(g, unit)
     rng = np.random.default_rng(seed)
-    f = EdgeFunction(g, rng.standard_normal(g.num_edges) + 1j * rng.standard_normal(g.num_edges))
-    direct = connection.apply_laplacian(g, unit, f).values
-    assert np.max(np.abs(direct - lap @ f.values), initial=0.0) <= 1e-12
+    f = rng.standard_normal(g.num_edges) + 1j * rng.standard_normal(g.num_edges)
+    direct = connection.apply_laplacian(g, unit, f)
+    assert np.max(np.abs(direct - lap @ f), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,28 +239,36 @@ def test_matrix_free_unit_action_matches_the_matrix(g, seed):
 @example(g=HUBS, shape=(2, 2), seed=3)
 def test_matrix_free_action_matches_the_matrix(g, shape, seed):
     # every potential, batch shapes (), (k,) and (k, l): each sample of the
-    # stack is the assembled Laplacian times that sample
+    # stack is the assembled Laplacian times that sample; the input is left
+    # as it was, and a real input acts as its complex cast
     rng = np.random.default_rng(seed)
     m = g.num_edges
-    f = EdgeFunction(g, rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m)))
+    f = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
+    before = f.tobytes()
     for c in (PotentialCoefficients.random(g, rng), PotentialCoefficients.unit(g),
               PotentialCoefficients.zero(g)):
         lap = connection.laplacian(g, c)
-        direct = connection.apply_laplacian(g, c, f).values
+        direct = connection.apply_laplacian(g, c, f)
         assert direct.shape == (*shape, m)
         tol = (1e-12 * max(1.0, np.abs(lap).max(initial=0.0))
-               * max(1.0, np.abs(f.values).max(initial=0.0)))
-        assert np.max(np.abs(direct - f.values @ lap.T), initial=0.0) <= tol
+               * max(1.0, np.abs(f).max(initial=0.0)))
+        assert np.max(np.abs(direct - f @ lap.T), initial=0.0) <= tol
+        real = f.real.copy()
+        assert np.array_equal(connection.apply_laplacian(g, c, real),
+                              connection.apply_laplacian(g, c, real.astype(complex)))
+        assert real.tobytes() == f.real.tobytes()
+    assert f.tobytes() == before
 
 
 def test_matrix_free_action_rejects_a_foreign_graph():
     g, other = LOOPS_AND_SINKS, HUBS
-    f = EdgeFunction(g, np.ones(g.num_edges))
+    f = np.ones(g.num_edges)
     with pytest.raises(ValueError, match="potential defined on a different graph"):
         connection.apply_laplacian(g, PotentialCoefficients.unit(other), f)
-    with pytest.raises(ValueError, match="edge function lives on a different graph"):
-        connection.apply_laplacian(g, PotentialCoefficients.unit(g),
-                                   EdgeFunction(other, np.ones(other.num_edges)))
+    # a plain array carries no graph: one of another graph's edge count is a shape error
+    assert other.num_edges != g.num_edges
+    with pytest.raises(ValueError, match="edge function must have last axis of length"):
+        connection.apply_laplacian(g, PotentialCoefficients.unit(g), np.ones(other.num_edges))
 
 
 def test_edge_pairs_are_read_only_and_built_once_per_graph(monkeypatch):
@@ -281,27 +298,35 @@ def test_edge_pairs_are_read_only_and_built_once_per_graph(monkeypatch):
 @example(g=LOOPS_AND_SINKS, shape=(), seed=2)
 def test_stacked_edge_functions_match_the_single_ones(g, shape, seed):
     # batch shapes (), (k,) and (k, l): the stacked pairing, left action and
-    # dual functionals equal the per-sample results exactly
+    # dual functionals equal the per-sample results exactly; the inputs are
+    # left as they were, and real inputs act as their complex casts
     m = g.num_edges
     rng = np.random.default_rng(seed)
     xs, ys = rng.standard_normal((2, *shape, m)) + 1j * rng.standard_normal((2, *shape, m))
     fs = rng.standard_normal((*shape, g.n)) + 1j * rng.standard_normal((*shape, g.n))
-    x, y, f = EdgeFunction(g, xs), EdgeFunction(g, ys), VertexFunction(g.n, fs)
-    pairing = graphs.hermitian_pairing(x, y).values
-    action = graphs.left_action(f, x).values
-    duals = [graphs.apply_dual(g, e, x).values for e in g.edges]
+    before = [a.tobytes() for a in (xs, ys, fs)]
+    pairing = graphs.hermitian_pairing(g, xs, ys)
+    action = graphs.left_action(g, fs, xs)
+    duals = [graphs.apply_dual(g, e, xs) for e in g.edges]
     assert pairing.shape == (*shape, g.n) and action.shape == (*shape, m)
     for i in np.ndindex(shape):
-        xi, yi = EdgeFunction(g, xs[i]), EdgeFunction(g, ys[i])
-        assert np.array_equal(pairing[i], graphs.hermitian_pairing(xi, yi).values)
-        assert np.array_equal(action[i], graphs.left_action(VertexFunction(g.n, fs[i]), xi).values)
+        xi, yi = xs[i], ys[i]
+        assert np.array_equal(pairing[i], graphs.hermitian_pairing(g, xi, yi))
+        assert np.array_equal(action[i], graphs.left_action(g, fs[i], xi))
         for e, dual in zip(g.edges, duals):
-            assert np.array_equal(dual[i], graphs.apply_dual(g, e, xi).values)
+            assert np.array_equal(dual[i], graphs.apply_dual(g, e, xi))
+    assert [a.tobytes() for a in (xs, ys, fs)] == before
+    x, y, f = xs.real, ys.real, fs.real
+    cx, cy, cf = (a.astype(complex) for a in (x, y, f))
+    assert np.array_equal(graphs.hermitian_pairing(g, x, y), graphs.hermitian_pairing(g, cx, cy))
+    assert np.array_equal(graphs.left_action(g, f, x), graphs.left_action(g, cf, cx))
+    for e in g.edges:
+        assert np.array_equal(graphs.apply_dual(g, e, x), graphs.apply_dual(g, e, cx))
     # a wrong last axis, or no axis at all, is still rejected
     with pytest.raises(ValueError, match="last axis of length"):
-        EdgeFunction(g, np.zeros((*shape, m + 1)))
+        graphs.hermitian_pairing(g, np.zeros((*shape, m + 1)), ys)
     with pytest.raises(ValueError, match="last axis of length"):
-        EdgeFunction(g, 0.0)
+        graphs.hermitian_pairing(g, 0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,7 +438,7 @@ def test_bracket_norm_bound_is_the_norm_of_the_commutator(g, seed):
     c = PotentialCoefficients.random(g, rng)
     f = rng.standard_normal(g.n)
     norm = dirac.operator_norm(dirac.commutator_with_function(
-        dirac.dirac_operator(g, c), VertexFunction(g.n, f), g))
+        dirac.dirac_operator(g, c), f, g))
     bound = dirac._norm_bound(g, c, f)
     assert norm <= bound <= norm + 1e-12 * max(1.0, norm)
 

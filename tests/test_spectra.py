@@ -33,6 +33,16 @@ def test_rejects_non_square_and_non_selfadjoint():
         spectra.eig_selfadjoint([[0.0, 1.0], [0.0, 0.0]])
 
 
+def test_non_matrix_input_is_not_square():
+    # one message for every shape that is not n x n, not an unpacking error
+    for bad in (np.zeros(3), np.zeros((2, 2, 2)), 1.0):
+        for helper in (spectra.eig_selfadjoint, spectra.gershgorin_radius):
+            with pytest.raises(ValueError, match=r"^matrix must be square, got \("):
+                helper(bad)
+    with pytest.raises(ValueError, match=r"^matrix must be square, got \(3,\)$"):
+        spectra.gershgorin_radius(np.zeros(3))
+
+
 def test_rejects_non_finite_before_asymmetry():
     # a NaN defeats the asymmetry comparison, so it must be caught first
     for bad in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[0.0, np.nan], [0.0, 0.0]]):
