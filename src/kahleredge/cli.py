@@ -5,8 +5,11 @@ Subcommands: ``spectrum``, ``laplacian``, ``distance``, ``verify`` and
 standard error.  Exit codes: 0 success, 1 usage error, 2 data error (also a
 Laplacian with a non-finite entry), 3 check failure.  Floats print with 17
 significant digits, unbounded distances as ``inf`` (``"inf"`` in JSON); each
-distinct value of a block of rows is formatted once, which gives the same
-bytes as formatting every entry.  CSV:
+distinct value of a block of rows is formatted once, with its separator, and
+gathered per entry, which gives the same bytes as formatting every entry:
+as bytes out of a padded table when every text of the block is at most 16
+bytes wide (hop counts, ``inf``, small integers), else as a join of string
+objects (17-digit floats).  CSV:
 ``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row per
 line with ``re,im`` interleaved per entry, ``distance`` the distances, then
 the lower and the upper bracket, stacked.  An empty matrix prints no line.
@@ -57,33 +60,46 @@ def non_negative_int(text: str) -> int:
 
 #: rows formatted together: bounds the index arrays of one block
 ROW_BLOCK = 256
+#: the widest text, separator included, that a block gathers as bytes: a
+#: padded copy costs with the width, and past it joining objects is faster
+GATHER_WIDTH = 16
 
 
 def _blocks(mat: np.ndarray, json: bool = False):
-    """The text of each block of ROW_BLOCK rows of the real 2-D array `mat`,
-    a line per row: its entries with 17 significant digits (locale
-    independent, `inf` for infinity, the string "inf" if `json`), joined by
-    commas.
+    """The text of each block of ROW_BLOCK rows of the real 2-D array `mat`:
+    its entries with 17 significant digits (locale independent, `inf` for
+    infinity, the string "inf" if `json`), each followed by a comma or, at
+    the end of a row, by a newline, or by "],[" if `json`.
 
     Distances are hop counts and the Laplacian is mostly zero, so a block of
     rows holds few distinct values: one sort finds its distinct bit patterns
-    (`-0.0` apart from `0.0`), each is formatted once, and the block is one
-    join of the texts gathered per cell.
+    (`-0.0` apart from `0.0`), and each is formatted once, into a table of
+    its text with either separator that a `searchsorted` index gathers per
+    cell.  When no text of the table is wider than GATHER_WIDTH bytes, the
+    gather copies bytes out of a NUL-padded table and drops the padding;
+    wider texts (17-digit floats) are gathered as objects and joined.
     """
     mat = np.asarray(mat, dtype=np.float64)
+    end = "],[" if json else "\n"
     for start in range(0, mat.shape[0], ROW_BLOCK):
         block = mat[start:start + ROW_BLOCK].view(np.int64)
         if block.shape[1] == 0:
-            yield "\n" * len(block)
+            yield end * len(block)
             continue
         bits = np.sort(block, axis=None)
         bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
         text = ["%.17g" % value for value in bits.view(np.float64).tolist()]
         if json:
             text = [s.replace("inf", '"inf"') for s in text]
-        cells = np.array([s + "," for s in text], dtype=object)[np.searchsorted(bits, block)]
-        cells[:, -1] = [s[:-1] + "\n" for s in cells[:, -1].tolist()]  # ends the row
-        yield "".join(cells.ravel().tolist())
+        table = [s + "," for s in text] + [s + end for s in text]
+        index = np.searchsorted(bits, block)
+        index[:, -1] += len(text)  # the row ends
+        width = max(map(len, table))
+        if width <= GATHER_WIDTH:
+            cells = np.array(table, dtype=f"S{width}").view(f"V{width}")[index]
+            yield cells.tobytes().translate(None, b"\0").decode("ascii")
+        else:
+            yield "".join(np.array(table, dtype=object)[index].ravel().tolist())
 
 
 def _print_rows(mat: np.ndarray) -> None:
@@ -98,9 +114,11 @@ def _print_json(head: str, mats: dict[str, np.ndarray]) -> None:
     write("{" + head)
     for name, mat in mats.items():
         write(',"%s":[' % name)
-        for i, text in enumerate(_blocks(mat, json=True)):
-            write(("," if i else "") + "[" + text[:-1].replace("\n", "],[") + "]")
-        write("]")
+        text = "["  # opens the first row; every row ends in "],["
+        for block in _blocks(mat, json=True):
+            write(text)
+            text = block
+        write(text[:-2] + "]")  # cuts the last row's ",[", or the "[" of no row
     write("}\n")
 
 
@@ -233,6 +251,7 @@ def cmd_generate(args) -> int:
             n = args.n
             if n < 3:
                 raise DataError(f"need n >= 3, got {n}")
+            graphs._check_vertex_count(n)
             mu = np.arange(n)
             g = graphs.DirectedCyclicGraph(
                 n, np.stack([np.tile(mu, 2), np.concatenate([mu + 1, mu - 1]) % n], axis=1))

@@ -23,7 +23,7 @@ import operator
 import numpy as np
 
 from .graphs import (DirectedCyclicGraph, GraphFormatError, _first_bad, _integer_rows,
-                     _last_axis, _scatter_add)
+                     _last_axis, _read_rows, _scatter_add)
 
 __all__ = [
     "PotentialCoefficients",
@@ -131,12 +131,27 @@ class PotentialCoefficients:
 def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficients:
     """Parse lines ``mu nu nuP re im``; ``#`` starts a comment.  Each triple
     may appear at most once.  Errors carry the offending line number; of
-    several, the earliest line's.  The line loop only tokenises; keys are
+    several, the earliest line's.  NumPy's C reader reads the lines; the line
+    loop reads what it refuses (every bad file, and spellings such as
+    ``1_0``), with the same result or error."""
+    lines = text.splitlines()
+    rows = _read_rows(lines, [("key", np.int64, 3), ("value", np.float64, 2)])
+    if rows is not None and np.isfinite(rows["value"]).all():
+        c = PotentialCoefficients(graph)
+        positions = c.positions(*rows["key"].T)
+        if _first_bad(positions >= 0, positions)[1] is None:
+            c.values[positions] = rows["value"].view(complex)[:, 0]
+            return c
+    return _potential_from_lines(lines, graph)
+
+
+def _potential_from_lines(lines: list[str], graph: DirectedCyclicGraph) -> PotentialCoefficients:
+    """The potential of the lines, by a loop that only tokenises: keys are
     checked once, on the arrays."""
     c = PotentialCoefficients(graph)
     linenos, keys, values = [], [], []
     error = None  # the first syntax error: it ends the scan
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 
@@ -40,6 +41,32 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph or potential text input."""
+
+
+#: the most vertices for which every edge key u*n + v fits in int64
+MAX_VERTICES = math.isqrt(2**63 - 1)  # 3,037,000,499
+
+
+def _check_vertex_count(n: int) -> None:
+    """Reject n past MAX_VERTICES, before any array of length n is built."""
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"vertex count {n} is too large: edge keys u*n + v need n <= {MAX_VERTICES}")
+
+
+def _read_rows(lines: list[str], dtype) -> np.ndarray | None:
+    """The lines that are neither blank nor a comment as a structured array
+    of `dtype`, read by NumPy's C reader, or None if it refuses them.  It
+    splits fields where `str.split` does and reads numbers as `int()` and
+    `float()` do, but refuses spellings only they take (`1_0`, non-ASCII
+    digits).  A warning is a refusal: of no rows, or (NumPy 1.x) of the
+    float ``1.0`` read into an integer field."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        except (ValueError, Warning):
+            return None
 
 
 def _integer_rows(rows, width: int, bound: int) -> np.ndarray:
@@ -102,6 +129,7 @@ class DirectedCyclicGraph:
     def __init__(self, n: int, edges):
         if not isinstance(n, (int, np.integer)) or n < 3:
             raise ValueError(f"need an integer vertex count n >= 3, got {n!r}")
+        _check_vertex_count(n)
         rows = edges if isinstance(edges, np.ndarray) else list(edges)
         uv = _integer_rows(rows, 2, n)
         inside = ((uv >= 0) & (uv < n)).all(axis=1)
@@ -206,26 +234,46 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
 
     First non-comment line is ``n <int>``; each following non-comment line is
     ``u v`` with 0-based vertices.  ``#`` starts a comment.  Errors carry the
-    offending line number; of several, the earliest line's.  The line loop
-    only tokenises; the constructor checks ranges and repeats, once.
+    offending line number; of several, the earliest line's.  NumPy's C reader
+    reads the edges; the line loop reads what it refuses (every bad file, and
+    spellings such as ``1_0``), with the same result or error.
     """
     lines = text.splitlines()
-    n = None
-    linenos, vertices = [], []
-    error = None  # the first syntax error: it ends the scan
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split("#", 1)[0].split()
+        if parts:
+            break
+    else:
+        raise GraphFormatError("empty input: missing 'n <int>' header")
+    if len(parts) != 2 or parts[0] != "n":
+        raise GraphFormatError(f"line {lineno}: expected 'n <int>', got {raw!r}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+    if n < 3:
+        raise GraphFormatError(f"line {lineno}: need n >= 3, got {n}")
+    try:
+        _check_vertex_count(n)
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+    rows = _read_rows(lines[lineno:], [("uv", np.int64, 2)])
+    if rows is not None:
+        try:
+            return DirectedCyclicGraph(n, rows["uv"])
+        except _BadEdge:
+            pass
+    return _graph_from_lines(lines, n, lineno)
+
+
+def _graph_from_lines(lines: list[str], n: int, start: int) -> DirectedCyclicGraph:
+    """The graph on n vertices of the edge lines `lines[start:]`, by a loop
+    that only tokenises: the constructor checks ranges and repeats, once."""
+    linenos, vertices = [], []
+    error = None  # the first syntax error: it ends the scan
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        parts = raw.split("#", 1)[0].split()
         if not parts:
-            continue
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphFormatError(f"line {lineno}: expected 'n <int>', got {raw!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            if n < 3:
-                raise GraphFormatError(f"line {lineno}: need n >= 3, got {n}")
             continue
         if len(parts) != 2:
             error = f"line {lineno}: expected 'u v', got {raw!r}"
@@ -236,8 +284,6 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
             error = f"line {lineno}: non-integer vertex in {raw!r}"
             break
         linenos.append(lineno)
-    if n is None:
-        raise GraphFormatError("empty input: missing 'n <int>' header")
     try:
         g = DirectedCyclicGraph(n, np.array(vertices).reshape(-1, 2))
     except _BadEdge as exc:

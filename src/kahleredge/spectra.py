@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedCyclicGraph
+from .graphs import DirectedCyclicGraph, _check_vertex_count
 
 __all__ = [
     "Spectrum",
@@ -101,6 +101,7 @@ def make_circulant_regular(n: int, d: int) -> DirectedCyclicGraph:
     """Circulant graph with edges mu -> mu+1, ..., mu -> mu+d for every mu."""
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} for n={n}")
+    _check_vertex_count(n)
     sources = np.repeat(np.arange(n), d)
     targets = (sources + np.tile(np.arange(1, d + 1), n)) % n
     return DirectedCyclicGraph(n, np.stack([sources, targets], axis=1))

@@ -72,6 +72,18 @@ def test_generate_errors(capsys):
         assert err.startswith("error: ") and "takes only n" in err
 
 
+@pytest.mark.parametrize("n", [graphs.MAX_VERTICES + 1, 10**20])
+def test_too_many_vertices_is_a_data_error(capsys, tmp_path, n):
+    """Edge keys u*n + v must fit in int64: a larger n is refused with one
+    message, before any array of length n is built."""
+    message = f"vertex count {n} is too large: edge keys u*n + v need n <= 3037000499"
+    path = write_graph(tmp_path, f"n {n}\n0 1\n")
+    code, out, err = run(capsys, "distance", "--graph", path)
+    assert (code, out, err) == (2, "", f"error: bad graph file {path}: line 1: {message}\n")
+    for argv in (["ngon", str(n)], ["circulant", str(n), "2"], ["bidirected-ngon", str(n)]):
+        assert run(capsys, "generate", *argv) == (2, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------------- spectrum
 
 def test_spectrum_4gon_closed_form(capsys, tmp_path):

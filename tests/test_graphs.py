@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahleredge import graphs
+from kahleredge import graphs, spectra
 from kahleredge.graphs import DirectedCyclicGraph, GraphFormatError
 from kahleredge.dirac import connes_distance
 from kahleredge.operators import DenseOperator
@@ -94,6 +94,18 @@ def test_array_holders_compare_by_identity(name):
 
 
 # --------------------------------------------------------------- text format
+
+@pytest.mark.parametrize("n", [graphs.MAX_VERTICES + 1, 10**20])
+def test_vertex_count_past_int64_keys_is_refused(n):
+    assert graphs.MAX_VERTICES == 3_037_000_499
+    assert graphs.MAX_VERTICES**2 - 1 <= np.iinfo(np.int64).max < (graphs.MAX_VERTICES + 1)**2 - 1
+    for build in (lambda: DirectedCyclicGraph(n, [(0, 1)]),
+                  lambda: spectra.make_circulant_regular(n, 2)):
+        with pytest.raises(ValueError, match=f"vertex count {n} is too large"):
+            build()
+    with pytest.raises(GraphFormatError, match=f"^line 3: vertex count {n} is too large"):
+        graphs.parse_graph(f"# big\n\nn {n}\n0 1\n")
+
 
 def test_parse_graph_basic():
     g = graphs.parse_graph("n 3\n0 1\n1 2\n2 0")

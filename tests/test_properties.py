@@ -155,6 +155,113 @@ def test_parsed_potential_matches_the_keys(g, seed):
                 connection.parse_potential(line, g)
 
 
+# Hostile text for the readers: the whitespace `str.split` splits on and the
+# line breaks of `str.splitlines` beyond " \t\n", NUL, spellings that only
+# int() and float() take, and the non-finite floats.
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+hostile = st.lists(st.sampled_from(list("0123456789+-._e#\x00") + SPACES + BREAKS
+                                   + ["١", "inf", "nan"]), max_size=8).map("".join)
+
+
+def mostly(common, rare=hostile, one_in=10):
+    """`common`, or `rare` one time in `one_in`."""
+    return st.integers(1, one_in).flatmap(lambda k: rare if k == 1 else common)
+
+
+def hostile_texts(*fields):
+    """Texts of up to six lines, each of the given fields behind whitespace
+    (now and then a line break) with an optional comment, or hostile text;
+    each line ends in one of the line breaks."""
+    gaps = st.lists(mostly(st.sampled_from(SPACES), st.sampled_from(BREAKS), one_in=20),
+                    min_size=len(fields), max_size=len(fields))
+    line = st.tuples(st.tuples(*(mostly(field, one_in=20) for field in fields)), gaps,
+                     st.sampled_from(["", " # 0 1", "#"]), st.sampled_from(BREAKS))
+    line = line.map(lambda t: "".join(gap + field for gap, field in zip(t[1], t[0])) + t[2] + t[3])
+    return st.lists(mostly(line), max_size=6).map("".join)
+
+
+def outcome(parse, *args):
+    """What `parse` returns, or the type and message of its ValueError."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+vertices = mostly(st.integers(0, 4).map(str),
+                  st.sampled_from(["+1", "-0", "007", "-1", "5", "1_0", "١", "1.0"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=hostile_texts(vertices, vertices))
+@example(body="0\xa01\r\n+2\t-0 # c\n\x1f3 4\x1f\x0b4\u30000")  # the C reader takes it
+@example(body="0 1\n1_0 2")  # int() takes 1_0, the C reader does not
+@example(body="0 1\n0 1")
+@example(body="")
+def test_graph_reader_agrees_with_the_line_loop(body):
+    text = "n 5\n" + body
+    assert (outcome(graphs.parse_graph, text)
+            == outcome(graphs._graph_from_lines, text.splitlines(), 5, 1))
+
+
+POTENTIAL_GRAPH = spectra.make_circulant_regular(5, 2)
+triples = mostly(st.sampled_from(PotentialCoefficients.valid_keys(POTENTIAL_GRAPH).tolist()),
+                 st.lists(st.integers(-1, 5), min_size=3, max_size=3)).map(
+                     lambda key: "%d %d %d" % tuple(key))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+coefficients = mostly(finite.map(repr) | finite.map("%.17g".__mod__) | finite.map("%.5e".__mod__),
+                      st.floats().map(repr) | st.sampled_from(["1_0.5", "١", "+.5", "-0", "1."]))
+
+
+def values_of(parse, *args):
+    result = outcome(parse, *args)
+    return result.values.tobytes() if isinstance(result, PotentialCoefficients) else result
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=hostile_texts(triples, coefficients, coefficients))
+@example(text="0 1 0 -0.0 1e-320\r\n\xa01\x1f2\t1 +.5 1. # c\n\x85")  # the C reader takes it
+@example(text="0 1 0 1_0.5 0")  # float() takes 1_0.5, the C reader does not
+@example(text="0 1 0 inf 0")
+@example(text="0 1 0 1 0\n0 1 0 2 0")
+@example(text="# nothing")
+def test_potential_reader_agrees_with_the_line_loop(text):
+    assert (values_of(connection.parse_potential, text, POTENTIAL_GRAPH)
+            == values_of(connection._potential_from_lines, text.splitlines(), POTENTIAL_GRAPH))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_printed_floats_are_read_bitwise(data):
+    """Every coefficient written with repr or "%.17g" reads back as float()
+    reads it, bit for bit, through the C reader."""
+    keys = PotentialCoefficients.valid_keys(POTENTIAL_GRAPH).tolist()
+    floats = data.draw(st.lists(finite, min_size=2 * len(keys), max_size=2 * len(keys)))
+    texts = [repr(x) if k % 2 else "%.17g" % x for k, x in enumerate(floats)]
+    text = "".join("%d %d %d %s %s\n" % (*key, *texts[2 * i:2 * i + 2])
+                   for i, key in enumerate(keys))
+    c = connection.parse_potential(text, POTENTIAL_GRAPH)
+    assert c.values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+def test_clean_files_skip_the_line_loop(monkeypatch):
+    """A well-formed file never reaches the line loop."""
+    def fail(*args):
+        raise AssertionError("the line loop ran")
+
+    g = spectra.make_circulant_regular(40, 3)
+    text = graphs.format_graph(g).replace("\n", " # edge\r\n", 7)
+    rng = np.random.default_rng(3)
+    c = PotentialCoefficients.random(g, rng)
+    potential = "".join(f"{mu} {nu} {nup} {c.get(mu, nu, nup).real!r} {c.get(mu, nu, nup).imag!r}\n"
+                        for mu, nu, nup in PotentialCoefficients.valid_keys(g).tolist())
+    monkeypatch.setattr(graphs, "_graph_from_lines", fail)
+    monkeypatch.setattr(connection, "_potential_from_lines", fail)
+    assert graphs.parse_graph(text) == g
+    assert connection.parse_potential(potential, g).values.tobytes() == c.values.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=graphs_st, seed=seeds)
 @example(g=EMPTY, seed=0)
@@ -483,22 +590,36 @@ def reference_rows(mat, json=False):
 
 
 def reference_text(mat, json=False):
-    return "".join(row + "\n" for row in reference_rows(mat, json))
+    """The rows as `cli._blocks` writes them: each ends in a newline, or in
+    "],[" in JSON."""
+    return "".join(row + ("],[" if json else "\n") for row in reference_rows(mat, json))
 
 
 # values that repeat across row blocks, with the sign of zero and the
 # extremes of the 17-digit format among them
 POOL = [0.0, -0.0, math.inf, 5e-324, 1e16, 1e17]
+# pools of integers and inf: the widest text of a block with its separator is
+# one byte wider than the widest integer (",", "\n"), or three ("],[")
+narrow_pools = st.lists(st.integers(-10**16, 10**16).map(float) | st.just(math.inf),
+                        min_size=1, max_size=4)
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 600), cols=st.integers(0, 4), seed=seeds)
-@example(rows=cli.ROW_BLOCK, cols=2, seed=0)
-@example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1)
-@example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2)
-def test_printed_rows_match_the_per_cell_format(rows, cols, seed):
+@given(rows=st.integers(1, 600), cols=st.integers(0, 4), seed=seeds,
+       pool=st.none() | narrow_pools)
+@example(rows=cli.ROW_BLOCK, cols=2, seed=0, pool=None)
+@example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1, pool=None)
+@example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2, pool=None)
+# the widest text with its separator: 16 bytes in CSV (a byte gather) and 18 in
+# JSON; 17 in CSV; 16 in JSON; 17 in JSON
+@example(rows=5, cols=3, seed=3, pool=[0.0, 123456789012345.0, math.inf])
+@example(rows=5, cols=3, seed=4, pool=[0.0, 1234567890123456.0, 7.0])
+@example(rows=5, cols=3, seed=5, pool=[-0.0, 1234567890123.0, math.inf])
+@example(rows=5, cols=3, seed=6, pool=[1.0, -1234567890123.0, math.inf])
+def test_printed_rows_match_the_per_cell_format(rows, cols, seed, pool):
     rng = np.random.default_rng(seed)
-    pool = np.concatenate([POOL, rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
+    if pool is None:
+        pool = np.concatenate([POOL, rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
     lap = np.empty((rows, cols), dtype=complex)  # 1j * inf would put nan in .real
     lap.real, lap.imag = rng.choice(pool, (2, rows, cols))
     # contiguous, strided, interleaved and transposed views
