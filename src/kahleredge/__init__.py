@@ -30,6 +30,7 @@ from .graphs import (
 from .polygon import Calculus, GradedForm, VertexFunction, make_calculus
 from .spectra import (
     Spectrum,
+    circulant_spectrum,
     eig_selfadjoint,
     gershgorin_radius,
     make_circulant_regular,
@@ -57,6 +58,7 @@ __all__ = [
     "apply_laplacian",
     "Spectrum",
     "eig_selfadjoint",
+    "circulant_spectrum",
     "ngon_closed_form",
     "gershgorin_radius",
     "make_circulant_regular",

@@ -1,21 +1,25 @@
 """Command-line interface.
 
 Subcommands: ``spectrum``, ``laplacian``, ``distance``, ``verify`` and
-``generate``.  Data goes to standard output, warnings and diagnostics to
-standard error.  Exit codes: 0 success, 1 usage error, 2 data error (also a
-Laplacian with a non-finite entry), 3 check failure.  Floats print with 17
-significant digits, unbounded distances as ``inf`` (``"inf"`` in JSON); each
-distinct value of a block of rows is formatted once, with its separator, and
-gathered per entry, which gives the same bytes as formatting every entry:
-as bytes out of a padded table when every text of the block is at most 16
-bytes wide (hop counts, ``inf``, small integers), else as a join of string
-objects (17-digit floats).  CSV:
-``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row per
-line with ``re,im`` interleaved per entry, ``distance`` the distances, then
-the lower and the upper bracket, stacked.  An empty matrix prints no line.
-``distance`` warns on standard error that some distances are infinite when
-two or more vertices have no outgoing edge: each such vertex cuts the cycle,
-and two cuts part it into pieces no constraint links.
+``generate``.  ``spectrum`` solves a circulant graph under a
+rotation-invariant potential (the unit and zero potentials among them) from
+its n Fourier blocks (`spectra.circulant_spectrum`), every other input by
+the dense self-adjoint eigensolver on the assembled Laplacian.  Data goes to
+standard output, warnings and diagnostics to standard error.  Exit codes: 0
+success, 1 usage error, 2 data error (also a Laplacian with a non-finite
+entry, and an input too large for memory), 3 check failure.  Floats print
+with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
+JSON); each distinct value of a block of rows is formatted once, with its
+separator, and gathered per entry, which gives the same bytes as formatting
+every entry: as bytes out of a padded table when every text of the block is
+at most 16 bytes wide (hop counts, ``inf``, small integers), else as a join
+of string objects (17-digit floats).  CSV: ``spectrum`` prints one
+eigenvalue per line, ``laplacian`` one matrix row per line with ``re,im``
+interleaved per entry, ``distance`` the distances, then the lower and the
+upper bracket, stacked.  An empty matrix prints no line.  ``distance`` warns
+on standard error that some distances are infinite when two or more vertices
+have no outgoing edge: each such vertex cuts the cycle, and two cuts part it
+into pieces no constraint links.
 
 Vertices are 0-based everywhere; vertex arithmetic is mod n.
 """
@@ -153,24 +157,26 @@ def _load_potential(spec: str, g: graphs.DirectedCyclicGraph) -> connection.Pote
 
 
 def _is_directed_ngon(g: graphs.DirectedCyclicGraph) -> bool:
-    return g == spectra.make_circulant_regular(g.n, 1)
+    mu = np.arange(g.n)
+    return np.array_equal(g.keys, mu * g.n + (mu + 1) % g.n)
 
 
-def _laplacian(args) -> tuple[graphs.DirectedCyclicGraph, np.ndarray]:
-    """The graph of `args` and the matrix of its twisted edge Laplacian under
-    the potential of `args`; a data error if an entry is not finite."""
-    g = _load_graph(args.graph)
-    c = _load_potential(args.potential, g)
+def _laplacian(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray:
+    """The matrix of the twisted edge Laplacian of g under c; a data error if
+    an entry is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         mat = connection.laplacian(g, c)
     if not np.isfinite(mat).all():
         raise DataError("the Laplacian has non-finite entries: the potential overflows")
-    return g, mat
+    return mat
 
 
 def cmd_spectrum(args) -> int:
-    g, mat = _laplacian(args)
-    eigs = spectra.eig_selfadjoint(mat).eigenvalues
+    g = _load_graph(args.graph)
+    c = _load_potential(args.potential, g)
+    eigs = spectra.circulant_spectrum(g, c)
+    if eigs is None:
+        eigs = spectra.eig_selfadjoint(_laplacian(g, c)).eigenvalues
     if args.closed_form:
         if not _is_directed_ngon(g):
             raise DataError("--closed-form applies only to the directed n-gon")
@@ -191,7 +197,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_laplacian(args) -> int:
-    _, mat = _laplacian(args)
+    g = _load_graph(args.graph)
+    mat = _laplacian(g, _load_potential(args.potential, g))
     if args.format == "json":
         _print_json('"rows":%d,"cols":%d' % mat.shape, {"real": mat.real, "imag": mat.imag})
     else:
@@ -335,6 +342,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DataError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}: the input is too large for memory",
+              file=sys.stderr)
         return EXIT_DATA
 
 

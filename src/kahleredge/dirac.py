@@ -47,11 +47,11 @@ exact on the diagonal Y.  The certified functions are real, so the bracket
 builds neither D nor dbar and takes no SVD.
 
 SciPy is imported only inside the functions that use it, so the exact
-distances and everything else outside the numeric bracket and the operator
-norms load on numpy alone.  `linprog` is a module-level function that
-forwards to SciPy's `milp`, HiGHS with no integer variable, because it is the
-seam at which the benchmark's tracer (`perfbench/spans.py`) wraps the LP
-solver, by this name.
+distances and everything else outside the numeric bracket load on numpy
+alone (the operator norms are numpy's SVD).  `linprog` is a module-level
+function that forwards to SciPy's `milp`, HiGHS with no integer variable,
+because it is the seam at which the benchmark's tracer
+(`perfbench/spans.py`) wraps the LP solver, by this name.
 """
 
 from __future__ import annotations
@@ -120,14 +120,15 @@ def commutator_with_function(D: np.ndarray, f, g: DirectedCyclicGraph) -> np.nda
     return D * (diag[..., np.newaxis, :] - diag[..., :, np.newaxis])
 
 
-def operator_norm(M) -> float:
-    """Largest singular value."""
-    from scipy.linalg import svdvals
-
+def operator_norm(M) -> float | np.ndarray:
+    """Largest singular value of a matrix, a float; of a stack of shape
+    (..., r, c), an array of shape (...), from one batched SVD."""
     mat = np.asarray(M, dtype=complex)
-    if mat.size == 0:
-        return 0.0
-    return float(svdvals(mat)[0])
+    if 0 in mat.shape[-2:]:
+        norms = np.zeros(mat.shape[:-2])
+    else:
+        norms = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    return float(norms) if mat.ndim == 2 else norms
 
 
 def linprog(*args, **kwargs):

@@ -28,6 +28,11 @@ __all__ = ["CheckResult", "run_checks"]
 POLYGON_NS = (3, 4, 5, 8, 12)
 #: n-range for the spectral golden checks
 SPECTRAL_MAX_N = 64
+#: complex entries in one stack of commutators (16 MB): bounds the memory of
+#: `commutator-norm-formula` on large graphs, whose commutators are 2m x 2m
+COMMUTATOR_CELLS = 2**20
+#: unit-potential circulants (n, d) on which the Fourier route is pinned
+FOURIER_ROUTE_CASES = ((8, 1), (8, 3), (7, 6))
 
 
 @dataclass(frozen=True)
@@ -290,12 +295,15 @@ def spectral_checks(max_n: int = SPECTRAL_MAX_N) -> list[CheckResult]:
     out.append(CheckResult(f"kernel-parity[n<={max_n}]", res_parity, 0.5))
     out.append(CheckResult(f"alternating-kernel[n<={max_n}]", res_kernel, 1e-9))
 
-    res_bound, res_top, res_sum, res_trace = 0.0, 0.0, 0.0, 0.0
+    res_bound, res_top, res_sum, res_trace, res_route = 0.0, 0.0, 0.0, 0.0, 0.0
     for n in range(3, 9):
         for d in range(1, n):
             g = spectra.make_circulant_regular(n, d)
-            lap = connection.laplacian(g, connection.PotentialCoefficients.unit(g))
+            unit = connection.PotentialCoefficients.unit(g)
+            lap = connection.laplacian(g, unit)
             eigs = spectra.eig_selfadjoint(lap).eigenvalues
+            if (n, d) in FOURIER_ROUTE_CASES:
+                res_route = max(res_route, _route_gap(g, unit, eigs))
             bound = float((d + 1) ** 2)
             res_bound = max(res_bound, float(-eigs[0]), float(eigs[-1]) - bound)
             res_top = max(res_top, abs(float(eigs[-1]) - bound))
@@ -311,7 +319,27 @@ def spectral_checks(max_n: int = SPECTRAL_MAX_N) -> list[CheckResult]:
     out.append(CheckResult("regular-top-eigenvector", res_top, 1e-9))
     out.append(CheckResult("regular-row-col-sums", res_sum, 1e-9))
     out.append(CheckResult("trace-conservation", res_trace, 1e-9))
+
+    # the Fourier route under a complex rotation-invariant potential on
+    # circulant 8 3, written key by key: c[mu, mu + o, mu - 1 + o'] is
+    # Z[o - 1, o' - 1] for the offsets o, o' in 1..3
+    g = spectra.make_circulant_regular(8, 3)
+    z = np.array([[1.0, 2j, -0.5], [0.25 + 1j, -1.0, 0.5j], [2.0, -1j, 0.75 - 0.5j]])
+    c = connection.PotentialCoefficients(g, {
+        (mu, (mu + a + 1) % 8, (mu + b) % 8): z[a, b]
+        for mu in range(8) for a in range(3) for b in range(3)})
+    eigs = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
+    res_route = max(res_route, _route_gap(g, c, eigs))
+    out.append(CheckResult("circulant-fourier-route", res_route, 1e-9))
     return out
+
+
+def _route_gap(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients,
+               eigs: np.ndarray) -> float:
+    """Largest gap between the Fourier route's eigenvalues and the dense
+    `eigs`; inf when the route does not take the input."""
+    route = spectra.circulant_spectrum(g, c)
+    return math.inf if route is None else float(np.max(np.abs(route - eigs)))
 
 
 # ----------------------------------------------------------------- distances
@@ -334,15 +362,16 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
         res = max(res, float(np.max(np.abs(other - base))) if base.size else 0.0)
     out.append(CheckResult(f"commutator-potential-free[{tag}]", res, 1e-12))
 
-    # operator norm of the commutator equals the largest adjacent difference
-    res = 0.0
-    for _ in range(25):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        nrm = operator_norm(commutator_with_function(D, f, g))
-        # hypot, as abs of a complex scalar: np.abs of an array can round the last bit apart
-        diffs = f[g.sources] - f[(g.sources + 1) % n]
-        expect = float(np.max(np.hypot(diffs.real, diffs.imag), initial=0.0))
-        res = max(res, abs(nrm - expect))
+    # operator norm of the commutator equals the largest adjacent difference:
+    # 25 samples, their commutators stacked COMMUTATOR_CELLS cells at a time
+    f = _complex_normal(rng, (25, n))
+    step = max(1, COMMUTATOR_CELLS // max(1, 4 * g.num_edges**2))
+    nrm = np.concatenate([operator_norm(commutator_with_function(D, f[k:k + step], g))
+                          for k in range(0, len(f), step)])
+    # hypot, as abs of a complex scalar: np.abs of an array can round the last bit apart
+    diffs = f[:, g.sources] - f[:, (g.sources + 1) % n]
+    expect = np.max(np.hypot(diffs.real, diffs.imag), axis=1, initial=0.0)
+    res = float(np.max(np.abs(nrm - expect)))
     out.append(CheckResult(f"commutator-norm-formula[{tag}]", res, 1e-9))
 
     dmat = all_pairs_distances(g)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kahleredge import cli, connection, dirac, graphs
+from kahleredge import cli, connection, dirac, graphs, spectra
 
 
 def run(capsys, *argv):
@@ -82,6 +82,21 @@ def test_too_many_vertices_is_a_data_error(capsys, tmp_path, n):
     assert (code, out, err) == (2, "", f"error: bad graph file {path}: line 1: {message}\n")
     for argv in (["ngon", str(n)], ["circulant", str(n), "2"], ["bidirected-ngon", str(n)]):
         assert run(capsys, "generate", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_out_of_memory_is_a_data_error(capsys, tmp_path, monkeypatch):
+    """A graph that fits the int64 keys but not in memory is a one-line data
+    error; the allocation is faked, never made."""
+    message = ("Unable to allocate 22.6 GiB for an array with shape (3037000500,) "
+               "and data type int64")
+
+    def too_large(text):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(graphs, "parse_graph", too_large)
+    path = write_graph(tmp_path, "n 3037000499\n0 1\n")
+    assert run(capsys, "distance", "--graph", path) == (
+        2, "", f"error: {message}: the input is too large for memory\n")
 
 
 # ------------------------------------------------------------------- spectrum
@@ -190,6 +205,75 @@ def test_overflowing_laplacian_is_a_data_error(capsys, tmp_path, command, fmt):
                          "--format", fmt)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "non-finite" in err
+
+
+def test_spectrum_of_a_circulant_takes_the_fourier_route(capsys, tmp_path, monkeypatch):
+    _, text, _ = run(capsys, "generate", "circulant", "64", "4")
+    path = write_graph(tmp_path, text)
+    g = graphs.parse_graph(text)
+    dense = spectra.eig_selfadjoint(
+        connection.laplacian(g, connection.PotentialCoefficients.unit(g))).eigenvalues
+
+    def refuse(*args):
+        raise AssertionError("the dense route ran")
+
+    monkeypatch.setattr(spectra, "eig_selfadjoint", refuse)
+    code, out, err = run(capsys, "spectrum", "--graph", path)
+    assert code == 0 and err == ""
+    eigs = np.array(json.loads(out)["eigenvalues"])
+    assert eigs.shape == dense.shape
+    assert np.abs(eigs - dense).max() <= 1e-12 * dense.max()
+
+
+@pytest.mark.parametrize("change", ["ulp", "edge removed", "self-loop added"])
+def test_spectrum_off_the_fourier_route_is_the_dense_solve(capsys, tmp_path, change):
+    """One coefficient one ulp off a rotation-invariant potential, one edge
+    removed or one self-loop added: the dense route, bit for bit."""
+    n, offsets = 9, (2, 7)
+    edges = [(mu, (mu + o) % n) for mu in range(n) for o in offsets]
+    if change == "edge removed":
+        edges.remove((4, 6))
+    elif change == "self-loop added":
+        edges.append((4, 4))
+    g = graphs.DirectedCyclicGraph(n, edges)
+    # Z[a, b] = 0.25 a - 0.5 b + (0.5 + ab) i on the keys the graph has
+    keys = [(mu, (mu + oa) % n, (mu - 1 + ob) % n, a, b)
+            for mu in range(n) for a, oa in enumerate(offsets) for b, ob in enumerate(offsets)]
+    lines = [f"{mu} {nu} {nup} {0.25 * a - 0.5 * b!r} {0.5 + a * b!r}"
+             for mu, nu, nup, a, b in keys
+             if connection.PotentialCoefficients.is_valid_key(g, mu, nu, nup)]
+    if change == "ulp":  # off a potential that takes the route
+        unnudged = connection.parse_potential("\n".join(lines), g)
+        assert spectra.circulant_spectrum(g, unnudged) is not None
+        head, im = lines[5].rsplit(" ", 1)
+        lines[5] = f"{head} {float(np.nextafter(float(im), np.inf))!r}"
+    gpath = write_graph(tmp_path, graphs.format_graph(g))
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text("\n".join(lines) + "\n")
+    c = connection.parse_potential(ppath.read_text(), g)
+    assert spectra.circulant_spectrum(g, c) is None
+    code, out, err = run(capsys, "spectrum", "--graph", gpath, "--potential", str(ppath))
+    assert code == 0 and err == ""
+    dense = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
+    assert json.loads(out)["eigenvalues"] == dense.tolist()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_rotation_invariant_potential_is_a_data_error(
+        capsys, tmp_path, monkeypatch, fmt):
+    # every block of the 3-gon is 1e200: the Fourier route takes it and
+    # checks the entries of L, conj(Z) Z^T + I among them, as the dense route does
+    gpath = write_graph(tmp_path, ngon_text(3))
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text("0 1 0 1e200 0\n1 2 1 1e200 0\n2 0 2 1e200 0\n")
+    def refuse(*args):
+        raise AssertionError("the dense route ran")
+
+    monkeypatch.setattr(cli, "_laplacian", refuse)
+    code, out, err = run(capsys, "spectrum", "--graph", gpath, "--potential", str(ppath),
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: the Laplacian has non-finite entries: the potential overflows\n"
 
 
 # ------------------------------------------------------------------- distance

@@ -97,6 +97,16 @@ def test_operator_norm_matches_numpy_spectral_norm():
         assert dirac.operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
 
+def test_operator_norm_of_a_stack_is_the_norm_of_each_matrix():
+    rng = np.random.default_rng(44)
+    for shape in ((3, 5, 4), (2, 3, 6, 6), (4, 0, 3), (0, 2, 2)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        norms = dirac.operator_norm(a)
+        assert norms.shape == shape[:-2]
+        flat = a.reshape(norms.size, *shape[-2:])
+        assert norms.ravel().tolist() == [dirac.operator_norm(x) for x in flat]
+
+
 # -------------------------------------------------------------------- distance
 
 def test_neighbor_distance_is_one():

@@ -4,7 +4,8 @@ the cut-cycle distances, each against a reference written out here edge by
 edge; the numeric distance bracket against the exact distances, and the
 norm bound it certifies with against the SVD of the whole commutator; the
 Laplacian against the dense product dbar^dagger dbar, and its and the Dirac
-operator's structure; the matrix-free Laplacian against the assembled one,
+operator's structure; the Fourier route to the spectrum of a circulant
+against the dense solve; the matrix-free Laplacian against the assembled one,
 on stacks, and the key index it reads; the inner product on stacked
 vectors of the Hilbert space; the graph suites of `verify` on
 every graph; and the CLI's number format."""
@@ -518,6 +519,59 @@ def test_laplacian_is_positive_semidefinite(g, seed):
     eigs = np.linalg.eigvalsh(connection.laplacian(g, c))
     norm = np.abs(eigs).max(initial=0.0)
     assert eigs.min(initial=0.0) >= -1e-9 * max(1.0, norm)
+
+
+def circulant_with_potential(n, offsets, z):
+    """The circulant graph with the given offsets and the potential whose
+    blocks in offset order all equal z, written key by key:
+    c[mu, mu + o_a, mu - 1 + o_b] = z[a, b]."""
+    g = DirectedCyclicGraph(n, [(mu, (mu + o) % n) for mu in range(n) for o in offsets])
+    return g, PotentialCoefficients(g, {
+        (mu, (mu + oa) % n, (mu - 1 + ob) % n): z[a, b]
+        for mu in range(n) for a, oa in enumerate(offsets) for b, ob in enumerate(offsets)})
+
+
+# n in 3..40 and up to five offsets, 0 (a self-loop at every vertex) and
+# offsets whose edges wrap past vertex n - 1 included
+circulants_st = st.integers(3, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), max_size=5).map(sorted)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circulant=circulants_st, seed=seeds)
+@example(circulant=(3, []), seed=0)
+@example(circulant=(9, [0, 2, 7, 8]), seed=1)
+def test_fourier_route_is_the_dense_spectrum(circulant, seed):
+    """A circulant under a rotation-invariant potential takes the Fourier
+    route, which agrees with the dense solve; one coefficient one ulp off,
+    one edge removed, one self-loop added or one edge retargeted does not."""
+    n, offsets = circulant
+    rng = np.random.default_rng(seed)
+    d = len(offsets)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g, c = circulant_with_potential(n, offsets, z)
+    for pot in (c, PotentialCoefficients.unit(g), PotentialCoefficients.zero(g)):
+        dense = spectra.eig_selfadjoint(connection.laplacian(g, pot)).eigenvalues
+        route = spectra.circulant_spectrum(g, pot)
+        assert route is not None and route.shape == dense.shape
+        assert np.max(np.abs(route - dense), initial=0.0) <= 1e-12 * max(1.0, dense.max(initial=0.0))
+    if not d:
+        return
+    k = int(rng.integers(len(c.values)))
+    off = PotentialCoefficients(g)
+    off.values[:] = c.values
+    off.values[k] = complex(np.nextafter(c.values[k].real, np.inf), c.values[k].imag)
+    assert spectra.circulant_spectrum(g, off) is None
+    edges = list(g.edges)
+    mu, nu = edges.pop(int(rng.integers(len(edges))))
+    others = [DirectedCyclicGraph(n, edges)]
+    if 0 not in offsets:
+        others.append(DirectedCyclicGraph(n, [*g.edges, (mu, mu)]))
+    free = [v for v in range(n) if not g.has_edge(mu, v)]
+    if free:
+        others.append(DirectedCyclicGraph(n, [*edges, (mu, free[0])]))
+    for other in others:
+        assert spectra.circulant_spectrum(other, PotentialCoefficients.unit(other)) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kahleredge import graphs, verify
+from kahleredge import connection, dirac, graphs, verify
 from kahleredge.graphs import DirectedCyclicGraph
 from kahleredge.polygon import Calculus
 
@@ -23,7 +23,7 @@ GRAPH_SUITE = """
 SPECTRAL_SUITE = [
     "regulargon-closed-form[n<=64]", "kernel-parity[n<=64]", "alternating-kernel[n<=64]",
     "regular-gershgorin-top", "regular-top-eigenvector", "regular-row-col-sums",
-    "trace-conservation",
+    "trace-conservation", "circulant-fourier-route",
 ]
 
 
@@ -45,8 +45,29 @@ def test_run_checks_names_in_order():
                  if not (loop and name == "projector-idempotent")]
     want += SPECTRAL_SUITE
     got = [r.name for r in verify.run_checks(bidirected_8gon_with_loop(), seed=1)]
-    assert len(got) == 137
+    assert len(got) == 138
     assert got == want
+
+
+@pytest.mark.parametrize("cells", [verify.COMMUTATOR_CELLS, 1])
+def test_commutator_norm_formula_matches_the_sample_loop(monkeypatch, cells):
+    """The 25 samples as one stack, or one per stack, give bit for bit the
+    residual of a loop over single samples drawn from the same stream."""
+    g = bidirected_8gon_with_loop()
+    rng = np.random.default_rng(5)
+    rng.standard_normal(2 * g.n)  # the draws of commutator-potential-free
+    for _ in range(5):
+        connection.PotentialCoefficients.random(g, rng)
+    D = dirac.dirac_operator(g, connection.PotentialCoefficients.zero(g))
+    want = 0.0
+    for _ in range(25):
+        f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        nrm = dirac.operator_norm(dirac.commutator_with_function(D, f, g))
+        diffs = f[g.sources] - f[(g.sources + 1) % g.n]
+        want = max(want, abs(nrm - float(np.max(np.hypot(diffs.real, diffs.imag)))))
+    monkeypatch.setattr(verify, "COMMUTATOR_CELLS", cells)
+    got = {r.name: r.residual for r in verify.distance_checks(g, np.random.default_rng(5))}
+    assert got["commutator-norm-formula[|V|=8,|E|=17]"] == want
 
 
 def test_non_associative_wedge_fails_in_every_polygon_block(monkeypatch):
