@@ -19,7 +19,12 @@ interleaved per entry, ``distance`` the distances, then the lower and the
 upper bracket, stacked.  An empty matrix prints no line.  ``distance`` warns
 on standard error that some distances are infinite when two or more vertices
 have no outgoing edge: each such vertex cuts the cycle, and two cuts part it
-into pieces no constraint links.
+into pieces no constraint links.  ``spectrum --closed-form`` refuses a graph
+that is not the directed n-gon before any eigensolve.
+
+`main` builds its argument parser on the first call and reuses it for every
+later call in the same process; parsing does not change the parser, so the
+output, usage errors and help text are those of a fresh parser.
 
 Vertices are 0-based everywhere; vertex arithmetic is mod n.
 """
@@ -27,6 +32,7 @@ Vertices are 0-based everywhere; vertex arithmetic is mod n.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -174,12 +180,12 @@ def _laplacian(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficient
 def cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
     c = _load_potential(args.potential, g)
+    if args.closed_form and not _is_directed_ngon(g):
+        raise DataError("--closed-form applies only to the directed n-gon")
     eigs = spectra.circulant_spectrum(g, c)
     if eigs is None:
         eigs = spectra.eig_selfadjoint(_laplacian(g, c)).eigenvalues
     if args.closed_form:
-        if not _is_directed_ngon(g):
-            raise DataError("--closed-form applies only to the directed n-gon")
         closed = spectra.ngon_closed_form(g.n)[None]
         deviation = np.abs(eigs - closed).max(keepdims=True)
     if args.format == "json":
@@ -268,6 +274,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kahleredge",

@@ -130,10 +130,32 @@ def test_spectrum_csv_equals_json(capsys, tmp_path):
     assert from_json == from_csv  # identical after parsing, not just close
 
 
-def test_spectrum_closed_form_requires_ngon(capsys, tmp_path):
+def test_spectrum_closed_form_requires_ngon(capsys, tmp_path, monkeypatch):
+    """The n-gon check runs after loading the graph and the potential, before
+    either spectrum route; it also wins over a potential that overflows."""
+    def refuse(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(spectra, "circulant_spectrum", refuse)
+    monkeypatch.setattr(spectra, "eig_selfadjoint", refuse)
+    message = "error: --closed-form applies only to the directed n-gon\n"
     path = write_graph(tmp_path, "n 3\n0 1\n")
-    code, _, err = run(capsys, "spectrum", "--graph", path, "--closed-form")
-    assert code == 2 and "n-gon" in err
+    assert run(capsys, "spectrum", "--graph", path, "--closed-form") == (2, "", message)
+    _, text, _ = run(capsys, "generate", "circulant", "6", "2")
+    cut = write_graph(tmp_path, "".join(line + "\n" for line in text.splitlines()
+                                        if not line.startswith("3 ")), "cut.txt")
+    assert run(capsys, "spectrum", "--graph", cut, "--closed-form") == (2, "", message)
+    # the 3-gon with the chord 0->2 under a potential whose square overflows
+    chord = write_graph(tmp_path, ngon_text(3) + "0 2\n", "chord.txt")
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text("0 1 0 1e200 0\n")
+    assert run(capsys, "spectrum", "--graph", chord, "--potential", str(ppath),
+               "--closed-form") == (2, "", message)
+    # a bad potential file is still read, and refused, first
+    ppath.write_text("0 1 0 nan 0\n")
+    code, out, err = run(capsys, "spectrum", "--graph", chord, "--potential", str(ppath),
+                         "--closed-form")
+    assert (code, out) == (2, "") and "bad potential file" in err
 
 
 # ------------------------------------------------------------------ laplacian
@@ -451,6 +473,53 @@ def test_data_errors(capsys, tmp_path):
     bad = write_graph(tmp_path, "n 2\n0 1\n", "bad.txt")
     code, _, err = run(capsys, "spectrum", "--graph", bad)
     assert code == 2 and "bad graph file" in err
+
+
+# ------------------------------------------------------------- cached parser
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
+    """One sequence of calls, interleaving the subcommands, their usage and
+    data errors and the help texts, prints the same bytes and exit codes
+    whether every call builds a fresh parser or all share the cached one."""
+    graph = write_graph(tmp_path, ngon_text(4))
+    missing = str(tmp_path / "missing.txt")
+    spectrum = ("spectrum", "--graph", graph, "--closed-form")
+    laplacian = ("laplacian", "--graph", graph, "--potential", "zero", "--format", "csv")
+    distance = ("distance", "--graph", graph, "--numeric", "--seed", "3")
+    verify = ("verify", "--graph", graph, "--seed", "2")
+    generate = ("generate", "circulant", "5", "2")
+    calls = [
+        spectrum, laplacian, distance, verify, generate,
+        spectrum, ("spectrum", "--seed", "1"), spectrum,
+        distance, ("distance", "--graph", graph, "--potential", "unit"), distance,
+        verify, ("verify", "--seed", "-1"), verify,
+        generate, ("nosuchcommand",), generate,
+        laplacian, ("laplacian", "--graph", missing), laplacian,
+        distance, ("--help",), distance,
+        spectrum, ("distance", "--help"), spectrum,
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out.append(run(capsys, *argv))
+        return out
+
+    fresh, cached = answers(fresh=True), answers(fresh=False)
+    assert cached == fresh
+    codes = [code for code, _, _ in fresh]
+    assert codes == [0] * 6 + [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert fresh[21][1].startswith("usage: kahleredge [-h]")
+    assert fresh[24][1].startswith("usage: kahleredge distance [-h]")
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(10):
+        assert run(capsys, "generate", "ngon", "3")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 # ------------------------------------------------------------- golden stdout
