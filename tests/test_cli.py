@@ -625,3 +625,7 @@ def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
     code, out, _ = run(capsys, "laplacian", "--graph", path, "--potential", str(pot),
                        "--format", "csv")
     assert code == 0 and out == "".join(row + "\n" for row in per_cell(lap.view(float)))
+    code, out, _ = run(capsys, "laplacian", "--graph", path, "--potential", str(pot))
+    rows = lambda part: ",".join("[" + row + "]" for row in per_cell(part, json=True))
+    assert code == 0 and out == '{"rows":%d,"cols":%d,"real":[%s],"imag":[%s]}\n' % (
+        *lap.shape, rows(lap.real), rows(lap.imag))

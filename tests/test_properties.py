@@ -682,6 +682,40 @@ def test_printed_rows_match_the_per_cell_format(rows, cols, seed, pool):
         assert "".join(cli._blocks(mat, json=True)) == reference_text(mat, json=True)
 
 
+@st.composite
+def mostly_zero_matrices(draw):
+    """Mostly +0.0, with mostly distinct non-zero values, -0.0, 5e-324 and
+    inf among them, an all-zero row and a row with a non-zero last cell."""
+    rows, cols = draw(st.integers(1, 600)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(seeds))
+    values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    mat = np.where(rng.random((rows, cols)) < draw(st.floats(0.01, 0.4)), values, 0.0)
+    mat.flat[rng.integers(0, mat.size, 3)] = [-0.0, 5e-324, math.inf]
+    mat[rng.integers(rows)] = 0.0
+    mat[rng.integers(rows), -1] = 0.5
+    return mat
+
+
+# a block takes the zero-run route when its kept cells (not +0.0, or a row's
+# last) are fewer than twice its distinct values: the first five rows keep 7
+# cells of 4 distinct values (-0.0, 0.0, 5e-324, inf), all six rows keep 8
+BOUNDARY = np.zeros((6, 6))
+BOUNDARY[0, 0], BOUNDARY[1, 2], BOUNDARY[2, 5] = -0.0, 5e-324, math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(mat=mostly_zero_matrices())
+@example(mat=BOUNDARY[:5])
+@example(mat=BOUNDARY)
+def test_mostly_zero_rows_match_the_per_cell_format(mat):
+    lap = np.empty(mat.shape, dtype=complex)
+    lap.real, lap.imag = mat, mat[::-1]
+    # contiguous, strided, interleaved and transposed views
+    for view in (lap.real.copy(), lap.real, lap.imag, lap.view(float), lap.imag.T):
+        assert "".join(cli._blocks(view)) == reference_text(view)
+        assert "".join(cli._blocks(view, json=True)) == reference_text(view, json=True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(0, 600), cols=st.integers(0, 4), seed=seeds)
 @example(rows=0, cols=2, seed=0)
