@@ -9,20 +9,20 @@ standard output, warnings and diagnostics to standard error.  Exit codes: 0
 success, 1 usage error, 2 data error (also a Laplacian with a non-finite
 entry, and an input too large for memory), 3 check failure.  Floats print
 with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
-JSON), by one of three routes per block of rows, each giving the same bytes
-as formatting every entry: a block with fewer kept cells (those that are not
-``+0.0``, and each row's last) than twice its distinct values (a Laplacian
-block, distinct eigenvalues) formats each kept cell, after the run of zeros
-ahead of it, with one ``%``; any other block formats each distinct value
-once, with its separator, and gathers it per entry, as bytes out of a padded
-table when every text of the block is at most 16 bytes wide (hop counts,
-``inf``, small integers), else as a join of string objects (17-digit
-floats).  The rule sits at the measured crossover: without zeros, formatting
-the kept cells is the faster below 2-3 kept cells per distinct value
-(`_blocks`).  CSV: ``spectrum`` prints one eigenvalue per line,
-``laplacian`` one matrix row per line with ``re,im`` interleaved per entry,
-``distance`` the distances, then the lower and the upper bracket, stacked.
-An empty matrix prints no line.  ``distance`` warns on standard error that
+JSON), by routes that each give the same bytes as formatting every entry
+(`_blocks`).  The distances arrive as integer hop counts
+(`dirac.hop_counts`, ``dirac.UNBOUNDED`` = -1 for ``inf``), each the index
+of its text in one padded byte table per matrix: no sort and no search.  A
+block of floats with fewer kept cells (those that are not ``+0.0``, and each
+row's last) than twice its distinct values (a Laplacian block, distinct
+eigenvalues) formats each kept cell, after the run of zeros ahead of it,
+with one ``%``; any other block (the numeric bracket) formats each distinct
+value once and gathers its text per entry, as bytes when every text is at
+most 16 bytes wide, else as string objects (17-digit floats).  CSV:
+``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row
+per line with ``re,im`` interleaved per entry, ``distance`` the distances,
+then the lower and the upper bracket, stacked.  An empty matrix prints no
+line.  ``distance`` warns on standard error that
 some distances are infinite when two or more vertices have no outgoing edge:
 each such vertex cuts the cycle, and two cuts part it into pieces no
 constraint links.  ``spectrum --closed-form`` refuses a graph that is not
@@ -44,7 +44,7 @@ import sys
 import numpy as np
 
 from . import connection, graphs, spectra, verify
-from .dirac import all_pairs_distances, distance_bracket
+from .dirac import distance_bracket, hop_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,15 +81,49 @@ ROW_BLOCK = 256
 GATHER_WIDTH = 16
 
 
+def _tables(texts: list[str], end: str) -> tuple[np.ndarray, np.ndarray]:
+    """`texts` each followed by a comma, and each followed by `end`, as two
+    tables for `_gather`: string objects when a text is wider than
+    GATHER_WIDTH with its separator, else bytes NUL-padded to 1, 2, 4, 8 or
+    16, read as one unsigned integer up to 8 (a gather of machine words
+    beats one of 5-7 byte records, even with the longer padding to drop)."""
+    table = [s + "," for s in texts] + [s + end for s in texts]
+    width = max(map(len, table))
+    if width > GATHER_WIDTH:
+        table = np.array(table, dtype=object)
+    else:
+        width = 1 << (width - 1).bit_length()
+        table = np.array(table, dtype=f"S{width}").view(f"u{width}" if width <= 8 else f"V{width}")
+    return table[:len(texts)], table[len(texts):]
+
+
+def _gather(tables: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> str:
+    """The text of the rows of the integer array `index`: the entry of the
+    comma table at each cell, of the row-end table at each row's last cell.
+    Bytes are copied out of the padded table and the padding dropped;
+    objects are joined."""
+    commas, ends = tables
+    cells = commas[index]
+    cells[:, -1] = ends[index[:, -1]]
+    if cells.dtype == object:
+        return "".join(cells.ravel().tolist())
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _blocks(mat: np.ndarray, json: bool = False):
-    """The text of each block of ROW_BLOCK rows of the real 2-D array `mat`:
-    its entries with 17 significant digits (locale independent, `inf` for
+    """The text of each block of ROW_BLOCK rows of the 2-D array `mat`: its
+    entries with 17 significant digits (locale independent, `inf` for
     infinity, the string "inf" if `json`), each followed by a comma or, at
     the end of a row, by a newline, or by "],[" if `json`.
 
-    A block takes one of three routes, chosen from two counts: its distinct
-    bit patterns (`-0.0` apart from `0.0`), which one sort finds, and its
-    kept cells, those that are not `+0.0` plus each row's last cell.
+    An integer `mat` holds hop counts (`dirac.hop_counts`), UNBOUNDED (-1)
+    for infinity.  Each value is itself the index of its text in one table
+    per matrix: the texts of 0 to the largest value, then "inf" if some cell
+    is UNBOUNDED, which as -1 indexes the last; no sort and no search.  A
+    real `mat` is written a block at a time by one of three routes, chosen
+    from two counts: its distinct bit patterns (`-0.0` apart from `0.0`),
+    which one sort finds, and its kept cells, those that are not `+0.0` plus
+    each row's last cell.
 
     - Fewer kept cells than twice the distinct values (a block of the
       Laplacian, mostly zero with mostly distinct 17-digit floats; a row of
@@ -97,13 +131,15 @@ def _blocks(mat: np.ndarray, json: bool = False):
       cell ahead of it in its row, its format and its separator, one string
       per distinct (zeros ahead, row end) pair; the pieces are joined and
       one `%` formats the kept values.  Each kept value is formatted, so
-      the text costs with the kept cells, not with the whole block.
-    - Otherwise (hop counts, repeated eigenvalues) each distinct value is
-      formatted once, into a table of its text with either separator that
-      a `searchsorted` index gathers per cell.  When no text of the table
-      is wider than GATHER_WIDTH bytes, the gather copies bytes out of a
-      NUL-padded table and drops the padding; wider texts are gathered as
-      objects and joined.
+      the text costs with the kept cells, not with the whole block.  A block
+      with no zero cell (an eigenvalue row) skips the pieces: one `%` of the
+      row format repeated.
+    - Otherwise (repeated eigenvalues, the bracket of the distances) each
+      distinct value is formatted once, into a table of its text with
+      either separator that a `searchsorted` index gathers per cell.  When
+      no text of the table is wider than GATHER_WIDTH bytes, the gather
+      copies bytes out of a NUL-padded table and drops the padding; wider
+      texts are gathered as objects and joined.
 
     The rule sits at the measured crossover (2-vCPU host): on a 256 x 1024
     block of 17-digit floats with no zero, the first route is the faster
@@ -112,44 +148,53 @@ def _blocks(mat: np.ndarray, json: bool = False):
     faster on 3 to 64 distinct values (7-13 against 11-17 ms), the first
     route on distinct values (12 against 32 ms).
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = np.asarray(mat)
     end = "],[" if json else "\n"
+    hops = mat.dtype.kind == "i"
+    if hops:  # at most 10 digits (n <= 3,037,000,499), so always bytes
+        texts = list(map(str, range(mat.max(initial=0) + 1)))
+        if mat.min(initial=0) < 0:
+            texts.append('"inf"' if json else "inf")
+        tables = _tables(texts, end)
+    else:
+        mat = mat.astype(np.float64, copy=False)
     for start in range(0, mat.shape[0], ROW_BLOCK):
-        block = mat[start:start + ROW_BLOCK].view(np.int64)
+        block = mat[start:start + ROW_BLOCK]
         if block.shape[1] == 0:
             yield end * len(block)
             continue
+        if hops:
+            yield _gather(tables, block)
+            continue
+        block = block.view(np.int64)
         bits = np.sort(block, axis=None)
         bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
         keep = block != 0  # all but +0.0, and each row's last cell
         keep[:, -1] = True
-        if np.count_nonzero(keep) < 2 * len(bits):
+        kept = np.count_nonzero(keep)
+        if kept < 2 * len(bits):
             last = block.shape[1] - 1
-            cols = np.nonzero(keep)[1]
-            # twice the zeros ahead of each kept cell in its row, plus 1 at a
-            # row end: the step from the kept cell before, less 1, modulo the
-            # row length (at a row start, the cell before is a last column)
-            step = cols - np.concatenate(([last], cols[:-1]))
-            code = (step - 1) % block.shape[1] * 2 + (cols == last)
-            present = np.bincount(code)
-            pieces = np.empty(len(present), dtype=object)  # a string per code that occurs
-            for c in np.flatnonzero(present).tolist():
-                pieces[c] = "0," * (c >> 1) + "%.17g" + (end if c & 1 else ",")
-            text = "".join(pieces[code].tolist()) % tuple(block.view(np.float64)[keep].tolist())
+            if kept == keep.size:  # no zero cell: the row format, repeated
+                text = ("%.17g," * last + "%.17g" + end) * len(block) % tuple(
+                    block.view(np.float64).ravel().tolist())
+            else:
+                cols = np.nonzero(keep)[1]
+                # twice the zeros ahead of each kept cell in its row, plus 1 at
+                # a row end: the step from the kept cell before, less 1, modulo
+                # the row length (at a row start, the cell before is a last column)
+                step = cols - np.concatenate(([last], cols[:-1]))
+                code = (step - 1) % block.shape[1] * 2 + (cols == last)
+                present = np.bincount(code)
+                pieces = np.empty(len(present), dtype=object)  # a string per code that occurs
+                for c in np.flatnonzero(present).tolist():
+                    pieces[c] = "0," * (c >> 1) + "%.17g" + (end if c & 1 else ",")
+                text = "".join(pieces[code].tolist()) % tuple(block.view(np.float64)[keep].tolist())
             yield text.replace("inf", '"inf"') if json else text
             continue
         text = ["%.17g" % value for value in bits.view(np.float64).tolist()]
         if json:
             text = [s.replace("inf", '"inf"') for s in text]
-        table = [s + "," for s in text] + [s + end for s in text]
-        index = np.searchsorted(bits, block)
-        index[:, -1] += len(text)  # the row ends
-        width = max(map(len, table))
-        if width <= GATHER_WIDTH:
-            cells = np.array(table, dtype=f"S{width}").view(f"V{width}")[index]
-            yield cells.tobytes().translate(None, b"\0").decode("ascii")
-        else:
-            yield "".join(np.array(table, dtype=object)[index].ravel().tolist())
+        yield _gather(_tables(text, end), np.searchsorted(bits, block))
 
 
 def _print_rows(mat: np.ndarray) -> None:
@@ -263,7 +308,7 @@ def cmd_distance(args) -> int:
             "some distances are infinite",
             file=sys.stderr,
         )
-    mats = {"distances": all_pairs_distances(g)}
+    mats = {"distances": hop_counts(g)}
     if args.numeric:
         c = _load_potential(args.potential or "unit", g)
         mats["lower"], mats["upper"] = distance_bracket(g, c)

@@ -13,7 +13,9 @@ outgoing edge: the number of steps of the shorter of the forward and the
 backward walk from mu to nu that crosses no cut, or infinity when both do.
 The whole matrix is this closed form entry by entry: k = (nu - mu) mod n
 forward steps, n - k backward steps, each infinite where it reaches past the
-first cut ahead of its start.
+first cut ahead of its start.  It is computed in integers (`hop_counts`,
+UNBOUNDED where infinite) and converted to floats with math.inf by
+`all_pairs_distances` and `connes_distance`.
 
 An independent numeric route brackets the whole distance matrix at once.
 Upper bound: the unit ball only allows |f(lam) - f(lam+1)| <= 1 on those
@@ -71,7 +73,13 @@ __all__ = [
     "operator_norm",
     "connes_distance",
     "distance_bracket",
+    "hop_counts",
+    "UNBOUNDED",
 ]
+
+#: the hop count of an unbounded pair (`hop_counts`); as a table index, the last entry
+UNBOUNDED = -1
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceResult:
@@ -141,29 +149,47 @@ def linprog(*args, **kwargs):
 
 
 def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Distances from each vertex of `start` (rows) to each vertex of `end`
+    """Hop counts from each vertex of `start` (rows) to each vertex of `end`
     (columns): the shorter of the forward walk lam -> lam+1 from mu to nu,
     k = (nu - mu) mod n steps, and the one from nu to mu, n - k steps, where a
     walk that crosses a cut (the segment {lam, lam+1} of a vertex lam with no
-    outgoing edge) is inf."""
+    outgoing edge) is unbounded.  An integer array of entries 0..n-1, and
+    UNBOUNDED where both walks cross a cut; int32 unless 2n overflows it,
+    since the comparisons below reach n - room, with room up to 2n."""
     n = g.n
+    dtype = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
     cut = np.tile(g.out_degrees == 0, 2)
     # steps from each vertex to the first cut at or ahead of it (2n: none)
     next_cut = np.minimum.accumulate(np.where(cut, np.arange(2 * n), 2 * n)[::-1])[::-1]
-    room = next_cut[:n] - np.arange(n)
-    dist = np.subtract.outer(-start, -end, dtype=float)  # nu - mu at (mu, nu)
+    room = (next_cut[:n] - np.arange(n)).astype(dtype)
+    start, end = start.astype(dtype), end.astype(dtype)
+    dist = np.subtract.outer(-start, -end)  # nu - mu at (mu, nu)
     np.add(dist, n, out=dist, where=dist < 0)  # k, mod n without a division
-    # one float array and boolean masks: the backward walk, n - k steps (n on
-    # the diagonal, never taken there), replaces k where it crosses no cut and
-    # is shorter or the forward walk crosses one
+    # one integer array and boolean masks: the backward walk, n - k steps (n
+    # on the diagonal, never taken there), replaces k where it crosses no cut
+    # and is shorter or the forward walk crosses one
     back_open = dist >= n - room[end]  # n - k <= room[nu]
     ahead_cut = dist > room[start, None]
-    take_back = dist > n / 2  # n - k < k
+    take_back = dist > n // 2  # n - k < k
     take_back |= ahead_cut
     take_back &= back_open
     np.subtract(n, dist, out=dist, where=take_back)
-    np.copyto(dist, np.inf, where=ahead_cut > back_open)  # cut ahead and behind
+    np.copyto(dist, UNBOUNDED, where=ahead_cut > back_open)  # cut ahead and behind
     return dist
+
+
+def _as_float(hops: np.ndarray) -> np.ndarray:
+    """Hop counts as float distances, math.inf where UNBOUNDED."""
+    return np.where(hops == UNBOUNDED, math.inf, hops)
+
+
+def hop_counts(g: DirectedCyclicGraph) -> np.ndarray:
+    """Matrix of vertex distances as integers, the hop counts 0..n-1, with
+    UNBOUNDED (-1) at unbounded pairs: entry (mu, nu) is the shorter of the
+    forward walks mu -> nu and nu -> mu that crosses no cut, in closed form
+    per entry (int32 unless 2n overflows it, then int64)."""
+    every = np.arange(g.n)
+    return _walks(g, every, every)
 
 
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
@@ -171,7 +197,7 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     function."""
     if not all(isinstance(x, (int, np.integer)) and 0 <= x < g.n for x in (mu, nu)):
         raise ValueError(f"vertices must be integers in 0..{g.n - 1}, got ({mu}, {nu})")
-    dist = _walks(g, np.arange(g.n), np.array([nu]))[:, 0]
+    dist = _as_float(_walks(g, np.arange(g.n), np.array([nu]))[:, 0])
     value = float(dist[mu])
     if math.isinf(value):
         return DistanceResult(math.inf, None)
@@ -241,8 +267,8 @@ def distance_bracket(g: DirectedCyclicGraph,
 
 
 def all_pairs_distances(g: DirectedCyclicGraph) -> np.ndarray:
-    """Matrix of vertex distances; math.inf marks unbounded pairs.  Entry
-    (mu, nu) is the shorter of the forward walks mu -> nu and nu -> mu, each
-    inf where it crosses a cut, in closed form per entry."""
-    every = np.arange(g.n)
-    return _walks(g, every, every)
+    """Matrix of vertex distances as floats; math.inf marks unbounded pairs.
+    The hop counts of `hop_counts`, converted: entry (mu, nu) is the shorter
+    of the forward walks mu -> nu and nu -> mu, each unbounded where it
+    crosses a cut."""
+    return _as_float(hop_counts(g))

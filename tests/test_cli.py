@@ -594,6 +594,20 @@ def per_cell(mat, json=False):
     return [",".join(cell(x) for x in row) for row in mat.tolist()]
 
 
+def assert_same_text(out, expected):
+    """`out == expected`, failing in seconds: on multi-megabyte texts a bare
+    assert has pytest diff them for minutes.  Compares the lengths, then the
+    first differing line, then the whole text."""
+    assert len(out) == len(expected), f"{len(out)} characters, expected {len(expected)}"
+    for k, (line, want) in enumerate(zip(out.splitlines(), expected.splitlines())):
+        if line != want:
+            col = next((i for i, (a, b) in enumerate(zip(line, want)) if a != b),
+                       min(len(line), len(want)))
+            pytest.fail(f"line {k + 1} differs at column {col + 1}: "
+                        f"{line[max(0, col - 40):col + 40]!r} != {want[max(0, col - 40):col + 40]!r}")
+    assert out == expected
+
+
 def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
     n = 600
     code, text, _ = run(capsys, "generate", "circulant", str(n), "3")
@@ -608,10 +622,12 @@ def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
         assert (graph_text == sinks) == bool(np.isinf(dist).any())
         path = write_graph(tmp_path, graph_text)
         code, out, _ = run(capsys, "distance", "--graph", path, "--format", "csv")
-        assert code == 0 and out == "".join(row + "\n" for row in per_cell(dist))
+        assert code == 0
+        assert_same_text(out, "".join(row + "\n" for row in per_cell(dist)))
         code, out, _ = run(capsys, "distance", "--graph", path)
         rows = ",".join("[" + row + "]" for row in per_cell(dist, json=True))
-        assert code == 0 and out == '{"n":%d,"distances":[%s]}\n' % (n, rows)
+        assert code == 0
+        assert_same_text(out, '{"n":%d,"distances":[%s]}\n' % (n, rows))
 
     g = graphs.parse_graph(run(capsys, "generate", "circulant", "150", "2")[1])
     rng = np.random.default_rng(5)
@@ -624,8 +640,10 @@ def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
     path = write_graph(tmp_path, graphs.format_graph(g))
     code, out, _ = run(capsys, "laplacian", "--graph", path, "--potential", str(pot),
                        "--format", "csv")
-    assert code == 0 and out == "".join(row + "\n" for row in per_cell(lap.view(float)))
+    assert code == 0
+    assert_same_text(out, "".join(row + "\n" for row in per_cell(lap.view(float))))
     code, out, _ = run(capsys, "laplacian", "--graph", path, "--potential", str(pot))
     rows = lambda part: ",".join("[" + row + "]" for row in per_cell(part, json=True))
-    assert code == 0 and out == '{"rows":%d,"cols":%d,"real":[%s],"imag":[%s]}\n' % (
-        *lap.shape, rows(lap.real), rows(lap.imag))
+    assert code == 0
+    assert_same_text(out, '{"rows":%d,"cols":%d,"real":[%s],"imag":[%s]}\n' % (
+        *lap.shape, rows(lap.real), rows(lap.imag)))

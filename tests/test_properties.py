@@ -731,3 +731,37 @@ def test_printed_json_matches_the_per_cell_format(rows, cols, seed):
     assert out.getvalue() == '{"n":0%s}\n' % "".join(
         ',"%s":[%s]' % (name, ",".join("[" + row + "]" for row in reference_rows(mat, json=True)))
         for name, mat in mats.items())
+
+
+def path_graph(n, sinks):
+    """The directed n-gon without the out-edges of `sinks`: one sink leaves
+    hop counts up to n - 1, two or more leave unbounded pairs."""
+    return DirectedCyclicGraph(n, [(mu, (mu + 1) % n) for mu in range(n) if mu not in sinks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st)
+@example(g=EMPTY)
+@example(g=LOOPS_AND_SINKS)
+@example(g=ONE_CUT)
+@example(g=DirectedCyclicGraph(3, []))  # every vertex a sink: inf off the diagonal
+@example(g=path_graph(11, {10}))  # hop counts 0..10: texts of one and two digits
+@example(g=path_graph(101, {100}))  # 0..100: two and three digits
+@example(g=path_graph(cli.ROW_BLOCK + 44, {7, 150}))  # two row blocks, inf in both
+def test_hop_counts_print_as_the_float_distances(g):
+    hops = dirac.hop_counts(g)
+    dist = dirac.all_pairs_distances(g)
+    assert hops.dtype.kind == "i" and hops.shape == dist.shape
+    assert np.array_equal(hops, np.where(np.isinf(dist), dirac.UNBOUNDED, dist))
+    for json in (False, True):  # row by row: a failure lists the first differing row
+        end = "],[" if json else "\n"
+        assert "".join(cli._blocks(hops, json)).split(end) == reference_text(dist, json).split(end)
+
+
+# the smallest hop-count matrices, below the smallest graph (n = 3)
+@pytest.mark.parametrize("hops", [[[0]], [[dirac.UNBOUNDED]], [[0, 1]], [[dirac.UNBOUNDED], [0]]])
+def test_small_hop_count_matrices_print_as_floats(hops):
+    hops = np.array(hops, dtype=np.int32)
+    dist = np.where(hops == dirac.UNBOUNDED, math.inf, hops)
+    for json in (False, True):
+        assert "".join(cli._blocks(hops, json)) == reference_text(dist, json)
