@@ -9,16 +9,15 @@ standard output, warnings and diagnostics to standard error.  Exit codes: 0
 success, 1 usage error, 2 data error (also a Laplacian with a non-finite
 entry, and an input too large for memory), 3 check failure.  Floats print
 with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
-JSON), by routes that each give the same bytes as formatting every entry
-(`_blocks`).  The distances arrive as integer hop counts
-(`dirac.hop_counts`, ``dirac.UNBOUNDED`` = -1 for ``inf``), each the index
-of its text in one padded byte table per matrix: no sort and no search.  A
-block of floats with fewer kept cells (those that are not ``+0.0``, and each
-row's last) than twice its distinct values (a Laplacian block, distinct
-eigenvalues) formats each kept cell, after the run of zeros ahead of it,
-with one ``%``; any other block (the numeric bracket) formats each distinct
-value once and gathers its text per entry, as bytes when every text is at
-most 16 bytes wide, else as string objects (17-digit floats).  CSV:
+JSON), by two routes that each give the same bytes as formatting every
+entry (`_blocks`).  A block of whole numbers (the distances, which arrive as
+integer hop counts from `dirac.hop_counts` with ``dirac.UNBOUNDED`` = -1 for
+``inf``; the numeric bracket; the Laplacian of the unit or zero potential)
+prints by table index: each value is the index of its text in one padded
+byte table, with no sort and no search.  Any other block (eigenvalues, the
+Laplacian of a random potential) formats its kept cells (those that are not
+``+0.0``, and each row's last), after the run of zeros ahead of each, with
+one ``%``.  CSV:
 ``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row
 per line with ``re,im`` interleaved per entry, ``distance`` the distances,
 then the lower and the upper bracket, stacked.  An empty matrix prints no
@@ -76,38 +75,26 @@ def non_negative_int(text: str) -> int:
 
 #: rows formatted together: bounds the index arrays of one block
 ROW_BLOCK = 256
-#: the widest text, separator included, that a block gathers as bytes: a
-#: padded copy costs with the width, and past it joining objects is faster
-GATHER_WIDTH = 16
 
 
-def _tables(texts: list[str], end: str) -> tuple[np.ndarray, np.ndarray]:
-    """`texts` each followed by a comma, and each followed by `end`, as two
-    tables for `_gather`: string objects when a text is wider than
-    GATHER_WIDTH with its separator, else bytes NUL-padded to 1, 2, 4, 8 or
-    16, read as one unsigned integer up to 8 (a gather of machine words
-    beats one of 5-7 byte records, even with the longer padding to drop)."""
+def _gather(indexes, top: int, inf: bool, end: str):
+    """The text of the rows of each integer array of `indexes`, whose cells
+    are 0 to `top` and, if `inf`, the index of "inf" (top + 1, or -1): each
+    cell's text followed by a comma, the last of each row by `end`.  One
+    table serves every array: the texts with either separator, as bytes
+    NUL-padded to 1, 2, 4, 8 or 16 and read as one unsigned integer up to 8
+    (a gather of machine words beats one of 5-7 byte records, even with the
+    longer padding to drop); the cells are copied out of it and the padding
+    dropped."""
+    texts = list(map(str, range(top + 1))) + ['"inf"' if end == "],[" else "inf"] * inf
     table = [s + "," for s in texts] + [s + end for s in texts]
-    width = max(map(len, table))
-    if width > GATHER_WIDTH:
-        table = np.array(table, dtype=object)
-    else:
-        width = 1 << (width - 1).bit_length()
-        table = np.array(table, dtype=f"S{width}").view(f"u{width}" if width <= 8 else f"V{width}")
-    return table[:len(texts)], table[len(texts):]
-
-
-def _gather(tables: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> str:
-    """The text of the rows of the integer array `index`: the entry of the
-    comma table at each cell, of the row-end table at each row's last cell.
-    Bytes are copied out of the padded table and the padding dropped;
-    objects are joined."""
-    commas, ends = tables
-    cells = commas[index]
-    cells[:, -1] = ends[index[:, -1]]
-    if cells.dtype == object:
-        return "".join(cells.ravel().tolist())
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    width = 1 << (max(map(len, table)) - 1).bit_length()
+    table = np.array(table, dtype=f"S{width}").view(f"u{width}" if width <= 8 else f"V{width}")
+    commas, ends = table[:len(texts)], table[len(texts):]
+    for index in indexes:
+        cells = commas[index]
+        cells[:, -1] = ends[index[:, -1]]
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _blocks(mat: np.ndarray, json: bool = False):
@@ -116,85 +103,71 @@ def _blocks(mat: np.ndarray, json: bool = False):
     infinity, the string "inf" if `json`), each followed by a comma or, at
     the end of a row, by a newline, or by "],[" if `json`.
 
-    An integer `mat` holds hop counts (`dirac.hop_counts`), UNBOUNDED (-1)
-    for infinity.  Each value is itself the index of its text in one table
-    per matrix: the texts of 0 to the largest value, then "inf" if some cell
-    is UNBOUNDED, which as -1 indexes the last; no sort and no search.  A
-    real `mat` is written a block at a time by one of three routes, chosen
-    from two counts: its distinct bit patterns (`-0.0` apart from `0.0`),
-    which one sort finds, and its kept cells, those that are not `+0.0` plus
-    each row's last cell.
+    A block takes one of two routes.  Its kept cells are those that are not
+    `+0.0`, plus each row's last cell.
 
-    - Fewer kept cells than twice the distinct values (a block of the
-      Laplacian, mostly zero with mostly distinct 17-digit floats; a row of
-      distinct eigenvalues): each kept cell's piece is the "0," of each zero
+    - Table route: an integer `mat` (hop counts, `dirac.hop_counts`, with
+      UNBOUNDED = -1 for infinity), or a block of floats whose every kept
+      cell is `+inf` or a whole number, sign bit clear, below the block's
+      cell count (distances, the numeric bracket, the Laplacian of the unit
+      or zero potential).  Each cell is the index of its text in a table of
+      "0" to the largest value, then "inf" (`_gather`; one table for a whole
+      integer `mat`): no sort and no search.  The bytes are those of
+      "%.17g", which writes a whole number below 10**17 as `str(int(v))`;
+      the bound keeps every value far below that, and the table no longer
+      than the block.
+    - Kept-cell route, any other block (eigenvalues, the Laplacian of a
+      random potential): each kept cell's piece is the "0," of each zero
       cell ahead of it in its row, its format and its separator, one string
       per distinct (zeros ahead, row end) pair; the pieces are joined and
-      one `%` formats the kept values.  Each kept value is formatted, so
-      the text costs with the kept cells, not with the whole block.  A block
-      with no zero cell (an eigenvalue row) skips the pieces: one `%` of the
-      row format repeated.
-    - Otherwise (repeated eigenvalues, the bracket of the distances) each
-      distinct value is formatted once, into a table of its text with
-      either separator that a `searchsorted` index gathers per cell.  When
-      no text of the table is wider than GATHER_WIDTH bytes, the gather
-      copies bytes out of a NUL-padded table and drops the padding; wider
-      texts are gathered as objects and joined.
-
-    The rule sits at the measured crossover (2-vCPU host): on a 256 x 1024
-    block of 17-digit floats with no zero, the first route is the faster
-    below 2-3 kept cells per distinct value (about 0.3 against 0.6 s at 1,
-    0.24 against 0.17 s at 4); with 5% non-zero cells, the table is the
-    faster on 3 to 64 distinct values (7-13 against 11-17 ms), the first
-    route on distinct values (12 against 32 ms).
+      one `%` formats the kept values, so the text costs with the kept
+      cells, not with the whole block.  A block with no zero cell skips the
+      pieces: one `%` of the row format repeated.
     """
     mat = np.asarray(mat)
     end = "],[" if json else "\n"
-    hops = mat.dtype.kind == "i"
-    if hops:  # at most 10 digits (n <= 3,037,000,499), so always bytes
-        texts = list(map(str, range(mat.max(initial=0) + 1)))
-        if mat.min(initial=0) < 0:
-            texts.append('"inf"' if json else "inf")
-        tables = _tables(texts, end)
-    else:
-        mat = mat.astype(np.float64, copy=False)
-    for start in range(0, mat.shape[0], ROW_BLOCK):
+    if mat.shape[1] == 0:  # rows with no cell
+        if len(mat):
+            yield end * len(mat)
+        return
+    starts = range(0, len(mat), ROW_BLOCK)
+    if mat.dtype.kind == "i":  # hop counts: one table serves every block
+        yield from _gather((mat[start:start + ROW_BLOCK] for start in starts),
+                           int(mat.max()), bool(mat.min() < 0), end)
+        return
+    mat = mat.astype(np.float64, copy=False)
+    for start in starts:
         block = mat[start:start + ROW_BLOCK]
-        if block.shape[1] == 0:
-            yield end * len(block)
-            continue
-        if hops:
-            yield _gather(tables, block)
-            continue
-        block = block.view(np.int64)
-        bits = np.sort(block, axis=None)
-        bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
-        keep = block != 0  # all but +0.0, and each row's last cell
+        bits = block.view(np.int64)
+        keep = bits != 0  # all but +0.0, and each row's last cell
         keep[:, -1] = True
-        kept = np.count_nonzero(keep)
-        if kept < 2 * len(bits):
-            last = block.shape[1] - 1
-            if kept == keep.size:  # no zero cell: the row format, repeated
-                text = ("%.17g," * last + "%.17g" + end) * len(block) % tuple(
-                    block.view(np.float64).ravel().tolist())
-            else:
-                cols = np.nonzero(keep)[1]
-                # twice the zeros ahead of each kept cell in its row, plus 1 at
-                # a row end: the step from the kept cell before, less 1, modulo
-                # the row length (at a row start, the cell before is a last column)
-                step = cols - np.concatenate(([last], cols[:-1]))
-                code = (step - 1) % block.shape[1] * 2 + (cols == last)
-                present = np.bincount(code)
-                pieces = np.empty(len(present), dtype=object)  # a string per code that occurs
-                for c in np.flatnonzero(present).tolist():
-                    pieces[c] = "0," * (c >> 1) + "%.17g" + (end if c & 1 else ",")
-                text = "".join(pieces[code].tolist()) % tuple(block.view(np.float64)[keep].tolist())
-            yield text.replace("inf", '"inf"') if json else text
+        kept = bits[keep]
+        values = kept.view(np.float64)
+        infs = values == np.inf
+        # the sign bit set reads as a large unsigned integer, past the bound
+        if (((kept.view(np.uint64) < np.float64(block.size).view(np.uint64)) | infs).all()
+                and (np.floor(values) == values).all()):
+            top = int(values.max(initial=0, where=~infs))
+            # inf becomes top + 1, the index of its text; the cast is exact
+            index = np.minimum(block, top + 1, out=np.empty(block.shape, np.intp), casting="unsafe")
+            yield from _gather([index], top, bool(infs.any()), end)
             continue
-        text = ["%.17g" % value for value in bits.view(np.float64).tolist()]
-        if json:
-            text = [s.replace("inf", '"inf"') for s in text]
-        yield _gather(_tables(text, end), np.searchsorted(bits, block))
+        last = block.shape[1] - 1
+        if len(kept) == keep.size:  # no zero cell: the row format, repeated
+            text = ("%.17g," * last + "%.17g" + end) * len(block) % tuple(values.tolist())
+        else:
+            cols = np.nonzero(keep)[1]
+            # twice the zeros ahead of each kept cell in its row, plus 1 at
+            # a row end: the step from the kept cell before, less 1, modulo
+            # the row length (at a row start, the cell before is a last column)
+            step = cols - np.concatenate(([last], cols[:-1]))
+            code = (step - 1) % block.shape[1] * 2 + (cols == last)
+            present = np.bincount(code)
+            pieces = np.empty(len(present), dtype=object)  # a string per code that occurs
+            for c in np.flatnonzero(present).tolist():
+                pieces[c] = "0," * (c >> 1) + "%.17g" + (end if c & 1 else ",")
+            text = "".join(pieces[code].tolist()) % tuple(values.tolist())
+        yield text.replace("inf", '"inf"') if json else text
 
 
 def _print_rows(mat: np.ndarray) -> None:

@@ -17,6 +17,7 @@ kept on it (`DirectedCyclicGraph.edge_pairs`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -131,18 +132,28 @@ class PotentialCoefficients:
 def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficients:
     """Parse lines ``mu nu nuP re im``; ``#`` starts a comment.  Each triple
     may appear at most once.  Errors carry the offending line number; of
-    several, the earliest line's.  NumPy's C reader reads the lines; the line
-    loop reads what it refuses (every bad file, and spellings such as
-    ``1_0``), with the same result or error."""
+    several, the earliest line's.  NumPy's C reader reads the lines, and an
+    invalid or repeated triple in what it reads is the error of the line
+    that holds it; the line loop reads what it refuses (every other bad
+    file, and spellings such as ``1_0``), with the same result or error."""
     lines = text.splitlines()
     rows = _read_rows(lines, [("key", np.int64, 3), ("value", np.float64, 2)])
-    if rows is not None and np.isfinite(rows["value"]).all():
-        c = PotentialCoefficients(graph)
-        positions = c.positions(*rows["key"].T)
-        if _first_bad(positions >= 0, positions)[1] is None:
-            c.values[positions] = rows["value"].view(complex)[:, 0]
-            return c
-    return _potential_from_lines(lines, graph)
+    if rows is None or not np.isfinite(rows["value"]).all():
+        return _potential_from_lines(lines, graph)
+    c = PotentialCoefficients(graph)
+    positions = c.positions(*rows["key"].T)
+    _, bad, repeat = _first_bad(positions >= 0, positions)
+    if bad is not None:  # row `bad` is the bad-th line that is neither blank nor a comment
+        linenos = (k for k, raw in enumerate(lines, start=1) if raw.split("#", 1)[0].split())
+        lineno = next(itertools.islice(linenos, bad, None))
+        raise _triple_error(lineno, tuple(rows["key"][bad].tolist()), repeat)
+    c.values[positions] = rows["value"].view(complex)[:, 0]
+    return c
+
+
+def _triple_error(lineno: int, key: tuple, repeat: bool) -> GraphFormatError:
+    kind = "duplicate" if repeat else "invalid"
+    return GraphFormatError(f"line {lineno}: {kind} potential triple {key}")
 
 
 def _potential_from_lines(lines: list[str], graph: DirectedCyclicGraph) -> PotentialCoefficients:
@@ -173,8 +184,7 @@ def _potential_from_lines(lines: list[str], graph: DirectedCyclicGraph) -> Poten
     positions = c.positions(*_integer_rows(keys, 3, graph.n).T)
     _, bad, repeat = _first_bad(positions >= 0, positions)
     if bad is not None:
-        kind = "duplicate" if repeat else "invalid"
-        raise GraphFormatError(f"line {linenos[bad]}: {kind} potential triple {keys[bad]}")
+        raise _triple_error(linenos[bad], keys[bad], repeat)
     if error is not None:
         raise GraphFormatError(error)
     c.values[positions] = values

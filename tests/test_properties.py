@@ -247,7 +247,8 @@ def test_printed_floats_are_read_bitwise(data):
 
 
 def test_clean_files_skip_the_line_loop(monkeypatch):
-    """A well-formed file never reaches the line loop."""
+    """A well-formed file, or a potential file whose only fault is an
+    invalid or repeated triple, never reaches the line loop."""
     def fail(*args):
         raise AssertionError("the line loop ran")
 
@@ -261,6 +262,13 @@ def test_clean_files_skip_the_line_loop(monkeypatch):
     monkeypatch.setattr(connection, "_potential_from_lines", fail)
     assert graphs.parse_graph(text) == g
     assert connection.parse_potential(potential, g).values.tobytes() == c.values.tobytes()
+    first, second = potential.splitlines()[:2]
+    with pytest.raises(graphs.GraphFormatError,
+                       match=r"^line 4: invalid potential triple \(0, 0, 0\)$"):
+        connection.parse_potential(f"# c\n{first}\n \n0 0 0 1.0 0.0\n{second}\n", g)
+    with pytest.raises(graphs.GraphFormatError,
+                       match=r"^line 4: duplicate potential triple \(%s\)$" % ", ".join(second.split()[:3])):
+        connection.parse_potential(f"{first}\r\n{second} # c\n#\n{second}\n0 0 0 1.0 0.0", g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -652,10 +660,11 @@ def reference_text(mat, json=False):
 # values that repeat across row blocks, with the sign of zero and the
 # extremes of the 17-digit format among them
 POOL = [0.0, -0.0, math.inf, 5e-324, 1e16, 1e17]
-# pools of integers and inf: the widest text of a block with its separator is
-# one byte wider than the widest integer (",", "\n"), or three ("],[")
-narrow_pools = st.lists(st.integers(-10**16, 10**16).map(float) | st.just(math.inf),
-                        min_size=1, max_size=4)
+# pools of whole numbers, -0.0 and inf: small ones (below a block's cell
+# count, so the table route when every cell is one of them or inf) and large
+# ones (the kept-cell route)
+narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map(float)
+                        | st.sampled_from([math.inf, -0.0]), min_size=1, max_size=4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -664,12 +673,25 @@ narrow_pools = st.lists(st.integers(-10**16, 10**16).map(float) | st.just(math.i
 @example(rows=cli.ROW_BLOCK, cols=2, seed=0, pool=None)
 @example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1, pool=None)
 @example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2, pool=None)
-# the widest text with its separator: 16 bytes in CSV (a byte gather) and 18 in
-# JSON; 17 in CSV; 16 in JSON; 17 in JSON
+# whole numbers of 13 to 16 digits, past every cell count, so the kept-cell
+# route, with +0.0, -0.0, a small whole number or inf among them
 @example(rows=5, cols=3, seed=3, pool=[0.0, 123456789012345.0, math.inf])
 @example(rows=5, cols=3, seed=4, pool=[0.0, 1234567890123456.0, 7.0])
 @example(rows=5, cols=3, seed=5, pool=[-0.0, 1234567890123.0, math.inf])
 @example(rows=5, cols=3, seed=6, pool=[1.0, -1234567890123.0, math.inf])
+# small whole numbers with -0.0, or with a negative one next to inf: both
+# leave the table route, which would print "0" and "inf" for them
+@example(rows=5, cols=3, seed=7, pool=[0.0, -0.0, 3.0, 7.0])
+@example(rows=5, cols=3, seed=8, pool=[2.0, -1.0, math.inf, 0.0])
+# 15 and 14 in blocks of 15 cells (.real, .imag): the value equal to the
+# cell count takes the kept-cell route, the one below it the table; in the
+# interleaved view's 30 cells both are below
+@example(rows=5, cols=3, seed=9, pool=[15.0, 14.0, 0.0])
+@example(rows=5, cols=3, seed=10, pool=[14.0, 13.0, 0.0])
+# whole numbers at 2**53, 1e16 and 1e17 (where "%.17g" turns to an exponent),
+# and inf among small whole numbers (the table route with "inf")
+@example(rows=5, cols=3, seed=11, pool=[2.0**53, 1e16, 1e17, 1.0])
+@example(rows=300, cols=4, seed=12, pool=[math.inf, 0.0, 1.0, 2.0])
 def test_printed_rows_match_the_per_cell_format(rows, cols, seed, pool):
     rng = np.random.default_rng(seed)
     if pool is None:
@@ -696,17 +718,25 @@ def mostly_zero_matrices(draw):
     return mat
 
 
-# a block takes the zero-run route when its kept cells (not +0.0, or a row's
-# last) are fewer than twice its distinct values: the first five rows keep 7
-# cells of 4 distinct values (-0.0, 0.0, 5e-324, inf), all six rows keep 8
+# -0.0 as a row's first cell, the least subnormal inside a row, inf as a
+# row's last cell, and rows whose only kept cell (not +0.0, or a row's last)
+# is their last +0.0: the kept-cell route, five rows and six
 BOUNDARY = np.zeros((6, 6))
 BOUNDARY[0, 0], BOUNDARY[1, 2], BOUNDARY[2, 5] = -0.0, 5e-324, math.inf
+# mostly zero whole numbers with one fractional kept cell (the kept-cell
+# route), then a row block of whole numbers and inf (the table route) after
+# a first block with the fractional cell
+WHOLE = np.zeros((cli.ROW_BLOCK + 6, 6))
+WHOLE[::3, 1], WHOLE[1::4, 5], WHOLE[cli.ROW_BLOCK + 2, 3] = 4.0, 1.0, math.inf
+WHOLE[3, 4] = 0.5
 
 
 @settings(max_examples=40, deadline=None)
 @given(mat=mostly_zero_matrices())
 @example(mat=BOUNDARY[:5])
 @example(mat=BOUNDARY)
+@example(mat=WHOLE[:6])
+@example(mat=WHOLE)
 def test_mostly_zero_rows_match_the_per_cell_format(mat):
     lap = np.empty(mat.shape, dtype=complex)
     lap.real, lap.imag = mat, mat[::-1]
