@@ -17,14 +17,13 @@ kept on it (`DirectedCyclicGraph.edge_pairs`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
 import numpy as np
 
 from .graphs import (DirectedCyclicGraph, GraphFormatError, _first_bad, _integer_rows,
-                     _last_axis, _read_rows, _scatter_add)
+                     _last_axis, _read_rows, _row_lineno, _scatter_add)
 
 __all__ = [
     "PotentialCoefficients",
@@ -143,10 +142,8 @@ def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficie
     c = PotentialCoefficients(graph)
     positions = c.positions(*rows["key"].T)
     _, bad, repeat = _first_bad(positions >= 0, positions)
-    if bad is not None:  # row `bad` is the bad-th line that is neither blank nor a comment
-        linenos = (k for k, raw in enumerate(lines, start=1) if raw.split("#", 1)[0].split())
-        lineno = next(itertools.islice(linenos, bad, None))
-        raise _triple_error(lineno, tuple(rows["key"][bad].tolist()), repeat)
+    if bad is not None:
+        raise _triple_error(_row_lineno(lines, 0, bad), tuple(rows["key"][bad].tolist()), repeat)
     c.values[positions] = rows["value"].view(complex)[:, 0]
     return c
 

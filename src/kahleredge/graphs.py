@@ -20,6 +20,7 @@ is its 1/n-weighted inner product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -67,6 +68,15 @@ def _read_rows(lines: list[str], dtype) -> np.ndarray | None:
             return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
         except (ValueError, Warning):
             return None
+
+
+def _row_lineno(lines: list[str], start: int, row: int) -> int:
+    """The 1-based number of the line that holds row `row` of what
+    `_read_rows(lines[start:], ...)` read: the row-th line from `start` on
+    that is neither blank nor a comment, so has a first character other
+    than whitespace and it is not ``#``."""
+    data = (k for k in range(start, len(lines)) if lines[k].lstrip()[:1] not in "#")
+    return next(itertools.islice(data, row, None)) + 1
 
 
 def _integer_rows(rows, width: int, bound: int) -> np.ndarray:
@@ -235,8 +245,10 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
     First non-comment line is ``n <int>``; each following non-comment line is
     ``u v`` with 0-based vertices.  ``#`` starts a comment.  Errors carry the
     offending line number; of several, the earliest line's.  NumPy's C reader
-    reads the edges; the line loop reads what it refuses (every bad file, and
-    spellings such as ``1_0``), with the same result or error.
+    reads the edges, and a repeated edge or a vertex out of range in what it
+    reads is the error of the line that holds it; the line loop reads what it
+    refuses (every other bad file, and spellings such as ``1_0``), with the
+    same result or error.
     """
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -261,8 +273,8 @@ def parse_graph(text: str) -> DirectedCyclicGraph:
     if rows is not None:
         try:
             return DirectedCyclicGraph(n, rows["uv"])
-        except _BadEdge:
-            pass
+        except _BadEdge as exc:
+            raise _edge_error(exc, lines, _row_lineno(lines, lineno, exc.index), n) from None
     return _graph_from_lines(lines, n, lineno)
 
 
@@ -287,15 +299,17 @@ def _graph_from_lines(lines: list[str], n: int, start: int) -> DirectedCyclicGra
     try:
         g = DirectedCyclicGraph(n, np.array(vertices).reshape(-1, 2))
     except _BadEdge as exc:
-        lineno = linenos[exc.index]
-        if exc.repeat:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-        raise GraphFormatError(
-            f"line {lineno}: vertex outside 0..{n - 1} in {lines[lineno - 1]!r}"
-        ) from None
+        raise _edge_error(exc, lines, linenos[exc.index], n) from None
     if error is not None:
         raise GraphFormatError(error)
     return g
+
+
+def _edge_error(exc: _BadEdge, lines: list[str], lineno: int, n: int) -> GraphFormatError:
+    """The error of the bad edge `exc`, read from line `lineno` of `lines`."""
+    if exc.repeat:
+        return GraphFormatError(f"line {lineno}: {exc}")
+    return GraphFormatError(f"line {lineno}: vertex outside 0..{n - 1} in {lines[lineno - 1]!r}")
 
 
 def format_graph(g: DirectedCyclicGraph) -> str:

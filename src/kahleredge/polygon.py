@@ -11,7 +11,13 @@ induced metric and the normalized trace state.
 Forms and vertex functions take leading batch axes: a vertex function holds
 values of shape (..., n) and a form coefficients of shape (..., 4, n), and
 every operation of `Calculus` broadcasts over the leading axes, so one call
-acts on a whole stack of forms.
+acts on a whole stack of forms.  Every form or vertex function an
+operation returns holds a fresh read-only array, never shared with its
+inputs, and a form's is allocated once; `GradedForm(...)` itself copies
+what it is given.  Operations accept coefficients in any memory layout:
+`basis_forms()` keeps its stack axis innermost in memory, so elementwise
+work over a basis stack runs along the stack, but no layout is part of
+the contract.
 
 Vertices are 0-based and all vertex arithmetic is mod n.
 """
@@ -34,6 +40,9 @@ _J_FACTORS = np.array([0, 1j, -1j, 0])[:, None]
 #: Hodge star: source row and factor of each coefficient row
 _STAR_ROWS = [3, 1, 2, 0]
 _STAR_FACTORS = np.array([-1j, -1j, 1j, 1j])[:, None]
+#: metric: factor of each row of star(eta*) where the wedge reads it, on
+#: conj(eta) for functions and on -conj(eta) for the other rows
+_METRIC_FACTORS = np.array([1j, 1j, -1j, -1j])[:, None]
 
 
 def _as_complex(values, n: int, what: str) -> np.ndarray:
@@ -46,7 +55,9 @@ def _as_complex(values, n: int, what: str) -> np.ndarray:
 
 def _roll(x: np.ndarray, shift: int) -> np.ndarray:
     """np.roll along the vertex axis, for a shift of +-1: _roll(x, -1)[mu] =
-    x[mu+1].  Slicing is several times faster than np.roll on these sizes."""
+    x[mu+1], as a fresh array.  Slicing is several times faster than np.roll
+    on these sizes; `wedge` joins the same slices of eta's function row for
+    all three of its shifts in one concatenation."""
     return np.concatenate((x[..., -shift:], x[..., :-shift]), axis=-1)
 
 
@@ -125,6 +136,15 @@ class GradedForm:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _fresh(cls, coeffs: np.ndarray) -> "GradedForm":
+        """The form on `coeffs`, a complex (..., 4, n) array an operation has
+        just allocated and nothing else holds: no copy and no check."""
+        coeffs.flags.writeable = False
+        form = object.__new__(cls)
+        object.__setattr__(form, "coeffs", coeffs)
+        return form
+
     @property
     def n(self) -> int:
         return self.coeffs.shape[-1]
@@ -151,15 +171,15 @@ class GradedForm:
 
     def __add__(self, other: "GradedForm") -> "GradedForm":
         self._check(other)
-        return GradedForm(self.coeffs + other.coeffs)
+        return GradedForm._fresh(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
         self._check(other)
-        return GradedForm(self.coeffs - other.coeffs)
+        return GradedForm._fresh(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "GradedForm":
         """Scale by a number, or by an array of numbers over the batch axes."""
-        return GradedForm(self.coeffs * np.asarray(scalar, dtype=complex)[..., None, None])
+        return GradedForm._fresh(self.coeffs * np.asarray(scalar, dtype=complex)[..., None, None])
 
     __rmul__ = __mul__
 
@@ -169,7 +189,7 @@ class GradedForm:
         rows = _DEGREE_ROWS[k]
         out = np.zeros_like(self.coeffs)
         out[..., rows, :] = self.coeffs[..., rows, :]
-        return GradedForm(out)
+        return GradedForm._fresh(out)
 
     def max_abs(self) -> float:
         """Largest coefficient modulus over the whole stack."""
@@ -213,7 +233,7 @@ class Calculus:
         return VertexFunction(self.n, np.ones(self.n, dtype=complex))
 
     def zero_form(self) -> GradedForm:
-        return GradedForm(np.zeros((4, self.n), dtype=complex))
+        return GradedForm._fresh(np.zeros((4, self.n), dtype=complex))
 
     def form(self, deg0=None, deg1_fwd=None, deg1_bwd=None, deg2=None) -> GradedForm:
         """The form with the given rows (absent rows are zero); rows of
@@ -224,7 +244,7 @@ class Calculus:
                 ("deg0", deg0), ("deg1_fwd", deg1_fwd), ("deg1_bwd", deg1_bwd), ("deg2", deg2)
             )
         ]
-        return GradedForm(np.stack(np.broadcast_arrays(*rows), axis=-2))
+        return GradedForm._fresh(np.stack(np.broadcast_arrays(*rows), axis=-2))
 
     def from_vertex(self, f: VertexFunction) -> GradedForm:
         self._check_n(f.n)
@@ -233,7 +253,7 @@ class Calculus:
     def _basis_element(self, row: int, mu: int) -> GradedForm:
         coeffs = np.zeros((4, self.n), dtype=complex)
         coeffs[row, mu % self.n] = 1.0
-        return GradedForm(coeffs)
+        return GradedForm._fresh(coeffs)
 
     def xi_fwd(self, mu: int) -> GradedForm:
         """The basis one-form xi[mu->mu+1]."""
@@ -258,9 +278,12 @@ class Calculus:
 
     def basis_forms(self) -> GradedForm:
         """All 4n basis forms as one stack of shape (4n,): deltas, forward
-        edges, backward edges, volumes."""
+        edges, backward edges, volumes.  The stack axis is innermost in
+        memory (the identity is symmetric, so its transpose holds the same
+        values), so elementwise work over the stack runs in long loops."""
         n = self.n
-        return GradedForm(np.eye(4 * n, dtype=complex).reshape(4 * n, 4, n))
+        eye = np.eye(4 * n, dtype=complex)
+        return GradedForm._fresh(eye.reshape(4, n, 4 * n).transpose(2, 0, 1))
 
     # -------------------------------------------------------------- operations
 
@@ -276,11 +299,11 @@ class Calculus:
         self._check_n(omega.n)
         v = f.values
         if side == "left":
-            return GradedForm(v[..., None, :] * omega.coeffs)
+            return GradedForm._fresh(v[..., None, :] * omega.coeffs)
         if side == "right":
             # right vertex of xi[mu->mu+1] is mu+1, of xi[mu->mu-1] is mu-1
             weights = np.stack([v, _roll(v, -1), _roll(v, 1), v], axis=-2)
-            return GradedForm(weights * omega.coeffs)
+            return GradedForm._fresh(weights * omega.coeffs)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def wedge(self, omega: GradedForm, eta: GradedForm) -> GradedForm:
@@ -293,29 +316,32 @@ class Calculus:
         """
         self._check_n(omega.n)
         self._check_n(eta.n)
-        deg0 = omega.deg0 * eta.deg0
-        # degree 1: function times one-form on either side
-        fwd = omega.deg0 * eta.deg1_fwd + omega.deg1_fwd * _roll(eta.deg0, -1)
-        bwd = omega.deg0 * eta.deg1_bwd + omega.deg1_bwd * _roll(eta.deg0, 1)
-        # degree 2: function times volume plus the two nonzero edge products
-        deg2 = omega.deg0 * eta.deg2 + omega.deg2 * eta.deg0
+        o, e = omega.coeffs, eta.coeffs
+        # the function part of omega times every row of eta
+        out = o[..., 0:1, :] * e
+        # one-forms and volumes of omega times eta's function part at their
+        # right vertex: mu+1 for xi[mu->mu+1], mu-1 for xi[mu->mu-1], mu for vol[mu]
+        e0 = e[..., 0, :]
+        right = np.concatenate((e0[..., 1:], e0[..., :1], e0[..., -1:], e0[..., :-1], e0), axis=-1)
+        out[..., 1:, :] += o[..., 1:, :] * right.reshape(*right.shape[:-1], 3, self.n)
         # xi[mu->mu-1] (bwd at mu) ^ xi[mu-1->mu] (fwd at mu-1) -> vol[mu]
-        deg2 = deg2 + omega.deg1_bwd * _roll(eta.deg1_fwd, 1)
+        out[..., 3, :] += o[..., 2, :] * _roll(e[..., 1, :], 1)
         # xi[mu->mu+1] (fwd at mu) ^ xi[mu+1->mu] (bwd at mu+1) -> sign*vol[mu]
-        deg2 = deg2 + self.wedge_sign * omega.deg1_fwd * _roll(eta.deg1_bwd, -1)
-        return GradedForm(np.stack([deg0, fwd, bwd, deg2], axis=-2))
+        out[..., 3, :] += self.wedge_sign * o[..., 1, :] * _roll(e[..., 2, :], -1)
+        return GradedForm._fresh(out)
 
     def star_involution(self, omega: GradedForm) -> GradedForm:
         """The antilinear graded involution; xi[a->b]* = -xi[b->a]."""
         self._check_n(omega.n)
-        deg0 = np.conj(omega.deg0)
-        # c at xi[mu->mu+1] -> -conj(c) at xi[mu+1->mu] (bwd index mu+1)
-        bwd = -_roll(np.conj(omega.deg1_fwd), 1)
+        out = np.conj(omega.coeffs)
+        fwd = out[..., 1, :].copy()
         # c at xi[mu->mu-1] -> -conj(c) at xi[mu-1->mu] (fwd index mu-1)
-        fwd = -_roll(np.conj(omega.deg1_bwd), -1)
+        out[..., 1, :-1], out[..., 1, -1] = out[..., 2, 1:], out[..., 2, 0]
+        # c at xi[mu->mu+1] -> -conj(c) at xi[mu+1->mu] (bwd index mu+1)
+        out[..., 2, 1:], out[..., 2, 0] = fwd[..., :-1], fwd[..., -1]
         # vol[mu]* = -(xi[mu-1->mu]* ^ xi[mu->mu-1]*) = -vol[mu]
-        deg2 = -np.conj(omega.deg2)
-        return GradedForm(np.stack([deg0, fwd, bwd, deg2], axis=-2))
+        np.negative(out[..., 1:, :], out=out[..., 1:, :])
+        return GradedForm._fresh(out)
 
     def exterior_d(self, f: VertexFunction) -> GradedForm:
         """df = sum over polygon edges mu->mu+-1 of (f(nu)-f(mu)) xi[mu->nu]."""
@@ -326,7 +352,7 @@ class Calculus:
     def apply_J(self, omega: GradedForm) -> GradedForm:
         """Complex structure: i on (1,0), -i on (0,1), zero on (0,0) and (1,1)."""
         self._check_n(omega.n)
-        return GradedForm(_J_FACTORS * omega.coeffs)
+        return GradedForm._fresh(_J_FACTORS * omega.coeffs)
 
     def kahler_form(self) -> GradedForm:
         """kappa = i * sum_mu vol[mu]."""
@@ -341,21 +367,32 @@ class Calculus:
         functions through the inverse Lefschetz map (the coefficient of vol
         divided by i)."""
         self._check_n(omega.n)
-        return GradedForm(_STAR_FACTORS * omega.coeffs[..., _STAR_ROWS, :])
+        return GradedForm._fresh(_STAR_FACTORS * omega.coeffs[..., _STAR_ROWS, :])
 
     def metric_g(self, omega: GradedForm, eta: GradedForm) -> VertexFunction:
         """g(omega, eta) = star(omega ^ star(eta*)), evaluated degreewise.
 
-        Components of differing degree pair to zero.
+        Components of differing degree pair to zero.  The three degrees are
+        one pass over the rows: the rolls of the involution and of the wedge
+        cancel, so each coefficient of omega meets star(eta*) at its own
+        vertex, and the products are taken and summed in the order of the
+        degreewise formula.
         """
         self._check_n(omega.n)
         self._check_n(eta.n)
-        total = 0.0
-        for k in range(3):
-            w = omega.degree_part(k)
-            e = self.hodge_star(self.star_involution(eta.degree_part(k)))
-            total = total + self.hodge_star(self.wedge(w, e)).deg0
-        return VertexFunction(self.n, total)
+        o = omega.coeffs
+        e = np.conj(eta.coeffs)
+        np.negative(e[..., 1:, :], out=e[..., 1:, :])
+        e *= _METRIC_FACTORS
+        # the volume coefficient of each degree: one row of p, two for
+        # one-forms (the wedge sign on (1,0), added after (0,1))
+        p = o * e
+        np.multiply(self.wedge_sign * o[..., 1, :], e[..., 1, :], out=p[..., 1, :])
+        p[..., 2, :] += p[..., 1, :]
+        # and its Hodge star, a function
+        t = p[..., [0, 2, 3], :]
+        t *= -1j
+        return VertexFunction(self.n, 0.0 + t[..., 0, :] + t[..., 1, :] + t[..., 2, :])
 
     def state_tau(self, f: VertexFunction):
         """The normalized trace state: arithmetic mean of the values (an

@@ -76,38 +76,37 @@ def polygon_checks(n: int, rng: np.random.Generator,
     """The Kahler structure on the n-gon, wedge associativity aside (see
     `wedge_associativity_check`).  The sweeps over basis pairs take one call
     per degree row of the first factor, n basis forms against the whole
-    basis as an (n, 4n) stack; the random samples are batched over their
-    leading axes."""
+    basis as an (n, 4n) stack, and the involution and J sweeps share that
+    row's multiplication table; the random samples are batched over their
+    leading axes, and the three metric checks are one `metric_g` call."""
     cal = Calculus(n, wedge_sign=wedge_sign)
     out = []
     basis = cal.basis_forms()
     degree = np.repeat([0, 1, 1, 2], n)
     rows = [slice(k * n, (k + 1) * n) for k in range(4)]
 
-    # graded involution rule on basis pairs
-    res = 0.0
+    # graded involution rule and J as a derivation on basis pairs
+    res_star, res_j = 0.0, 0.0
     star_basis = cal.star_involution(basis)
+    j_basis = cal.apply_J(basis)
     for row in rows:
-        a = basis[row, None]
+        a, ja = basis[row, None], j_basis[row, None]
+        table = cal.wedge(a, basis)
         sign = (-1.0) ** (degree[row, None] * degree)
-        lhs = cal.star_involution(cal.wedge(a, basis))
+        lhs = cal.star_involution(table)
         rhs = sign * cal.wedge(star_basis, star_basis[row, None])
-        res = max(res, (lhs - rhs).max_abs())
-    out.append(CheckResult(f"star-graded-antihomomorphism[n={n}]", res, 1e-12))
+        res_star = max(res_star, (lhs - rhs).max_abs())
+        lhs = cal.apply_J(table)
+        rhs = cal.wedge(ja, basis) + cal.wedge(a, j_basis)
+        res_j = max(res_j, (lhs - rhs).max_abs())
+    out.append(CheckResult(f"star-graded-antihomomorphism[n={n}]", res_star, 1e-12))
 
     # involution squares to the identity
     res = (cal.star_involution(star_basis) - basis).max_abs()
     out.append(CheckResult(f"star-involution[n={n}]", res, 1e-12))
 
     # J: derivation, square -1 on one-forms, compatible with the involution
-    res = 0.0
-    j_basis = cal.apply_J(basis)
-    for row in rows:
-        a, ja = basis[row, None], j_basis[row, None]
-        lhs = cal.apply_J(cal.wedge(a, basis))
-        rhs = cal.wedge(ja, basis) + cal.wedge(a, j_basis)
-        res = max(res, (lhs - rhs).max_abs())
-    out.append(CheckResult(f"J-derivation[n={n}]", res, 1e-12))
+    out.append(CheckResult(f"J-derivation[n={n}]", res_j, 1e-12))
     one_forms = basis[n:3 * n]
     res = (cal.apply_J(cal.apply_J(one_forms)) + one_forms).max_abs()
     out.append(CheckResult(f"J-squared[n={n}]", res, 1e-12))
@@ -145,18 +144,22 @@ def polygon_checks(n: int, rng: np.random.Generator,
     res = (cal.hodge_star(cal.hodge_star(basis)) - sign * basis).max_abs()
     out.append(CheckResult(f"hodge-star-squared[n={n}]", res, 1e-12))
 
+    # the metric in one call: g(xi_fwd, xi_fwd), then on 60 random pairs
+    # (w, e) g(w, w), g(w, e) and g(e, w)
+    fwd = basis[n:2 * n].coeffs
+    pairs = _complex_normal(rng, (60, 2, 4, n))
+    w, e = pairs[:, 0], pairs[:, 1]
+    g = cal.metric_g(GradedForm(np.concatenate([fwd, w, w, e])),
+                     GradedForm(np.concatenate([fwd, w, e, w]))).values
+    g_fwd, gww, gwe, gew = g[:n], g[n:n + 60], g[n + 60:n + 120], g[n + 120:]
+
     # consistency pin of the wedge sign: g(xi_fwd, xi_fwd) = delta at the source
-    fwd = basis[n:2 * n]
-    res = float(np.max(np.abs(cal.metric_g(fwd, fwd).values - np.eye(n))))
+    res = float(np.max(np.abs(g_fwd - np.eye(n))))
     out.append(CheckResult(f"hodge-consistency[n={n}]", res, 1e-12))
 
     # metric: positive, conjugate symmetric, zero across degrees
-    pairs = _complex_normal(rng, (60, 2, 4, n))
-    w, e = GradedForm(pairs[:, 0]), GradedForm(pairs[:, 1])
-    gww = cal.metric_g(w, w).values
     res_pos = max(0.0, float(np.max(np.abs(gww.imag))), float(np.max(-gww.real)))
-    diff = cal.metric_g(w, e).values - np.conj(cal.metric_g(e, w).values)
-    res_sym = float(np.max(np.abs(diff)))
+    res_sym = float(np.max(np.abs(gwe - np.conj(gew))))
     out.append(CheckResult(f"metric-positive[n={n}]", res_pos, 1e-9))
     out.append(CheckResult(f"metric-conjugate-symmetric[n={n}]", res_sym, 1e-9))
 

@@ -279,3 +279,134 @@ def test_property_batched_operations_equal_stacked_single_ones(n, shape, wedge_s
     assert omega.max_abs() == max(
         GradedForm(omega.coeffs[i]).max_abs() for i in np.ndindex(shape)
     )
+
+
+# Oracles: the row-by-row wedge, involution, Hodge star, differential and
+# metric, each row its own array and the rows stacked at the end.
+
+def _roll(x, shift):
+    return np.concatenate((x[..., -shift:], x[..., :-shift]), axis=-1)
+
+
+def oracle_wedge(sign, o, e):
+    o0, o1, o2, o3 = (o[..., k, :] for k in range(4))
+    e0, e1, e2, e3 = (e[..., k, :] for k in range(4))
+    deg0 = o0 * e0
+    fwd = o0 * e1 + o1 * _roll(e0, -1)
+    bwd = o0 * e2 + o2 * _roll(e0, 1)
+    deg2 = o0 * e3 + o3 * e0
+    deg2 = deg2 + o2 * _roll(e1, 1)
+    deg2 = deg2 + sign * o1 * _roll(e2, -1)
+    return np.stack([deg0, fwd, bwd, deg2], axis=-2)
+
+
+def oracle_star_involution(o):
+    deg0 = np.conj(o[..., 0, :])
+    bwd = -_roll(np.conj(o[..., 1, :]), 1)
+    fwd = -_roll(np.conj(o[..., 2, :]), -1)
+    deg2 = -np.conj(o[..., 3, :])
+    return np.stack([deg0, fwd, bwd, deg2], axis=-2)
+
+
+def oracle_hodge_star(o):
+    return np.array([-1j, -1j, 1j, 1j])[:, None] * o[..., [3, 1, 2, 0], :]
+
+
+def oracle_exterior_d(v):
+    zero = np.zeros_like(v)
+    return np.stack([zero, _roll(v, -1) - v, _roll(v, 1) - v, zero], axis=-2)
+
+
+def oracle_metric_g(sign, o, e):
+    total = 0.0
+    for rows in ([0], [1, 2], [3]):
+        w, h = np.zeros_like(o), np.zeros_like(e)
+        w[..., rows, :], h[..., rows, :] = o[..., rows, :], e[..., rows, :]
+        dual = oracle_hodge_star(oracle_star_involution(h))
+        total = total + oracle_hodge_star(oracle_wedge(sign, w, dual))[..., 0, :]
+    return total
+
+
+def _layout(x, kind):
+    """`x` (batch axes first, then (4, n)) with the same values in another
+    memory layout: C order, the batch axes innermost, reversed, or a strided
+    slice of a larger array."""
+    batch = list(range(x.ndim - 2))
+    if kind == "stack-innermost":
+        last = [a - len(batch) for a in batch]
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, batch, last)), last, batch)
+    if kind == "transposed":
+        return np.asfortranarray(x)
+    if kind == "sliced":
+        big = np.zeros((*x.shape[:-2], 8, 2 * x.shape[-1]), dtype=complex)
+        big[..., 1::2, ::2] = x
+        return big[..., 1::2, ::2]
+    return np.ascontiguousarray(x)
+
+
+_layouts = st.sampled_from(["C", "stack-innermost", "transposed", "sliced"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    shape=_batch_shapes,
+    single_eta=st.booleans(),
+    wedge_sign=st.sampled_from([-1.0, 1.0]),
+    layouts=st.tuples(_layouts, _layouts),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_operations_equal_the_row_by_row_oracle(n, shape, single_eta, wedge_sign,
+                                                         layouts, seed):
+    """Every operation equals the row-by-row formulae bit for bit, whatever
+    the memory layout of its inputs, and returns a fresh read-only array."""
+    cal = Calculus(n, wedge_sign=wedge_sign)
+    rng = np.random.default_rng(seed)
+
+    def rand(*dims):
+        return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+    o = _layout(rand(*shape, 4, n), layouts[0])
+    e = _layout(rand(*(() if single_eta else shape), 4, n), layouts[1])
+    v = rand(*shape, n)
+    # views as the calculus makes them, not copied into C order by GradedForm()
+    omega, eta = GradedForm._fresh(o), GradedForm._fresh(e)
+    f = cal.vertex_function(v)
+    checks = [
+        (cal.wedge(omega, eta), oracle_wedge(wedge_sign, o, e)),
+        (cal.wedge(eta, omega), oracle_wedge(wedge_sign, e, o)),
+        (cal.star_involution(omega), oracle_star_involution(o)),
+        (cal.hodge_star(omega), oracle_hodge_star(o)),
+        (cal.metric_g(omega, eta), oracle_metric_g(wedge_sign, o, e)),
+        (cal.metric_g(eta, omega), oracle_metric_g(wedge_sign, e, o)),
+        (cal.exterior_d(f), oracle_exterior_d(v)),
+        (cal.apply_J(omega), np.array([0, 1j, -1j, 0])[:, None] * o),
+        (cal.bimodule_act(f, omega, "left"), v[..., None, :] * o),
+        (cal.bimodule_act(f, omega, "right"), None),
+        (omega.degree_part(1), None),
+        (omega + eta, o + e),
+        (omega - eta, o - e),
+        (omega * 2j, o * 2j),
+    ]
+    for result, want in checks:
+        got = _values(result)
+        if want is not None:
+            assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        for given_array in (o, e, v):
+            assert not np.shares_memory(got, given_array)
+
+
+def test_public_constructor_and_indexing_copy_and_check():
+    x = np.arange(12.0).reshape(4, 3) * (1 + 1j)  # n = 3
+    w = GradedForm(x)
+    assert not np.shares_memory(w.coeffs, x) and not w.coeffs.flags.writeable
+    basis = Calculus(4).basis_forms()
+    row = basis[4:8]
+    assert not np.shares_memory(row.coeffs, basis.coeffs) and not row.coeffs.flags.writeable
+    # indexing past the batch axes leaves no (..., 4, n) form
+    for index in [(..., 0), (slice(None), 0), (0, slice(1, 3)), (..., None), (0, 0)]:
+        with pytest.raises(ValueError):
+            basis[index]
+    with pytest.raises(TypeError):
+        basis[0][0]

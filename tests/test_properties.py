@@ -247,7 +247,8 @@ def test_printed_floats_are_read_bitwise(data):
 
 
 def test_clean_files_skip_the_line_loop(monkeypatch):
-    """A well-formed file, or a potential file whose only fault is an
+    """A well-formed file, a graph file whose only fault is a repeated edge
+    or a vertex out of range, or a potential file whose only fault is an
     invalid or repeated triple, never reaches the line loop."""
     def fail(*args):
         raise AssertionError("the line loop ran")
@@ -269,6 +270,18 @@ def test_clean_files_skip_the_line_loop(monkeypatch):
     with pytest.raises(graphs.GraphFormatError,
                        match=r"^line 4: duplicate potential triple \(%s\)$" % ", ".join(second.split()[:3])):
         connection.parse_potential(f"{first}\r\n{second} # c\n#\n{second}\n0 0 0 1.0 0.0", g)
+    # the bad edge after comment, blank and CRLF lines; the out-of-range
+    # message quotes the raw line, comment and all
+    head = "# a graph\r\nn 40\r\n0 1\r\n\r\n   # a comment\n0 2 # c\r\n\t\n"
+    for body, message in [
+        ("0 1\n1 2\n", "line 8: duplicate edge 0->1"),
+        ("1 2 # c\r\n\n0 2\n0 40\n", "line 10: duplicate edge 0->2"),
+        ("0 40 # far\r\n1 2\n", "line 8: vertex outside 0..39 in '0 40 # far'"),
+        ("1 2\r\n#\n\t-1 3\n0 2\n", "line 10: vertex outside 0..39 in '\\t-1 3'"),
+    ]:
+        with pytest.raises(graphs.GraphFormatError) as err:
+            graphs.parse_graph(head + body)
+        assert str(err.value) == message
 
 
 @settings(max_examples=60, deadline=None)
