@@ -23,19 +23,29 @@ segments, and for a target nu the real functions obeying this with f(nu) = 0
 and f <= n are closed under pointwise max.  So the one maximiser of
 sum_mu f(mu) over them is their pointwise largest member: d(., nu) on nu's
 constraint component, and the cap n elsewhere, where no constraint links mu
-to nu and the distance is unbounded.  The layout of these programs follows
-the cuts.  With no cut the rows are invariant under rotation, so one program
-with n variables, for column 0, gives every column by f_nu(mu) = f_0(mu - nu).
-With cuts, a variable off its column's arc (the stretch of the cycle between
-two cuts) shares no row with those on it and sits at the cap, so each column
-keeps the variables of its arc alone and the columns are stacked
-block-diagonally: sum over the arcs C of |C|^2 variables, still n^2 with a
-single cut.  Lower bound: a single
-function of the unit ball is a witness for every pair it separates, so the
-column maximiser, rescaled by an upper bound on the norm of its commutator,
-certifies its whole column with one norm; the indicator of a constraint
-component commutes with D, so every multiple of it is in the ball, and one
-norm per component certifies its unbounded entries.  No pair is left open:
+to nu and the distance is unbounded.  One program, of at most n variables
+and n rows, gives every column; its layout follows the cuts.  With no cut
+the rows are invariant under rotation, so the program on the cycle for
+column 0 gives every column by f_nu(mu) = f_0(mu - nu).  With cuts the rows
+form disjoint paths, the arcs: each runs from the vertex after one cut to the
+next cut, at place p = 0, 1, ... along it.  A variable off its column's arc
+shares no row with those on it and sits at the cap.  On the arc, f(nu) = 0
+splits the column into the part ahead of nu and the part behind it, which
+share no row, and each is an anchored path: a path whose first vertex is
+fixed at 0.  Projecting the feasible set of the anchored path of L vertices
+onto its first k gives the anchored path of k vertices, since a feasible
+prefix extends by holding its last value, under the same cap n.  Projection
+is monotone, so the pointwise largest member of the long path restricts to
+that of the short one: every member of the short path extends to one of the
+long path, which lies below the long path's largest member.  So one anchored
+path g with as many vertices as the longest arc gives both parts of every
+column, f_nu(mu) = g(|p(mu) - p(nu)|) on nu's arc and the cap n off it.
+
+Lower bound: a single function of the unit ball is a witness for every pair
+it separates, so the column maximiser, rescaled by an upper bound on the
+norm of its commutator, certifies its whole column with one norm; the
+indicator of an arc commutes with D, so every multiple of it is in the ball,
+and one norm per arc certifies its unbounded entries.  No pair is left open:
 the potential entries of [D, f] cancel, so its norm is the largest step of f
 across those segments, at most one for the column maximiser, whose
 certificate thus equals the upper bound on every finite pair.
@@ -211,9 +221,9 @@ def distance_bracket(g: DirectedCyclicGraph,
                      c: PotentialCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Independent numeric bracket (lower, upper) of the whole distance
     matrix, inf where unbounded (see the module docstring): one call to the
-    LP solver, with n variables for column 0 when no vertex is a cut and one
-    block per column on its arc otherwise, one certified column maximiser
-    per target and one indicator per constraint component.  No pair
+    LP solver, on the cycle of n variables for column 0 when no vertex is a
+    cut and on the anchored path of the longest arc otherwise, one certified
+    column maximiser per target and one indicator per arc.  No pair
     is left open: the commutator norm of f is its largest step across a
     constraint segment, so each column maximiser certifies its own column.
     Each norm is the Schur test on the nonzero entries of the block Y of
@@ -223,46 +233,40 @@ def distance_bracket(g: DirectedCyclicGraph,
     if c.graph != g:
         raise ValueError("potential defined on a different graph")
     n = g.n
-    cut = g.out_degrees == 0
-    if cut.any():
-        # column nu on its arc: from the vertex after the last cut behind nu
-        # to the first cut at or ahead of it
-        ends = np.flatnonzero(cut)
-        ahead = np.searchsorted(ends, np.arange(n))
-        start = (ends[ahead - 1] + 1) % n
-        size = (ends[ahead % len(ends)] - start) % n + 1
-    else:
-        start, size = np.zeros(1, dtype=int), np.array([n])  # column 0 on the cycle
-    col = np.repeat(np.arange(len(size)), size)  # the column of each variable
-    vertex = (start[col] + np.arange(len(col)) - (np.cumsum(size) - size)[col]) % n
-    # one row -1 <= f(lam) - f(lam+1) <= 1 per segment: the last variable of
-    # an arc is its cut, so lam + 1 stays in the arc, and wraps only on the cycle
-    lam = np.flatnonzero(~cut[vertex])
-    pairs = np.stack([lam, (lam + 1) % len(col)], axis=1).ravel()  # two entries per row
-    blocks = sparse.csr_array((np.tile([1.0, -1.0], len(lam)), pairs,
-                               np.arange(0, len(pairs) + 1, 2)), shape=(len(lam), len(col)))
-    gauge = vertex == col  # f(nu) = 0 in column nu
-    res = linprog(-np.ones(len(col)), constraints=(blocks, -1.0, 1.0),
+    ends = np.flatnonzero(g.out_degrees == 0)  # the cuts
+    if len(ends):
+        # each arc starts after the last cut behind it, and place is the
+        # position on it; the anchored path spans the longest arc, and column
+        # nu reads it at |place(mu) - place(nu)| on nu's arc, the cap n off it
+        start = (ends[np.searchsorted(ends, np.arange(n)) - 1] + 1) % n
+        place = (np.arange(n) - start) % n
+        size = place[ends].max() + 1
+        same = start[:, None] == start  # nu and mu on one arc
+        index = np.where(same, np.abs(place[:, None] - place), size)
+        arcs, segments = same[ends], size - 1
+    else:  # rotation maps column 0 onto column nu: f_nu(mu) = f_0(mu - nu)
+        arcs, size, segments = (), n, n
+        index = (np.arange(n) - np.arange(n)[:, None]) % n
+    # one row -1 <= f(k) - f(k+1) <= 1 per segment, wrapping only on the cycle
+    k = np.arange(segments)
+    pairs = np.stack([k, (k + 1) % size], axis=1).ravel()  # two entries per row
+    rows = sparse.csr_array((np.tile([1.0, -1.0], segments), pairs,
+                             np.arange(0, len(pairs) + 1, 2)), shape=(segments, size))
+    gauge = np.arange(size) == 0  # f(0) = 0
+    res = linprog(-np.ones(size), constraints=(rows, -1.0, 1.0),
                   bounds=(np.where(gauge, 0.0, -np.inf), np.where(gauge, 0.0, float(n))))
     if res.status != 0:
         raise RuntimeError(f"distance LP failed with status {res.status}: {res.message}")
-    if cut.any():  # row nu: the maximiser of column nu, the cap n off its arc
-        witnesses = np.full((n, n), float(n))
-        witnesses[col, vertex] = res.x
-    else:  # rotation maps column 0 onto column nu: f_nu(mu) = f_0(mu - nu)
-        witnesses = res.x[(np.arange(n) - np.arange(n)[:, None]) % n]
+    witnesses = np.append(res.x, float(n))[index]  # row nu: column nu's maximiser, n off its arc
     upper = np.where(witnesses.T >= n - 0.5, np.inf, witnesses.T)
 
     lower = np.empty((n, n))
     for nu, f in enumerate(witnesses):
         scaled = f / max(1.0, _norm_bound(g, c, f))
         lower[:, nu] = np.abs(scaled - scaled[nu])
-    finite = np.isfinite(upper)  # row mu: the indicator of mu's component
-    components, label = np.unique(finite, axis=0, return_inverse=True)
-    for k, comp in enumerate(components):
-        if not comp.all():
-            free = _norm_bound(g, c, comp * 1.0) <= 1e-9  # every multiple is in the ball
-            lower[np.ix_(label == k, ~comp)] = math.inf if free else 0.0
+    for arc in arcs:  # the indicator of each arc
+        free = _norm_bound(g, c, arc * 1.0) <= 1e-9  # every multiple is in the ball
+        lower[np.ix_(arc, ~arc)] = math.inf if free else 0.0
     return lower, upper
 
 

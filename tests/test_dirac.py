@@ -209,27 +209,56 @@ def test_numeric_bracket_takes_no_dense_route(monkeypatch):
         dirac.distance_bracket(ngon(8), c)
 
 
-@pytest.mark.parametrize("g, variables", [
-    # no cut: one program for column 0, the rest by rotation
-    (spectra.make_circulant_regular(16, 4), 16),
-    # cuts 3 and 5: arcs {4, 5} and {6, ..., 9, 0, ..., 3}, 2^2 + 8^2 variables
-    (DirectedCyclicGraph(10, [(mu, (mu + 1) % 10) for mu in range(10) if mu not in (3, 5)]), 68),
-    # one cut leaves one arc of all n vertices: n^2
-    (DirectedCyclicGraph(7, [(mu, (mu + 1) % 7) for mu in range(7) if mu != 2]), 49),
-    # every vertex a cut: one variable, the gauge, per column
-    (DirectedCyclicGraph(5, []), 5),
-], ids=["no-cut", "two-cuts", "one-cut", "edgeless"])
-def test_bracket_lp_layout_follows_the_cuts(monkeypatch, g, variables):
+def cycle_without(n, cuts):
+    """The directed n-gon with the out-edges of `cuts` removed."""
+    return DirectedCyclicGraph(n, [(mu, (mu + 1) % n) for mu in range(n) if mu not in cuts])
+
+
+@pytest.mark.parametrize("g, variables, rows", [
+    # no cut: one program for column 0 on the cycle, the rest by rotation
+    (spectra.make_circulant_regular(16, 4), 16, 16),
+    # cuts 3 and 5: arcs {4, 5} and {6, ..., 9, 0, ..., 3}, a path of 8
+    (cycle_without(10, {3, 5}), 8, 7),
+    # one cut leaves one arc of all n vertices
+    (cycle_without(7, {2}), 7, 6),
+    # every vertex a cut: one variable, the gauge, and no row
+    (DirectedCyclicGraph(5, []), 1, 0),
+    # cuts 1 and 8: the longest arc {2, ..., 8} does not hold vertex 0
+    (cycle_without(10, {1, 8}), 7, 6),
+    # adjacent cuts 3 and 4: the one-vertex arc {4} and the arc {5, ..., 3}
+    (cycle_without(9, {3, 4}), 8, 7),
+], ids=["no-cut", "two-cuts", "one-cut", "edgeless", "longest-arc-off-0", "adjacent-cuts"])
+def test_bracket_lp_layout_follows_the_cuts(monkeypatch, g, variables, rows):
     sizes = []
     solve = dirac.linprog
 
-    def counted(c, *args, **kwargs):
-        sizes.append(len(c))
-        return solve(c, *args, **kwargs)
+    def counted(c, *args, constraints, **kwargs):
+        sizes.append((len(c), constraints[0].shape[0]))
+        return solve(c, *args, constraints=constraints, **kwargs)
 
     monkeypatch.setattr(dirac, "linprog", counted)
     lower, upper = dirac.distance_bracket(g, PotentialCoefficients.unit(g))
-    assert sizes == [variables]
+    assert sizes == [(variables, rows)]
+    exact = dirac.all_pairs_distances(g)
+    assert np.array_equal(lower, exact) and np.array_equal(upper, exact)
+
+
+def test_one_cut_bracket_solves_at_most_n_variables_and_rows(monkeypatch):
+    # circulant 512 4 with the out-edges of vertex 7 removed: one arc of all
+    # 512 vertices; an LP over more than n variables or rows is refused
+    # before it is solved
+    base = spectra.make_circulant_regular(512, 4)
+    g = DirectedCyclicGraph(512, [e for e in base.edges if e[0] != 7])
+    solve = dirac.linprog
+
+    def bounded(c, *args, constraints, **kwargs):
+        shape = (len(c), constraints[0].shape[0])
+        if max(shape) > g.n:
+            raise AssertionError(f"LP of {shape[0]} variables and {shape[1]} rows at n = {g.n}")
+        return solve(c, *args, constraints=constraints, **kwargs)
+
+    monkeypatch.setattr(dirac, "linprog", bounded)
+    lower, upper = dirac.distance_bracket(g, PotentialCoefficients.unit(g))
     exact = dirac.all_pairs_distances(g)
     assert np.array_equal(lower, exact) and np.array_equal(upper, exact)
 
