@@ -283,8 +283,9 @@ def cmd_distance(args) -> int:
         )
     mats = {"distances": hop_counts(g)}
     if args.numeric:
-        c = _load_potential(args.potential or "unit", g)
-        mats["lower"], mats["upper"] = distance_bracket(g, c)
+        if args.potential is not None:  # checked, though the distances do not depend on it
+            _load_potential(args.potential, g)
+        mats["lower"], mats["upper"] = distance_bracket(g)
     if args.format == "json":
         _print_json('"n":%d' % g.n, mats)
     else:

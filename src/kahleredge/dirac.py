@@ -42,21 +42,22 @@ path g with as many vertices as the longest arc gives both parts of every
 column, f_nu(mu) = g(|p(mu) - p(nu)|) on nu's arc and the cap n off it.
 
 Lower bound: a single function of the unit ball is a witness for every pair
-it separates, so the column maximiser, rescaled by an upper bound on the
-norm of its commutator, certifies its whole column with one norm; the
-indicator of an arc commutes with D, so every multiple of it is in the ball,
-and one norm per arc certifies its unbounded entries.  No pair is left open:
-the potential entries of [D, f] cancel, so its norm is the largest step of f
-across those segments, at most one for the column maximiser, whose
-certificate thus equals the upper bound on every finite pair.
+it separates, so the column maximiser, divided by the norm of its
+commutator where that exceeds one, certifies its whole column with one
+norm; where the indicator of an arc has norm 0 it commutes with D, every
+multiple of it is in the ball, and it certifies its arc's unbounded
+entries.  No pair is left open: the column maximiser's norm is at most one,
+so its certificate equals the upper bound on every finite pair.
 
-Each norm is bounded from the m + K nonzero entries (K valid potential keys)
-of the m x m block Y of [D, f].  D = [[0, dbar^dagger], [dbar, 0]] and f acts
-as diag(f o s, f o (s+1)), so for a real f (not a complex one) [D, f] =
-[[0, -Y^dagger], [Y, 0]] with Y[e', e] = dbar[e', e] (f(s(e)) - f(s(e')+1)),
-and ||[D, f]|| = ||Y|| <= sqrt(||Y||_1 ||Y||_inf), the Schur test, which is
-exact on the diagonal Y.  The certified functions are real, so the bracket
-builds neither D nor dbar and takes no SVD.
+Each norm is the largest step of its function.  D = [[0, dbar^dagger],
+[dbar, 0]] and f acts as diag(f o s, f o (s+1)), so for a real f (not a
+complex one) [D, f] = [[0, -Y^dagger], [Y, 0]] with Y[e', e] = dbar[e', e]
+(f(s(e)) - f(s(e')+1)).  Off the diagonal dbar is zeta, nonzero only where
+s(e') + 1 = s(e), and there the factor is exactly 0: Y is diagonal, with
+Y[e, e] = f(s(e)) - f(s(e)+1), and ||[D, f]|| = ||Y|| is the largest
+|f(lam) - f(lam+1)| over the vertices lam with an outgoing edge, under
+every potential.  So the bracket takes the graph alone, builds neither D
+nor dbar and takes no SVD.
 
 SciPy is imported only inside the functions that use it, so the exact
 distances and everything else outside the numeric bracket load on numpy
@@ -112,17 +113,13 @@ def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarr
     return full
 
 
-def _norm_bound(g: DirectedCyclicGraph, c: PotentialCoefficients, f: np.ndarray) -> float:
-    """The Schur test sqrt(||Y||_1 ||Y||_inf) >= ||[D, f]|| for a real vertex
-    function `f`, from the m diagonal entries and the K potential entries of Y."""
-    m = g.num_edges
-    edge, partner = g.edge_pairs
-    cols = np.concatenate([np.arange(m), edge])  # e, for the entries (e', e) of Y
-    rows = np.concatenate([np.arange(m), partner])  # e'
-    coefficients = np.concatenate([np.ones(m), c.values])  # dbar[e', e]
-    entries = np.abs(coefficients * (f[g.sources[cols]] - f[(g.sources[rows] + 1) % g.n]))
-    return math.sqrt(np.bincount(cols, entries, m).max(initial=0.0)
-                     * np.bincount(rows, entries, m).max(initial=0.0))
+def _commutator_norms(g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
+    """||[D, f]|| for each real vertex function of the (k, n) stack `f`, under
+    every potential: the largest step |f(lam) - f(lam+1)| over the vertices
+    lam with an outgoing edge, 0 where there is none (module docstring)."""
+    steps = np.roll(f, -1, axis=-1)  # f(lam + 1), then the steps in place
+    np.subtract(f, steps, out=steps)
+    return np.abs(steps, out=steps).max(axis=-1, initial=0.0, where=g.out_degrees > 0)
 
 
 def commutator_with_function(D: np.ndarray, f, g: DirectedCyclicGraph) -> np.ndarray:
@@ -217,35 +214,34 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     return DistanceResult(value, witness)
 
 
-def distance_bracket(g: DirectedCyclicGraph,
-                     c: PotentialCoefficients) -> tuple[np.ndarray, np.ndarray]:
+def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
     """Independent numeric bracket (lower, upper) of the whole distance
     matrix, inf where unbounded (see the module docstring): one call to the
     LP solver, on the cycle of n variables for column 0 when no vertex is a
     cut and on the anchored path of the longest arc otherwise, one certified
-    column maximiser per target and one indicator per arc.  No pair
-    is left open: the commutator norm of f is its largest step across a
-    constraint segment, so each column maximiser certifies its own column.
-    Each norm is the Schur test on the nonzero entries of the block Y of
-    [D, f], exact because Y is diagonal."""
+    column maximiser per target and one indicator per arc.  Each certificate
+    is the largest step of its function across a constraint segment, the
+    norm of its commutator under every potential, so the bracket takes the
+    graph alone.  No pair is left open: each column maximiser's steps are at
+    most one, so it certifies its own column."""
     from scipy import sparse
 
-    if c.graph != g:
-        raise ValueError("potential defined on a different graph")
     n = g.n
     ends = np.flatnonzero(g.out_degrees == 0)  # the cuts
     if len(ends):
-        # each arc starts after the last cut behind it, and place is the
-        # position on it; the anchored path spans the longest arc, and column
-        # nu reads it at |place(mu) - place(nu)| on nu's arc, the cap n off it
-        start = (ends[np.searchsorted(ends, np.arange(n)) - 1] + 1) % n
-        place = (np.arange(n) - start) % n
+        # each vertex's arc runs from the vertex after the last cut behind it
+        # to the first cut at or ahead of it (arc, its index in ends), and
+        # place is the position on it; the anchored path spans the longest
+        # arc, and column nu reads it at |place(mu) - place(nu)| on nu's arc,
+        # the cap n off it
+        arc = np.searchsorted(ends, np.arange(n)) % len(ends)
+        place = (np.arange(n) - ends[arc - 1] - 1) % n
         size = place[ends].max() + 1
-        same = start[:, None] == start  # nu and mu on one arc
+        same = arc[:, None] == arc  # nu and mu on one arc
         index = np.where(same, np.abs(place[:, None] - place), size)
-        arcs, segments = same[ends], size - 1
+        segments = size - 1
     else:  # rotation maps column 0 onto column nu: f_nu(mu) = f_0(mu - nu)
-        arcs, size, segments = (), n, n
+        size = segments = n
         index = (np.arange(n) - np.arange(n)[:, None]) % n
     # one row -1 <= f(k) - f(k+1) <= 1 per segment, wrapping only on the cycle
     k = np.arange(segments)
@@ -260,13 +256,14 @@ def distance_bracket(g: DirectedCyclicGraph,
     witnesses = np.append(res.x, float(n))[index]  # row nu: column nu's maximiser, n off its arc
     upper = np.where(witnesses.T >= n - 0.5, np.inf, witnesses.T)
 
-    lower = np.empty((n, n))
-    for nu, f in enumerate(witnesses):
-        scaled = f / max(1.0, _norm_bound(g, c, f))
-        lower[:, nu] = np.abs(scaled - scaled[nu])
-    for arc in arcs:  # the indicator of each arc
-        free = _norm_bound(g, c, arc * 1.0) <= 1e-9  # every multiple is in the ball
-        lower[np.ix_(arc, ~arc)] = math.inf if free else 0.0
+    witnesses /= np.maximum(1.0, _commutator_norms(g, witnesses))[:, None]  # into the ball
+    lower = witnesses.T - np.diag(witnesses)  # column nu: f_nu(mu) - f_nu(nu)
+    np.abs(lower, out=lower)
+    if len(ends):
+        # off its arc, row mu is inf where the indicator of mu's arc commutes
+        # with D, so that every multiple of it is in the ball, and 0 elsewhere
+        free = _commutator_norms(g, (arc == np.arange(len(ends))[:, None]) * 1.0) <= 1e-9
+        np.copyto(lower, np.where(free[arc], math.inf, 0.0)[:, None], where=~same)
     return lower, upper
 
 

@@ -399,8 +399,7 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
     out.append(CheckResult(f"metric-axioms[{tag}]", res, 1e-12))
 
     if n <= 8:
-        c = connection.PotentialCoefficients.random(g, rng)
-        bracket = np.stack(distance_bracket(g, c))
+        bracket = np.stack(distance_bracket(g))
         res = float(np.any(np.isfinite(bracket) != finite))
         res = max(res, float(np.max(np.abs(bracket[:, finite] - dmat[finite]), initial=0.0)))
         out.append(CheckResult(f"numeric-oracle-agreement[{tag}]", res, 1e-6))

@@ -345,12 +345,43 @@ def test_distance_numeric_bracket(capsys, tmp_path):
     assert np.max(np.abs(upper - dist)) <= 1e-6
 
 
+def test_numeric_distances_do_not_depend_on_the_potential(capsys, tmp_path):
+    # vertices 3 and 4 have no out-edge, vertex 0 a self-loop and vertex 6
+    # two out-edges: finite and infinite pairs, and a warning
+    g = graphs.DirectedCyclicGraph(
+        8, [(0, 0), (0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (6, 2), (7, 0)])
+    gpath = write_graph(tmp_path, graphs.format_graph(g))
+    c = connection.PotentialCoefficients.random(g, np.random.default_rng(67))
+    keys = connection.PotentialCoefficients.valid_keys(g).tolist()
+    ppath = tmp_path / "pot.txt"
+    ppath.write_text("".join(f"{mu} {nu} {nup} {v.real!r} {v.imag!r}\n"
+                             for (mu, nu, nup), v in zip(keys, c.values.tolist())))
+    warning = "warning: vertices [3, 4] have no outgoing edge; some distances are infinite\n"
+    for fmt in ("json", "csv"):
+        outs = set()
+        for potential in ((), ("--potential", "unit"), ("--potential", "zero"),
+                          ("--potential", str(ppath))):
+            code, out, err = run(capsys, "distance", "--numeric", "--graph", gpath,
+                                 "--format", fmt, *potential)
+            assert (code, err) == (0, warning)
+            outs.add(out)
+        assert len(outs) == 1 and "inf" in outs.pop()
+    # a potential file given is still read and checked: its first triple a
+    # second time, on the last line
+    ppath.write_text(ppath.read_text() + ppath.read_text().splitlines(keepends=True)[0])
+    code, out, err = run(capsys, "distance", "--numeric", "--graph", gpath,
+                         "--potential", str(ppath))
+    assert (code, out) == (2, "")
+    assert err == warning + (f"error: bad potential file {ppath}: line {len(keys) + 1}: "
+                             f"duplicate potential triple {tuple(keys[0])}\n")
+
+
 def test_distance_lp_failure_is_a_data_error(monkeypatch, capsys, tmp_path):
     failed = SimpleNamespace(status=2, message="The problem is infeasible.", x=None)
     monkeypatch.setattr(dirac, "linprog", lambda *args, **kwargs: failed)
     g = graphs.parse_graph(ngon_text(5))
     with pytest.raises(RuntimeError, match="distance LP failed with status 2"):
-        dirac.distance_bracket(g, connection.PotentialCoefficients.unit(g))
+        dirac.distance_bracket(g)
     code, out, err = run(capsys, "distance", "--graph", write_graph(tmp_path, ngon_text(5)),
                          "--numeric")
     assert code == 2 and out == ""

@@ -2,12 +2,12 @@
 key lookups, the array-backed potential, its assembly and closed forms, and
 the cut-cycle distances, each against a reference written out here edge by
 edge; the numeric distance bracket against the exact distances, and the
-norm bound it certifies with against the SVD of the whole commutator; the
-Laplacian against the dense product dbar^dagger dbar, and its and the Dirac
-operator's structure; the Fourier route to the spectrum of a circulant
-against the dense solve; the matrix-free Laplacian against the assembled one,
-on stacks, and the key index it reads; the inner product on stacked
-vectors of the Hilbert space; the graph suites of `verify` on
+largest vertex step it certifies with against the SVD of the whole
+commutator; the Laplacian against the dense product dbar^dagger dbar, and
+its and the Dirac operator's structure; the Fourier route to the spectrum
+of a circulant against the dense solve; the matrix-free Laplacian against
+the assembled one, on stacks, and the key index it reads; the inner product
+on stacked vectors of the Hilbert space; the graph suites of `verify` on
 every graph; and the CLI's number format."""
 
 import contextlib
@@ -412,8 +412,10 @@ def test_edge_pairs_are_read_only_and_built_once_per_graph(monkeypatch):
     monkeypatch.setattr(cached, "func", counted)
     g = spectra.make_circulant_regular(16, 4)
     unit = PotentialCoefficients.unit(g)
+    f = np.ones((2, g.num_edges))
     for c in PotentialCoefficients.random(g, np.random.default_rng(0)), unit:
-        dirac.distance_bracket(g, c)  # 16 norm bounds, one per column
+        connection.laplacian(g, c)
+        connection.apply_laplacian(g, c, f)
     assert len(builds) == 1 and builds[0] is g
     for index in g.edge_pairs:
         with pytest.raises(ValueError, match="read-only"):
@@ -515,15 +517,14 @@ def test_distances_are_shortest_paths_on_the_segments(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=graphs_st, seed=seeds)
-@example(g=EMPTY, seed=0)
-@example(g=LOOPS_AND_SINKS, seed=1)
-@example(g=spectra.make_circulant_regular(8, 2), seed=2)  # no cut: one rotated program
-@example(g=ONE_CUT, seed=3)  # one arc of all n vertices
-def test_numeric_bracket_holds_the_exact_distances(g, seed):
+@given(g=graphs_st)
+@example(g=EMPTY)
+@example(g=LOOPS_AND_SINKS)
+@example(g=spectra.make_circulant_regular(8, 2))  # no cut: one rotated program
+@example(g=ONE_CUT)  # one arc of all n vertices
+def test_numeric_bracket_holds_the_exact_distances(g):
     exact = dirac.all_pairs_distances(g)
-    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
-    lower, upper = dirac.distance_bracket(g, c)
+    lower, upper = dirac.distance_bracket(g)
     assert np.array_equal(upper, exact)
     assert np.all(lower <= exact) and np.all(exact <= upper)
     assert np.array_equal(np.isinf(lower), np.isinf(exact))
@@ -611,18 +612,40 @@ def test_dirac_square_is_block_diagonal_with_the_laplacian_on_top(g, seed):
     assert np.max(np.abs(square[m:, :m]), initial=0.0) <= tol
 
 
+def arc_indicators(g):
+    """The indicator of each arc of g, one row per cut: the vertices from the
+    one after the cut behind it up to the cut, written out vertex by vertex."""
+    cuts = [mu for mu in range(g.n) if g.out_degree(mu) == 0]
+    rows = []
+    for end in cuts:
+        row, mu = np.zeros(g.n), end
+        row[mu] = 1.0
+        while g.out_degree(mu - 1) > 0:
+            mu = (mu - 1) % g.n
+            row[mu] = 1.0
+        rows.append(row)
+    return np.array(rows).reshape(len(cuts), g.n)
+
+
 @settings(max_examples=60, deadline=None)
-@given(g=graphs_st, seed=seeds)
-@example(g=EMPTY, seed=0)
-@example(g=LOOPS_AND_SINKS, seed=1)
-def test_bracket_norm_bound_is_the_norm_of_the_commutator(g, seed):
+@given(g=graphs_st, k=st.integers(0, 3), seed=seeds, arcs=st.booleans())
+@example(g=EMPTY, k=2, seed=0, arcs=False)
+@example(g=LOOPS_AND_SINKS, k=3, seed=1, arcs=False)
+@example(g=EMPTY, k=0, seed=2, arcs=True)
+@example(g=LOOPS_AND_SINKS, k=0, seed=3, arcs=True)
+@example(g=ONE_CUT, k=0, seed=4, arcs=True)
+def test_bracket_certificate_is_the_norm_of_the_commutator(g, k, seed, arcs):
+    # a stack of k real functions, or the arc indicators, which commute with D
     rng = np.random.default_rng(seed)
     c = PotentialCoefficients.random(g, rng)
-    f = rng.standard_normal(g.n)
-    norm = dirac.operator_norm(dirac.commutator_with_function(
+    f = arc_indicators(g) if arcs else rng.standard_normal((k, g.n))
+    norms = dirac.operator_norm(dirac.commutator_with_function(
         dirac.dirac_operator(g, c), f, g))
-    bound = dirac._norm_bound(g, c, f)
-    assert norm <= bound <= norm + 1e-12 * max(1.0, norm)
+    steps = dirac._commutator_norms(g, f)
+    assert steps.shape == norms.shape == (len(f),)
+    assert np.all(np.abs(steps - norms) <= 1e-12 * np.maximum(1.0, norms))
+    if arcs:
+        assert not steps.any()
 
 
 @settings(max_examples=40, deadline=None)
