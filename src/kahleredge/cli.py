@@ -9,10 +9,12 @@ standard output, warnings and diagnostics to standard error.  Exit codes: 0
 success, 1 usage error, 2 data error (also a Laplacian with a non-finite
 entry, and an input too large for memory), 3 check failure.  Floats print
 with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
-JSON), by two routes that each give the same bytes as formatting every
-entry (`_blocks`).  A block of whole numbers (the distances, which arrive as
-integer hop counts from `dirac.hop_counts` with ``dirac.UNBOUNDED`` = -1 for
-``inf``; the numeric bracket; the Laplacian of the unit or zero potential)
+JSON), a block of rows at a time, each route giving the same bytes as
+formatting every entry.  The exact distances never form a matrix: each row
+is a few slices of one text built per call from the arcs of the graph, a
+window of the distances along an arc and runs of ``inf``
+(`_distance_blocks`).  A block of floats (`_blocks`) of whole numbers and
+``inf`` (the numeric bracket; the Laplacian of the unit or zero potential)
 prints by table index: each value is the index of its text in one padded
 byte table, with no sort and no search.  Any other block (eigenvalues, the
 Laplacian of a random potential) formats its kept cells (those that are not
@@ -39,11 +41,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import connection, graphs, spectra, verify
-from .dirac import distance_bracket, hop_counts
+from .dirac import distance_bracket
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,45 +80,41 @@ def non_negative_int(text: str) -> int:
 ROW_BLOCK = 256
 
 
-def _gather(indexes, top: int, inf: bool, end: str):
-    """The text of the rows of each integer array of `indexes`, whose cells
-    are 0 to `top` and, if `inf`, the index of "inf" (top + 1, or -1): each
-    cell's text followed by a comma, the last of each row by `end`.  One
-    table serves every array: the texts with either separator, as bytes
-    NUL-padded to 1, 2, 4, 8 or 16 and read as one unsigned integer up to 8
-    (a gather of machine words beats one of 5-7 byte records, even with the
-    longer padding to drop); the cells are copied out of it and the padding
-    dropped."""
+def _gather(index: np.ndarray, top: int, inf: bool, end: str) -> str:
+    """The text of the rows of the integer array `index`, whose cells are 0
+    to `top` and, if `inf`, top + 1 for "inf": each cell's text followed by a
+    comma, the last of each row by `end`.  The table holds the texts with
+    either separator, as bytes NUL-padded to 1, 2, 4, 8 or 16 and read as one
+    unsigned integer up to 8 (a gather of machine words beats one of 5-7 byte
+    records, even with the longer padding to drop); the cells are copied out
+    of it and the padding dropped."""
     texts = list(map(str, range(top + 1))) + ['"inf"' if end == "],[" else "inf"] * inf
     table = [s + "," for s in texts] + [s + end for s in texts]
     width = 1 << (max(map(len, table)) - 1).bit_length()
     table = np.array(table, dtype=f"S{width}").view(f"u{width}" if width <= 8 else f"V{width}")
     commas, ends = table[:len(texts)], table[len(texts):]
-    for index in indexes:
-        cells = commas[index]
-        cells[:, -1] = ends[index[:, -1]]
-        yield cells.tobytes().translate(None, b"\0").decode("ascii")
+    cells = commas[index]
+    cells[:, -1] = ends[index[:, -1]]
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _blocks(mat: np.ndarray, json: bool = False):
-    """The text of each block of ROW_BLOCK rows of the 2-D array `mat`: its
-    entries with 17 significant digits (locale independent, `inf` for
+    """The text of each block of ROW_BLOCK rows of the 2-D float array `mat`:
+    its entries with 17 significant digits (locale independent, `inf` for
     infinity, the string "inf" if `json`), each followed by a comma or, at
     the end of a row, by a newline, or by "],[" if `json`.
 
     A block takes one of two routes.  Its kept cells are those that are not
     `+0.0`, plus each row's last cell.
 
-    - Table route: an integer `mat` (hop counts, `dirac.hop_counts`, with
-      UNBOUNDED = -1 for infinity), or a block of floats whose every kept
-      cell is `+inf` or a whole number, sign bit clear, below the block's
-      cell count (distances, the numeric bracket, the Laplacian of the unit
-      or zero potential).  Each cell is the index of its text in a table of
-      "0" to the largest value, then "inf" (`_gather`; one table for a whole
-      integer `mat`): no sort and no search.  The bytes are those of
-      "%.17g", which writes a whole number below 10**17 as `str(int(v))`;
-      the bound keeps every value far below that, and the table no longer
-      than the block.
+    - Table route, a block whose every kept cell is `+inf` or a whole
+      number, sign bit clear, below the block's cell count (the numeric
+      bracket, the Laplacian of the unit or zero potential): each cell is the
+      index of its text in a table of "0" to the largest value, then "inf"
+      (`_gather`): no sort and no search.  The bytes are those of "%.17g",
+      which writes a whole number below 10**17 as `str(int(v))`; the bound
+      keeps every value far below that, and the table no longer than the
+      block.
     - Kept-cell route, any other block (eigenvalues, the Laplacian of a
       random potential): each kept cell's piece is the "0," of each zero
       cell ahead of it in its row, its format and its separator, one string
@@ -124,19 +123,13 @@ def _blocks(mat: np.ndarray, json: bool = False):
       cells, not with the whole block.  A block with no zero cell skips the
       pieces: one `%` of the row format repeated.
     """
-    mat = np.asarray(mat)
+    mat = np.asarray(mat, dtype=np.float64)
     end = "],[" if json else "\n"
     if mat.shape[1] == 0:  # rows with no cell
         if len(mat):
             yield end * len(mat)
         return
-    starts = range(0, len(mat), ROW_BLOCK)
-    if mat.dtype.kind == "i":  # hop counts: one table serves every block
-        yield from _gather((mat[start:start + ROW_BLOCK] for start in starts),
-                           int(mat.max()), bool(mat.min() < 0), end)
-        return
-    mat = mat.astype(np.float64, copy=False)
-    for start in starts:
+    for start in range(0, len(mat), ROW_BLOCK):
         block = mat[start:start + ROW_BLOCK]
         bits = block.view(np.int64)
         keep = bits != 0  # all but +0.0, and each row's last cell
@@ -150,7 +143,7 @@ def _blocks(mat: np.ndarray, json: bool = False):
             top = int(values.max(initial=0, where=~infs))
             # inf becomes top + 1, the index of its text; the cast is exact
             index = np.minimum(block, top + 1, out=np.empty(block.shape, np.intp), casting="unsafe")
-            yield from _gather([index], top, bool(infs.any()), end)
+            yield _gather(index, top, bool(infs.any()), end)
             continue
         last = block.shape[1] - 1
         if len(kept) == keep.size:  # no zero cell: the row format, repeated
@@ -170,20 +163,63 @@ def _blocks(mat: np.ndarray, json: bool = False):
         yield text.replace("inf", '"inf"') if json else text
 
 
+def _distance_blocks(g: graphs.DirectedCyclicGraph, json: bool = False):
+    """The text of each block of ROW_BLOCK rows of the exact distance matrix
+    of g, as `_blocks` writes its floats, straight from the arcs (`g.arcs`):
+    each row is four slices, some empty, of one text built once, n "inf"
+    cells and then a window sequence W, each cell followed by a comma, and
+    the comma of the row's last cell gives way to the row end.
+
+    With a cut, vertex mu at place p on an arc of L vertices from a0 is
+    |q - p| from the vertex at place q on its arc and unbounded off it.  W is
+    (M-1, ..., 1, 0, 1, ..., M-1), M the longest arc, so places 0..L-1 of
+    the row read W from cell M-1-p.  In column order the row is the arc's
+    part that wraps past n - 1 (at columns 0, 1, ...), "inf" up to a0, the
+    arc's part from a0 on, and "inf" to the end.  With no cut the arc is the
+    cycle opened at 0 and W takes the shorter way round, min(|x|, n - |x|)
+    for x = 1-n..n-1: row mu is W from cell n-1-mu, with no "inf"."""
+    n = g.n
+    end = "],[" if json else "\n"
+    inf = '"inf",' if json else "inf,"
+    cuts, _, start, place, length = g.arcs
+    longest = int(length.max())
+    window = np.abs(np.arange(1 - longest, longest))
+    if not len(cuts):
+        window = np.minimum(window, n - window)
+    texts = list(map(str, window.tolist()))
+    text = inf * n + ",".join(texts) + ","
+    offsets = np.cumsum([len(inf) * n] + [len(t) + 1 for t in texts])  # where each W cell starts
+    for first in range(0, n, ROW_BLOCK):
+        mu = slice(first, first + ROW_BLOCK)
+        a0, size = start[mu], length[mu]
+        w0 = longest - 1 - place[mu]  # W's cell of place 0
+        head = np.minimum(size, n - a0)  # places from a0 on, before column n
+        tail = size - head  # places past n - 1, at columns 0..tail-1
+        after = (n - a0 - head) * len(inf)  # the "inf" run after the head, in chars
+        # the row's last comma, dropped: that run's if it has one, else the head's
+        last = after > 0
+        bounds = np.stack([offsets[w0 + head], offsets[w0 + size], (a0 - tail) * len(inf),
+                           offsets[w0], offsets[w0 + head] - ~last, after - last], axis=1)
+        parts = []
+        for a, b, c, d, e, f in bounds.tolist():
+            parts += text[a:b], text[:c], text[d:e], text[:f], end
+        yield "".join(parts)
+
+
 def _print_rows(mat: np.ndarray) -> None:
     sys.stdout.writelines(_blocks(mat))
 
 
-def _print_json(head: str, mats: dict[str, np.ndarray]) -> None:
+def _print_json(head: str, blocks: dict[str, Iterable[str]]) -> None:
     """Print one JSON object: the fields in `head`, then each named matrix as
-    a list of row lists, written a block of rows at a time; `inf` is the
-    string "inf"."""
+    a list of row lists, from the texts of its blocks of rows, each row
+    ending in "],[" (`_blocks` and `_distance_blocks` with `json`)."""
     write = sys.stdout.write
     write("{" + head)
-    for name, mat in mats.items():
+    for name, texts in blocks.items():
         write(',"%s":[' % name)
         text = "["  # opens the first row; every row ends in "],["
-        for block in _blocks(mat, json=True):
+        for block in texts:
             write(text)
             text = block
         write(text[:-2] + "]")  # cuts the last row's ",[", or the "[" of no row
@@ -264,7 +300,8 @@ def cmd_laplacian(args) -> int:
     g = _load_graph(args.graph)
     mat = _laplacian(g, _load_potential(args.potential, g))
     if args.format == "json":
-        _print_json('"rows":%d,"cols":%d' % mat.shape, {"real": mat.real, "imag": mat.imag})
+        _print_json('"rows":%d,"cols":%d' % mat.shape,
+                    {"real": _blocks(mat.real, json=True), "imag": _blocks(mat.imag, json=True)})
     else:
         _print_rows(mat.view(float))
     return EXIT_OK
@@ -274,23 +311,25 @@ def cmd_distance(args) -> int:
     if args.potential is not None and not args.numeric:
         raise UsageError("--potential applies only with --numeric")
     g = _load_graph(args.graph)
-    lonely = np.flatnonzero(g.out_degrees == 0).tolist()
+    lonely = g.arcs.cuts.tolist()
     if len(lonely) >= 2:  # one cut leaves the cycle a path, two part it
         print(
             f"warning: vertices {lonely} have no outgoing edge; "
             "some distances are infinite",
             file=sys.stderr,
         )
-    mats = {"distances": hop_counts(g)}
+    json = args.format == "json"
+    blocks = {"distances": _distance_blocks(g, json)}
     if args.numeric:
         if args.potential is not None:  # checked, though the distances do not depend on it
             _load_potential(args.potential, g)
-        mats["lower"], mats["upper"] = distance_bracket(g)
-    if args.format == "json":
-        _print_json('"n":%d' % g.n, mats)
+        lower, upper = distance_bracket(g)
+        blocks["lower"], blocks["upper"] = _blocks(lower, json), _blocks(upper, json)
+    if json:
+        _print_json('"n":%d' % g.n, blocks)
     else:
-        for mat in mats.values():
-            _print_rows(mat)
+        for texts in blocks.values():
+            sys.stdout.writelines(texts)
     return EXIT_OK
 
 

@@ -88,7 +88,7 @@ __all__ = [
     "UNBOUNDED",
 ]
 
-#: the hop count of an unbounded pair (`hop_counts`); as a table index, the last entry
+#: the hop count of an unbounded pair (`hop_counts`)
 UNBOUNDED = -1
 
 
@@ -161,14 +161,12 @@ def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.nda
     k = (nu - mu) mod n steps, and the one from nu to mu, n - k steps, where a
     walk that crosses a cut (the segment {lam, lam+1} of a vertex lam with no
     outgoing edge) is unbounded.  An integer array of entries 0..n-1, and
-    UNBOUNDED where both walks cross a cut; int32 unless 2n overflows it,
-    since the comparisons below reach n - room, with room up to 2n."""
+    UNBOUNDED where both walks cross a cut; int32 unless 2n overflows it."""
     n = g.n
     dtype = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
-    cut = np.tile(g.out_degrees == 0, 2)
-    # steps from each vertex to the first cut at or ahead of it (2n: none)
-    next_cut = np.minimum.accumulate(np.where(cut, np.arange(2 * n), 2 * n)[::-1])[::-1]
-    room = (next_cut[:n] - np.arange(n)).astype(dtype)
+    arcs = g.arcs
+    # steps from each vertex to the first cut at or ahead of it (n: none)
+    room = (arcs.length - 1 - arcs.place if len(arcs.cuts) else np.full(n, n)).astype(dtype)
     start, end = start.astype(dtype), end.astype(dtype)
     dist = np.subtract.outer(-start, -end)  # nu - mu at (mu, nu)
     np.add(dist, n, out=dist, where=dist < 0)  # k, mod n without a division
@@ -227,16 +225,11 @@ def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
     from scipy import sparse
 
     n = g.n
-    ends = np.flatnonzero(g.out_degrees == 0)  # the cuts
-    if len(ends):
-        # each vertex's arc runs from the vertex after the last cut behind it
-        # to the first cut at or ahead of it (arc, its index in ends), and
-        # place is the position on it; the anchored path spans the longest
-        # arc, and column nu reads it at |place(mu) - place(nu)| on nu's arc,
-        # the cap n off it
-        arc = np.searchsorted(ends, np.arange(n)) % len(ends)
-        place = (np.arange(n) - ends[arc - 1] - 1) % n
-        size = place[ends].max() + 1
+    cuts, arc, _, place, length = g.arcs
+    if len(cuts):
+        # the anchored path spans the longest arc, and column nu reads it at
+        # |place(mu) - place(nu)| on nu's arc, the cap n off it
+        size = length.max()
         same = arc[:, None] == arc  # nu and mu on one arc
         index = np.where(same, np.abs(place[:, None] - place), size)
         segments = size - 1
@@ -259,10 +252,10 @@ def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
     witnesses /= np.maximum(1.0, _commutator_norms(g, witnesses))[:, None]  # into the ball
     lower = witnesses.T - np.diag(witnesses)  # column nu: f_nu(mu) - f_nu(nu)
     np.abs(lower, out=lower)
-    if len(ends):
+    if len(cuts):
         # off its arc, row mu is inf where the indicator of mu's arc commutes
         # with D, so that every multiple of it is in the ball, and 0 elsewhere
-        free = _commutator_norms(g, (arc == np.arange(len(ends))[:, None]) * 1.0) <= 1e-9
+        free = _commutator_norms(g, (arc == np.arange(len(cuts))[:, None]) * 1.0) <= 1e-9
         np.copyto(lower, np.where(free[arc], math.inf, 0.0)[:, None], where=~same)
     return lower, upper
 

@@ -5,7 +5,8 @@ A graph is a few integer arrays over its edges in canonical lexicographic
 indexes edge coordinates: sources, targets, the sorted keys source*n + target
 that `find_edges` binary-searches, and out-edge offsets (CSR style) that
 index the edges leaving each vertex, plus the edge pair of every valid
-potential key (`edge_pairs`), built on first use.  Edges are checked once,
+potential key (`edge_pairs`) and the arcs the cuts part the vertex cycle
+into (`arcs`), each built on first use.  Edges are checked once,
 as arrays, and an error names the first bad edge in input order (in a graph
 file, its line).  The module of edge functions is a left module over vertex
 functions through the source map, with the canonical positive-definite
@@ -24,10 +25,12 @@ import itertools
 import math
 import operator
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Arcs",
     "DirectedCyclicGraph",
     "GraphFormatError",
     "parse_graph",
@@ -120,6 +123,27 @@ class _BadEdge(ValueError):
     def __init__(self, message: str, index: int, repeat: bool):
         super().__init__(message)
         self.index, self.repeat = index, repeat
+
+
+class Arcs(NamedTuple):
+    """The arcs of a graph (`DirectedCyclicGraph.arcs`), read-only integer
+    arrays.  A vertex with no outgoing edge is a cut: no constraint of the
+    Dirac operator links it to the vertex after it.  The cuts part the vertex
+    cycle into arcs, each running from the vertex after one cut up to the
+    next cut, that cut included; one cut leaves one arc of all n vertices.
+    With no cut the fields describe the cycle opened at vertex 0 (arc 0,
+    start 0, length n), which is not an arc: a walk may wrap past n - 1."""
+
+    #: (k,) the cuts, ascending
+    cuts: np.ndarray
+    #: (n,) each vertex's arc: the index in `cuts` of the first cut at or ahead of it
+    arc: np.ndarray
+    #: (n,) the first vertex of each vertex's arc, the one after the cut behind it
+    start: np.ndarray
+    #: (n,) each vertex's place on its arc, (vertex - start) mod n
+    place: np.ndarray
+    #: (n,) the vertex count of each vertex's arc
+    length: np.ndarray
 
 
 class DirectedCyclicGraph:
@@ -223,6 +247,26 @@ class DirectedCyclicGraph:
         partner = np.arange(len(edge)) + np.repeat(self.offsets[back] - first, counts)
         edge.flags.writeable = partner.flags.writeable = False
         return edge, partner
+
+    @functools.cached_property
+    def arcs(self) -> Arcs:
+        """The cuts and each vertex's arc, start, place and arc length
+        (`Arcs`).  Built on first use and kept, since it depends on the graph
+        alone."""
+        n = self.n
+        cuts = np.flatnonzero(self.out_degrees == 0)
+        every = np.arange(n)
+        if len(cuts):
+            arc = np.searchsorted(cuts, every) % len(cuts)
+            start = (cuts[arc - 1] + 1) % n
+            length = (cuts[arc] - start) % n + 1
+        else:
+            arc = start = np.zeros(n, dtype=every.dtype)
+            length = np.full(n, n)
+        arcs = Arcs(cuts, arc, start, (every - start) % n, length)
+        for arr in arcs:
+            arr.flags.writeable = False
+        return arcs
 
     def __eq__(self, other) -> bool:
         # identity first: operators check their graphs on every call

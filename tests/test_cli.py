@@ -1,10 +1,13 @@
 """Command-line interface: formats, round trips and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -637,6 +640,39 @@ def assert_same_text(out, expected):
             pytest.fail(f"line {k + 1} differs at column {col + 1}: "
                         f"{line[max(0, col - 40):col + 40]!r} != {want[max(0, col - 40):col + 40]!r}")
     assert out == expected
+
+
+class CharCount(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_distance_streams_below_one_hop_count_matrix(capsys, tmp_path):
+    """`distance` on circulant 2048 2, with no cut and with two, allocates
+    less at its peak than one n x n int32 matrix (16 MiB): the rows are
+    written a block at a time, from the arcs."""
+    n = 2048
+    text = run(capsys, "generate", "circulant", str(n), "2")[1]
+    sinks = "".join(line + "\n" for line in text.splitlines()
+                    if line.split()[0] not in ("100", "1500"))
+    for graph_text in (text, sinks):
+        path = write_graph(tmp_path, graph_text)
+        for fmt in ("json", "csv"):
+            out = CharCount()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["distance", "--graph", path, "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and out.chars > 2 * n * n  # at least "0," per cell
+            assert peak < n * n * np.dtype(np.int32).itemsize, (fmt, peak)
 
 
 def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):

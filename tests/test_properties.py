@@ -8,7 +8,8 @@ its and the Dirac operator's structure; the Fourier route to the spectrum
 of a circulant against the dense solve; the matrix-free Laplacian against
 the assembled one, on stacks, and the key index it reads; the inner product
 on stacked vectors of the Hilbert space; the graph suites of `verify` on
-every graph; and the CLI's number format."""
+every graph; the arcs of a graph against a walk from cut to cut; and the
+CLI's number format, the distance writer that reads the arcs among it."""
 
 import contextlib
 import io
@@ -674,7 +675,7 @@ def test_printed_rows_parse_back_to_the_same_floats(mat):
     assert np.array(csv).tobytes() == mat.tobytes()  # bitwise: keeps the sign of 0
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._print_json('"n":0', {"m": mat})
+        cli._print_json('"n":0', {"m": cli._blocks(mat, json=True)})
     rows = json.loads(out.getvalue(), parse_int=float)["m"]
     parsed = [[float(v) for v in row] for row in rows]  # "inf" is a string
     assert np.array(parsed).tobytes() == mat.tobytes()
@@ -793,7 +794,7 @@ def test_printed_json_matches_the_per_cell_format(rows, cols, seed):
     mats = dict(zip("ab", rng.choice(pool, (2, rows, cols))))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._print_json('"n":0', mats)
+        cli._print_json('"n":0', {name: cli._blocks(mat, json=True) for name, mat in mats.items()})
     assert out.getvalue() == '{"n":0%s}\n' % "".join(
         ',"%s":[%s]' % (name, ",".join("[" + row + "]" for row in reference_rows(mat, json=True)))
         for name, mat in mats.items())
@@ -811,6 +812,12 @@ def path_graph(n, sinks):
 @example(g=LOOPS_AND_SINKS)
 @example(g=ONE_CUT)
 @example(g=DirectedCyclicGraph(3, []))  # every vertex a sink: inf off the diagonal
+@example(g=path_graph(9, {0}))  # one cut at 0: one arc from vertex 1 that wraps past 8
+@example(g=path_graph(9, {8}))  # one cut at n - 1: one arc from vertex 0, no wrap
+@example(g=path_graph(9, {0, 4}))  # an arc that ends at 0 and one that does not wrap
+@example(g=path_graph(9, {8, 4}))  # an arc that ends at n - 1 and one that wraps
+@example(g=path_graph(7, set()))  # no cut, odd n
+@example(g=spectra.make_circulant_regular(8, 2))  # no cut, even n
 @example(g=path_graph(11, {10}))  # hop counts 0..10: texts of one and two digits
 @example(g=path_graph(101, {100}))  # 0..100: two and three digits
 @example(g=path_graph(cli.ROW_BLOCK + 44, {7, 150}))  # two row blocks, inf in both
@@ -821,13 +828,28 @@ def test_hop_counts_print_as_the_float_distances(g):
     assert np.array_equal(hops, np.where(np.isinf(dist), dirac.UNBOUNDED, dist))
     for json in (False, True):  # row by row: a failure lists the first differing row
         end = "],[" if json else "\n"
-        assert "".join(cli._blocks(hops, json)).split(end) == reference_text(dist, json).split(end)
+        assert "".join(cli._distance_blocks(g, json)).split(end) == reference_text(dist, json).split(end)
 
 
-# the smallest hop-count matrices, below the smallest graph (n = 3)
-@pytest.mark.parametrize("hops", [[[0]], [[dirac.UNBOUNDED]], [[0, 1]], [[dirac.UNBOUNDED], [0]]])
-def test_small_hop_count_matrices_print_as_floats(hops):
-    hops = np.array(hops, dtype=np.int32)
-    dist = np.where(hops == dirac.UNBOUNDED, math.inf, hops)
-    for json in (False, True):
-        assert "".join(cli._blocks(hops, json)) == reference_text(dist, json)
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st)
+@example(g=EMPTY)
+@example(g=LOOPS_AND_SINKS)
+@example(g=ONE_CUT)
+@example(g=path_graph(9, {0, 4}))
+@example(g=path_graph(7, set()))
+def test_arcs_are_read_only_and_walk_from_cut_to_cut(g):
+    """Each vertex's arc, start, place and length, against a walk from the
+    vertex after each cut to the next cut; with no cut, the cycle from 0."""
+    arcs = g.arcs
+    assert g.arcs is arcs and all(not arr.flags.writeable for arr in arcs)
+    cuts = [mu for mu in range(g.n) if g.out_degree(mu) == 0]
+    assert arcs.cuts.tolist() == cuts
+    want = [(0, 0, mu, g.n) for mu in range(g.n)]
+    for index, cut in enumerate(cuts):
+        walk = [(cuts[index - 1] + 1) % g.n]
+        while walk[-1] != cut:
+            walk.append((walk[-1] + 1) % g.n)
+        for place, mu in enumerate(walk):
+            want[mu] = (index, walk[0], place, len(walk))
+    assert list(zip(*(arr.tolist() for arr in arcs[1:]))) == want
