@@ -10,16 +10,18 @@ success, 1 usage error, 2 data error (also a Laplacian with a non-finite
 entry, and an input too large for memory), 3 check failure.  Floats print
 with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
 JSON), a block of rows at a time, each route giving the same bytes as
-formatting every entry.  The exact distances never form a matrix: each row
-is a few slices of one text built per call from the arcs of the graph, a
-window of the distances along an arc and runs of ``inf``
-(`_distance_blocks`).  A block of floats (`_blocks`) of whole numbers and
-``inf`` (the numeric bracket; the Laplacian of the unit or zero potential)
-prints by table index: each value is the index of its text in one padded
-byte table, with no sort and no search.  Any other block (eigenvalues, the
-Laplacian of a random potential) formats its kept cells (those that are not
-``+0.0``, and each row's last), after the run of zeros ahead of each, with
-one ``%``.  CSV:
+formatting every entry.  Neither the exact distances nor the Laplacian
+form a matrix: a distance row is a few slices of one text built per call
+from the arcs of the graph, a window of the distances along an arc and runs
+of ``inf`` (`_distance_blocks`); a Laplacian row is the texts of at most
+three column ranges, the edges leaving the vertices around the row's
+source, between runs of zero cells, each coefficient and diagonal-block
+entry formatted once (`_laplacian_blocks`).  Other floats print through
+`_blocks`: a block of whole numbers and ``inf`` (the numeric bracket) by
+table index, each value the index of its text in one padded byte table,
+with no sort and no search; any other block (eigenvalues) by its kept
+cells (those that are not ``+0.0``, and each row's last), after the run of
+zeros ahead of each, with one ``%``.  CSV:
 ``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row
 per line with ``re,im`` interleaved per entry, ``distance`` the distances,
 then the lower and the upper bracket, stacked.  An empty matrix prints no
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 from collections.abc import Iterable
 
@@ -105,23 +108,23 @@ def _blocks(mat: np.ndarray, json: bool = False):
     the end of a row, by a newline, or by "],[" if `json`.
 
     A block takes one of two routes.  Its kept cells are those that are not
-    `+0.0`, plus each row's last cell.
+    `+0.0`, plus each row's last cell.  (The Laplacian takes neither: its
+    zero cells follow from the graph, `_laplacian_blocks`.)
 
     - Table route, a block whose every kept cell is `+inf` or a whole
       number, sign bit clear, below the block's cell count (the numeric
-      bracket, the Laplacian of the unit or zero potential): each cell is the
-      index of its text in a table of "0" to the largest value, then "inf"
-      (`_gather`): no sort and no search.  The bytes are those of "%.17g",
-      which writes a whole number below 10**17 as `str(int(v))`; the bound
-      keeps every value far below that, and the table no longer than the
-      block.
-    - Kept-cell route, any other block (eigenvalues, the Laplacian of a
-      random potential): each kept cell's piece is the "0," of each zero
-      cell ahead of it in its row, its format and its separator, one string
-      per distinct (zeros ahead, row end) pair; the pieces are joined and
-      one `%` formats the kept values, so the text costs with the kept
-      cells, not with the whole block.  A block with no zero cell skips the
-      pieces: one `%` of the row format repeated.
+      bracket): each cell is the index of its text in a table of "0" to the
+      largest value, then "inf" (`_gather`): no sort and no search.  The
+      bytes are those of "%.17g", which writes a whole number below 10**17
+      as `str(int(v))`; the bound keeps every value far below that, and the
+      table no longer than the block.
+    - Kept-cell route, any other block (eigenvalues): each kept cell's
+      piece is the "0," of each zero cell ahead of it in its row, its
+      format and its separator, one string per distinct (zeros ahead, row
+      end) pair; the pieces are joined and one `%` formats the kept values,
+      so the text costs with the kept cells, not with the whole block.  A
+      block with no zero cell skips the pieces: one `%` of the row format
+      repeated.
     """
     mat = np.asarray(mat, dtype=np.float64)
     end = "],[" if json else "\n"
@@ -206,6 +209,92 @@ def _distance_blocks(g: graphs.DirectedCyclicGraph, json: bool = False):
         yield "".join(parts)
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    """The "%.17g" text of each float, followed by a comma."""
+    texts = ("%.17g,\0" * len(values) % tuple(values.tolist())).split("\0")
+    texts.pop()  # the empty text after the last separator
+    return texts
+
+
+def _laplacian_blocks(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients,
+                      json: bool = False) -> list:
+    """The text of each block of ROW_BLOCK rows of the Laplacian of g under
+    c, as `_blocks` writes the floats of `connection.laplacian(g, c)`: in
+    CSV one matrix, `re,im` interleaved per entry; in JSON the real matrix,
+    then the imaginary one.  Returns one generator per matrix; a data error,
+    before any text, if an entry is not finite.
+
+    No m x m array is formed.  The row of an edge e leaving mu is non-zero
+    only in three column ranges, each the edges leaving one vertex (so
+    contiguous in edge order; they wrap at mu = 0 and n - 1): mu - 1 holds
+    row i of conj(C_mu), mu the block conj(C_mu) C_mu^T + I
+    (`connection.laplacian_blocks`) and mu + 1 column i of C_{mu+1} (row i
+    of its transpose), i the place of e among the edges leaving mu.  Each
+    coefficient and block entry is formatted once: the conjugate's imaginary
+    text is its text negated, and "-0" and "0" map as `+ 0.0` maps them in
+    `connection.laplacian`, as does a real text of "-0".  Runs of zero cells
+    fill the gaps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = connection.laplacian_blocks(g, c)
+    # the blocks end to end, that of mu row-major from block_at[mu]
+    block_at, at = np.zeros(g.n, dtype=int), 0
+    for mu, square in squares:
+        block_at[mu] = at + np.arange(0, square.size, square[0].size)
+        at += square.size
+    blocks = _finite(np.concatenate([np.empty(0, complex)] + [square.reshape(-1) for _, square in squares]))
+    re, im = _texts(c.values.real), _texts(c.values.imag)
+    conj = ["0," if t == "-0," else t for t in re], [
+        t[1:] if t[0] == "-" else t if t == "0," else "-" + t for t in im]
+    diag = _texts(blocks.real), _texts(blocks.imag)
+    rows = functools.partial(_laplacian_rows, g, c.block_offsets.tolist(), block_at.tolist())
+    if json:
+        return [rows("0,", "],[", *texts) for texts in zip((re, im), conj, diag)]
+    pairs = [list(map(operator.add, *texts)) for texts in ((re, im), conj, diag)]
+    return [rows("0,0,", "\n", *pairs)]
+
+
+def _laplacian_rows(g, coef_at, block_at, zero, end, zeta, dagger, diag):
+    """The rows of `_laplacian_blocks`, a block of ROW_BLOCK at a time, from
+    the texts of the coefficients (`zeta`), of their conjugates (`dagger`),
+    both in key order, and of the diagonal blocks (`diag`), all ending in a
+    comma, and `zero`, the text of a zero cell."""
+    n, m = g.n, g.num_edges
+    off, deg = g.offsets.tolist(), g.out_degrees.tolist()
+    zeros = zero * m
+    parts, rows = [], 0
+    for mu in range(n):
+        if not deg[mu]:
+            continue
+        prev, nxt = (mu - 1) % n, (mu + 1) % n
+        # (vertex, texts, first text of the row of place 0, step per place, span, stride)
+        ranges = sorted([(prev, dagger, coef_at[mu], deg[prev], deg[prev], 1),
+                         (mu, diag, block_at[mu], deg[mu], deg[mu], 1),
+                         (nxt, zeta, coef_at[nxt], 1, deg[nxt] * deg[mu], deg[mu])],
+                        key=lambda r: r[0])
+        cursor, layout = 0, []  # the zero cells ahead of each range, and the range
+        for v, texts, first, step, span, stride in ranges:
+            if deg[v]:
+                layout.append((zeros[:(off[v] - cursor) * len(zero)], texts, first, step, span, stride))
+                cursor = off[v + 1]
+        # the row's last comma gives way to the row end
+        tail = zeros[:(m - cursor) * len(zero) - 1] + end if cursor < m else None
+        for i in range(deg[mu]):
+            for gap, texts, a, step, span, stride in layout:
+                parts.append(gap)
+                a += i * step
+                parts += texts[a:a + span:stride]
+            if tail is None:
+                parts[-1] = parts[-1][:-1] + end
+            else:
+                parts.append(tail)
+            rows += 1
+            if rows % ROW_BLOCK == 0:
+                yield "".join(parts)
+                parts = []
+    if parts:
+        yield "".join(parts)
+
+
 def _print_rows(mat: np.ndarray) -> None:
     sys.stdout.writelines(_blocks(mat))
 
@@ -261,14 +350,18 @@ def _is_directed_ngon(g: graphs.DirectedCyclicGraph) -> bool:
     return np.array_equal(g.keys, mu * g.n + (mu + 1) % g.n)
 
 
+def _finite(entries: np.ndarray) -> np.ndarray:
+    """`entries` of a Laplacian; a data error if one is not finite."""
+    if not np.isfinite(entries).all():
+        raise DataError("the Laplacian has non-finite entries: the potential overflows")
+    return entries
+
+
 def _laplacian(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray:
     """The matrix of the twisted edge Laplacian of g under c; a data error if
     an entry is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = connection.laplacian(g, c)
-    if not np.isfinite(mat).all():
-        raise DataError("the Laplacian has non-finite entries: the potential overflows")
-    return mat
+        return _finite(connection.laplacian(g, c))
 
 
 def cmd_spectrum(args) -> int:
@@ -298,12 +391,12 @@ def cmd_spectrum(args) -> int:
 
 def cmd_laplacian(args) -> int:
     g = _load_graph(args.graph)
-    mat = _laplacian(g, _load_potential(args.potential, g))
-    if args.format == "json":
-        _print_json('"rows":%d,"cols":%d' % mat.shape,
-                    {"real": _blocks(mat.real, json=True), "imag": _blocks(mat.imag, json=True)})
+    json = args.format == "json"
+    texts = _laplacian_blocks(g, _load_potential(args.potential, g), json)
+    if json:
+        _print_json('"rows":%d,"cols":%d' % (g.num_edges, g.num_edges), dict(zip(("real", "imag"), texts)))
     else:
-        _print_rows(mat.view(float))
+        sys.stdout.writelines(*texts)
     return EXIT_OK
 
 

@@ -8,11 +8,12 @@ zeta (a left-module map with scalar coefficients) shifts mass between edges
 sourced at consecutive vertices.  The Laplacian dbar^dagger dbar is the
 square of the resulting Dirac-type operator restricted to the edge block; it
 is written entry by entry from the potential's blocks C_mu, with no matrix
-product over all edges (see `laplacian`), and applied without a matrix, to
-one edge function or a stack of them, under any potential
-(`apply_laplacian`).  Every route that places a coefficient reads one index,
-the edge pair of each valid key, which depends on the graph alone and is
-kept on it (`DirectedCyclicGraph.edge_pairs`).
+product over all edges (see `laplacian`; its diagonal blocks come from
+`laplacian_blocks`, which the CLI reads to print L without the matrix), and
+applied without a matrix, to one edge function or a stack of them, under
+any potential (`apply_laplacian`).  Every route that places a coefficient
+reads one index, the edge pair of each valid key, which depends on the
+graph alone and is kept on it (`DirectedCyclicGraph.edge_pairs`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "zeta_operator",
     "dbar",
     "laplacian",
+    "laplacian_blocks",
     "apply_laplacian",
     "composite_blocks",
     "zeta_dagger_closed_form",
@@ -220,16 +222,16 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
 
     L = I + zeta + zeta^dagger + zeta^dagger zeta, with no product over all
     edges: zeta and zeta^dagger place each coefficient c[key] at its edge
-    pair (e, e') and conj(c[key]) at (e', e), and zeta^dagger zeta is block
-    diagonal by source, conj(C_mu) C_mu^T on the edges leaving mu (C_mu: rows
-    the edges leaving mu, columns those leaving mu-1).  These supports, the
+    pair (e', e) and conj(c[key]) at (e, e'), and zeta^dagger zeta + I is
+    block diagonal by source (`laplacian_blocks`).  These supports, the
     entries (e', e) with s(e') equal to s(e) - 1, s(e) + 1 and s(e), are
-    disjoint because n >= 3, so plain assignment places them; the identity,
-    inside the last, is added at the end.  Vertices whose blocks share a
-    shape share one batched matmul; the only loop is over the distinct
-    shapes.  Conjugating a coefficient whose imaginary part is +0 gives -0;
-    adding 0.0 restores +0, as in the product dbar^dagger dbar, so the unit
-    and zero potentials give its entries bit for bit.
+    disjoint because n >= 3, so plain assignment places them.  Conjugating a
+    coefficient gives -0 for an imaginary part of +0, and adding 0.0
+    restores +0 (and turns a real part of -0 to +0), as in the product
+    dbar^dagger dbar, so the unit and zero potentials give its entries bit
+    for bit.  The CLI prints L row by row from the same parts, with no m x m
+    array, and maps the texts of the conjugates as this sum maps their
+    values.
     """
     if c.graph != g:
         raise ValueError("potential defined on a different graph")
@@ -237,18 +239,38 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     mat = np.zeros((m, m), dtype=complex)
     edge, partner = g.edge_pairs
     mat[partner, edge] = c.values  # zeta
-    mat[edge, partner] = c.values.conj() + 0.0  # zeta^dagger, +0 imaginary parts: see above
-    here = g.out_degrees
-    back = here[(np.arange(g.n) - 1) % g.n]
-    shapes = here * (g.n + 1) + back  # (d_mu, d_{mu-1}) as one integer
-    for shape in np.unique(shapes[here * back > 0]).tolist():
-        d, dp = divmod(shape, g.n + 1)
-        mu = np.flatnonzero(shapes == shape)
-        block = c.values[c.block_offsets[mu, None] + np.arange(d * dp)].reshape(-1, d, dp)
-        e = (g.offsets[mu, None] + np.arange(d))[:, :, None]  # edges leaving mu
-        mat[e, e.transpose(0, 2, 1)] = np.matmul(block.conj() + 0.0, block.transpose(0, 2, 1))
-    mat.reshape(-1)[:: m + 1] += 1.0
+    mat[edge, partner] = c.values.conj() + 0.0  # zeta^dagger, +0 parts: see above
+    for mu, square in laplacian_blocks(g, c):
+        e = (g.offsets[mu, None] + np.arange(square.shape[1]))[:, :, None]  # edges leaving mu
+        mat[e, e.transpose(0, 2, 1)] = square
     return mat
+
+
+def laplacian_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The diagonal blocks conj(C_mu) C_mu^T + I of the Laplacian, each on
+    the edges leaving its vertex mu (C_mu: rows the edges leaving mu,
+    columns those leaving mu-1), as pairs (vertices, stack of their blocks)
+    for every vertex with edges, one pair per distinct shape of C_mu.
+
+    Vertices whose blocks C_mu share a shape share one batched matmul; the
+    only loop is over the distinct shapes.  A vertex with no edge behind it
+    has the identity block (its product is of empty factors, +0.0).  A
+    non-finite coefficient makes its row's diagonal entry, sum |c|^2 + 1,
+    non-finite.
+    """
+    n = g.n
+    here = g.out_degrees
+    back = here[(np.arange(n) - 1) % n]
+    shapes = here * (n + 1) + back  # (d_mu, d_{mu-1}) as one integer
+    out = []
+    for shape in np.unique(shapes[here > 0]).tolist():
+        d, dp = divmod(shape, n + 1)
+        mu = np.flatnonzero(shapes == shape)
+        block = c.values[c.block_offsets[mu, None] + np.arange(d * dp)].reshape(len(mu), d, dp)
+        square = np.matmul(block.conj() + 0.0, block.transpose(0, 2, 1))
+        square.reshape(len(mu), -1)[:, :: d + 1] += 1.0  # the identity
+        out.append((mu, square))
+    return out
 
 
 def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.ndarray:

@@ -222,14 +222,19 @@ def test_spectrum_rejects_duplicate_potential_triple(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["spectrum", "laplacian"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_overflowing_laplacian_is_a_data_error(capsys, tmp_path, command, fmt):
-    # a finite potential whose square overflows: L gets inf and nan entries
-    gpath = write_graph(tmp_path, ngon_text(3))
-    ppath = tmp_path / "pot.txt"
-    ppath.write_text("0 1 0 1e200 0\n")
-    code, out, err = run(capsys, command, "--graph", gpath, "--potential", str(ppath),
-                         "--format", fmt)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "non-finite" in err
+    # a finite potential whose square overflows: L gets inf and nan entries;
+    # on the n-gon with n = 2 ROW_BLOCK + 10 the one overflowing coefficient
+    # sits at the last vertex, in the last block of rows, so nothing prints
+    # before the check
+    n = 2 * cli.ROW_BLOCK + 10
+    for text, key in ((ngon_text(3), "0 1 0"), (ngon_text(n), f"{n - 1} 0 {n - 1}")):
+        gpath = write_graph(tmp_path, text)
+        ppath = tmp_path / "pot.txt"
+        ppath.write_text(f"{key} 1e200 0\n")
+        code, out, err = run(capsys, command, "--graph", gpath, "--potential", str(ppath),
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: the Laplacian has non-finite entries: the potential overflows\n"
 
 
 def test_spectrum_of_a_circulant_takes_the_fourier_route(capsys, tmp_path, monkeypatch):
@@ -673,6 +678,34 @@ def test_distance_streams_below_one_hop_count_matrix(capsys, tmp_path):
                 tracemalloc.stop()
             assert code == 0 and out.chars > 2 * n * n  # at least "0," per cell
             assert peak < n * n * np.dtype(np.int32).itemsize, (fmt, peak)
+
+
+def test_laplacian_streams_below_one_dense_matrix(capsys, tmp_path):
+    """`laplacian` on circulant 512 4 (m = 2,048), under the unit and a
+    random potential, allocates less at its peak than a quarter of the dense
+    complex L (64 MiB): the rows are written a block at a time, from the
+    out-edge ranges of the graph and the diagonal blocks."""
+    text = run(capsys, "generate", "circulant", "512", "4")[1]
+    path = write_graph(tmp_path, text)
+    g = graphs.parse_graph(text)
+    m = g.num_edges
+    rng = np.random.default_rng(32)
+    pot = tmp_path / "pot.txt"
+    pot.write_text("".join(f"{mu} {nu} {nup} {rng.standard_normal()!r} {rng.standard_normal()!r}\n"
+                           for mu, nu, nup in connection.PotentialCoefficients.valid_keys(g).tolist()))
+    for potential in ("unit", str(pot)):
+        for fmt in ("json", "csv"):
+            out = CharCount()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["laplacian", "--graph", path, "--potential", potential,
+                                     "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and out.chars >= 4 * m * m  # at least "0," per float
+            assert peak < 16 * 2**20, (potential, fmt, peak)
 
 
 def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):

@@ -9,7 +9,8 @@ of a circulant against the dense solve; the matrix-free Laplacian against
 the assembled one, on stacks, and the key index it reads; the inner product
 on stacked vectors of the Hilbert space; the graph suites of `verify` on
 every graph; the arcs of a graph against a walk from cut to cut; and the
-CLI's number format, the distance writer that reads the arcs among it."""
+CLI's number format, the distance writer that reads the arcs and the
+Laplacian writer that reads the out-edge ranges among it."""
 
 import contextlib
 import io
@@ -804,6 +805,52 @@ def path_graph(n, sinks):
     """The directed n-gon without the out-edges of `sinks`: one sink leaves
     hop counts up to n - 1, two or more leave unbounded pairs."""
     return DirectedCyclicGraph(n, [(mu, (mu + 1) % n) for mu in range(n) if mu not in sinks])
+
+
+# coefficients with the sign of zero, whole numbers, the least subnormal and
+# whole numbers where "%.17g" turns to an exponent
+COEFFICIENTS = [0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324, 1e16, 1e17, -1e17]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, potential=st.sampled_from(["unit", "zero", "random"]), seed=seeds)
+@example(g=EMPTY, potential="random", seed=0)
+@example(g=LOOPS_AND_SINKS, potential="random", seed=1)
+@example(g=ONE_CUT, potential="unit", seed=2)
+@example(g=HUBS, potential="random", seed=3)
+# n = 3: the three column ranges of every row meet, with no zero cell between
+@example(g=DirectedCyclicGraph(3, itertools.product(range(3), repeat=2)), potential="random", seed=4)
+@example(g=spectra.make_circulant_regular(3, 1), potential="unit", seed=5)
+# no cut: the range of mu - 1 wraps on the rows of 0, that of mu + 1 on those of n - 1
+@example(g=spectra.make_circulant_regular(8, 2), potential="random", seed=6)
+# a cut at 0 and at n - 1: an empty range where a range wraps
+@example(g=path_graph(9, {0}), potential="random", seed=7)
+@example(g=path_graph(9, {8}), potential="random", seed=8)
+@example(g=path_graph(9, {0}), potential="unit", seed=9)
+@example(g=path_graph(9, {8}), potential="zero", seed=10)
+# two blocks of rows, the second cut short
+@example(g=path_graph(cli.ROW_BLOCK + 44, {7, 150}), potential="random", seed=11)
+def test_laplacian_rows_print_as_the_assembled_matrix(g, potential, seed):
+    """The writer of `laplacian`, which reads the graph and the diagonal
+    blocks, against the per-cell format of `connection.laplacian`, in CSV
+    and JSON: the conjugate's texts, derived from the coefficient's, carry
+    the signs of zero that conj(c) + 0.0 has."""
+    if potential == "unit":
+        c = PotentialCoefficients.unit(g)
+    elif potential == "zero":
+        c = PotentialCoefficients.zero(g)
+    else:
+        rng = np.random.default_rng(seed)
+        c = PotentialCoefficients(g)
+        k = len(c.values)
+        pool = np.concatenate([COEFFICIENTS, rng.standard_normal(6) * 10.0 ** rng.integers(-150, 150, 6)])
+        c.values.real, c.values.imag = rng.choice(pool, (2, k))
+    lap = connection.laplacian(g, c)
+    (csv,) = cli._laplacian_blocks(g, c)
+    real, imag = cli._laplacian_blocks(g, c, json=True)
+    assert "".join(csv) == reference_text(lap.view(float))
+    assert "".join(real) == reference_text(lap.real, json=True)
+    assert "".join(imag) == reference_text(lap.imag, json=True)
 
 
 @settings(max_examples=60, deadline=None)
