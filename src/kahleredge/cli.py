@@ -19,9 +19,8 @@ source, between runs of zero cells, each coefficient and diagonal-block
 entry formatted once (`_laplacian_blocks`).  Other floats print through
 `_blocks`: a block of whole numbers and ``inf`` (the numeric bracket) by
 table index, each value the index of its text in one padded byte table,
-with no sort and no search; any other block (eigenvalues) by its kept
-cells (those that are not ``+0.0``, and each row's last), after the run of
-zeros ahead of each, with one ``%``.  CSV:
+with no sort and no search; any other block (eigenvalues) by one ``%`` of
+the row format.  CSV:
 ``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row
 per line with ``re,im`` interleaved per entry, ``distance`` the distances,
 then the lower and the upper bracket, stacked.  An empty matrix prints no
@@ -107,24 +106,18 @@ def _blocks(mat: np.ndarray, json: bool = False):
     infinity, the string "inf" if `json`), each followed by a comma or, at
     the end of a row, by a newline, or by "],[" if `json`.
 
-    A block takes one of two routes.  Its kept cells are those that are not
-    `+0.0`, plus each row's last cell.  (The Laplacian takes neither: its
-    zero cells follow from the graph, `_laplacian_blocks`.)
+    A block takes one of two routes.  (The exact distances and the
+    Laplacian take neither: their cells follow from the graph,
+    `_distance_blocks` and `_laplacian_blocks`.)
 
-    - Table route, a block whose every kept cell is `+inf` or a whole
-      number, sign bit clear, below the block's cell count (the numeric
-      bracket): each cell is the index of its text in a table of "0" to the
-      largest value, then "inf" (`_gather`): no sort and no search.  The
-      bytes are those of "%.17g", which writes a whole number below 10**17
-      as `str(int(v))`; the bound keeps every value far below that, and the
+    - Table route, a block whose every cell is `+inf` or a whole number,
+      sign bit clear, below the block's cell count (the numeric bracket):
+      each cell is the index of its text in a table of "0" to the largest
+      value, then "inf" (`_gather`): no sort and no search.  The bytes are
+      those of "%.17g", which writes a whole number below 10**17 as
+      `str(int(v))`; the bound keeps every value far below that, and the
       table no longer than the block.
-    - Kept-cell route, any other block (eigenvalues): each kept cell's
-      piece is the "0," of each zero cell ahead of it in its row, its
-      format and its separator, one string per distinct (zeros ahead, row
-      end) pair; the pieces are joined and one `%` formats the kept values,
-      so the text costs with the kept cells, not with the whole block.  A
-      block with no zero cell skips the pieces: one `%` of the row format
-      repeated.
+    - Any other block (eigenvalues): one `%` of the row format, repeated.
     """
     mat = np.asarray(mat, dtype=np.float64)
     end = "],[" if json else "\n"
@@ -134,35 +127,17 @@ def _blocks(mat: np.ndarray, json: bool = False):
         return
     for start in range(0, len(mat), ROW_BLOCK):
         block = mat[start:start + ROW_BLOCK]
-        bits = block.view(np.int64)
-        keep = bits != 0  # all but +0.0, and each row's last cell
-        keep[:, -1] = True
-        kept = bits[keep]
-        values = kept.view(np.float64)
-        infs = values == np.inf
+        infs = block == np.inf
         # the sign bit set reads as a large unsigned integer, past the bound
-        if (((kept.view(np.uint64) < np.float64(block.size).view(np.uint64)) | infs).all()
-                and (np.floor(values) == values).all()):
-            top = int(values.max(initial=0, where=~infs))
+        if (((block.view(np.uint64) < np.float64(block.size).view(np.uint64)) | infs).all()
+                and (np.floor(block) == block).all()):
+            top = int(block.max(initial=0, where=~infs))
             # inf becomes top + 1, the index of its text; the cast is exact
             index = np.minimum(block, top + 1, out=np.empty(block.shape, np.intp), casting="unsafe")
             yield _gather(index, top, bool(infs.any()), end)
             continue
-        last = block.shape[1] - 1
-        if len(kept) == keep.size:  # no zero cell: the row format, repeated
-            text = ("%.17g," * last + "%.17g" + end) * len(block) % tuple(values.tolist())
-        else:
-            cols = np.nonzero(keep)[1]
-            # twice the zeros ahead of each kept cell in its row, plus 1 at
-            # a row end: the step from the kept cell before, less 1, modulo
-            # the row length (at a row start, the cell before is a last column)
-            step = cols - np.concatenate(([last], cols[:-1]))
-            code = (step - 1) % block.shape[1] * 2 + (cols == last)
-            present = np.bincount(code)
-            pieces = np.empty(len(present), dtype=object)  # a string per code that occurs
-            for c in np.flatnonzero(present).tolist():
-                pieces[c] = "0," * (c >> 1) + "%.17g" + (end if c & 1 else ",")
-            text = "".join(pieces[code].tolist()) % tuple(values.tolist())
+        row = "%.17g," * (block.shape[1] - 1) + "%.17g" + end
+        text = row * len(block) % tuple(block.ravel().tolist())
         yield text.replace("inf", '"inf"') if json else text
 
 

@@ -13,9 +13,8 @@ outgoing edge: the number of steps of the shorter of the forward and the
 backward walk from mu to nu that crosses no cut, or infinity when both do.
 The whole matrix is this closed form entry by entry: k = (nu - mu) mod n
 forward steps, n - k backward steps, each infinite where it reaches past the
-first cut ahead of its start.  It is computed in integers (`hop_counts`,
-UNBOUNDED where infinite) and converted to floats with math.inf by
-`all_pairs_distances` and `connes_distance`.
+first cut ahead of its start, computed as floats with math.inf
+(`all_pairs_distances`, and a column of it for `connes_distance`).
 
 An independent numeric route brackets the whole distance matrix at once.
 Upper bound: the unit ball only allows |f(lam) - f(lam+1)| <= 1 on those
@@ -84,12 +83,7 @@ __all__ = [
     "operator_norm",
     "connes_distance",
     "distance_bracket",
-    "hop_counts",
-    "UNBOUNDED",
 ]
-
-#: the hop count of an unbounded pair (`hop_counts`)
-UNBOUNDED = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,45 +150,29 @@ def linprog(*args, **kwargs):
 
 
 def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Hop counts from each vertex of `start` (rows) to each vertex of `end`
+    """Distances from each vertex of `start` (rows) to each vertex of `end`
     (columns): the shorter of the forward walk lam -> lam+1 from mu to nu,
     k = (nu - mu) mod n steps, and the one from nu to mu, n - k steps, where a
     walk that crosses a cut (the segment {lam, lam+1} of a vertex lam with no
-    outgoing edge) is unbounded.  An integer array of entries 0..n-1, and
-    UNBOUNDED where both walks cross a cut; int32 unless 2n overflows it."""
+    outgoing edge) is unbounded.  A float array of whole numbers 0..n-1, and
+    math.inf where both walks cross a cut."""
     n = g.n
-    dtype = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
     arcs = g.arcs
     # steps from each vertex to the first cut at or ahead of it (n: none)
-    room = (arcs.length - 1 - arcs.place if len(arcs.cuts) else np.full(n, n)).astype(dtype)
-    start, end = start.astype(dtype), end.astype(dtype)
-    dist = np.subtract.outer(-start, -end)  # nu - mu at (mu, nu)
+    room = arcs.length - 1 - arcs.place if len(arcs.cuts) else np.full(n, n)
+    dist = np.subtract.outer(-start, -end, dtype=np.float64)  # nu - mu at (mu, nu)
     np.add(dist, n, out=dist, where=dist < 0)  # k, mod n without a division
-    # one integer array and boolean masks: the backward walk, n - k steps (n
-    # on the diagonal, never taken there), replaces k where it crosses no cut
-    # and is shorter or the forward walk crosses one
+    # one array and boolean masks: the backward walk, n - k steps (n on the
+    # diagonal, never taken there), replaces k where it crosses no cut and
+    # is shorter or the forward walk crosses one
     back_open = dist >= n - room[end]  # n - k <= room[nu]
     ahead_cut = dist > room[start, None]
     take_back = dist > n // 2  # n - k < k
     take_back |= ahead_cut
     take_back &= back_open
     np.subtract(n, dist, out=dist, where=take_back)
-    np.copyto(dist, UNBOUNDED, where=ahead_cut > back_open)  # cut ahead and behind
+    np.copyto(dist, math.inf, where=ahead_cut > back_open)  # cut ahead and behind
     return dist
-
-
-def _as_float(hops: np.ndarray) -> np.ndarray:
-    """Hop counts as float distances, math.inf where UNBOUNDED."""
-    return np.where(hops == UNBOUNDED, math.inf, hops)
-
-
-def hop_counts(g: DirectedCyclicGraph) -> np.ndarray:
-    """Matrix of vertex distances as integers, the hop counts 0..n-1, with
-    UNBOUNDED (-1) at unbounded pairs: entry (mu, nu) is the shorter of the
-    forward walks mu -> nu and nu -> mu that crosses no cut, in closed form
-    per entry (int32 unless 2n overflows it, then int64)."""
-    every = np.arange(g.n)
-    return _walks(g, every, every)
 
 
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
@@ -202,7 +180,7 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     function."""
     if not all(isinstance(x, (int, np.integer)) and 0 <= x < g.n for x in (mu, nu)):
         raise ValueError(f"vertices must be integers in 0..{g.n - 1}, got ({mu}, {nu})")
-    dist = _as_float(_walks(g, np.arange(g.n), np.array([nu]))[:, 0])
+    dist = _walks(g, np.arange(g.n), np.array([nu]))[:, 0]
     value = float(dist[mu])
     if math.isinf(value):
         return DistanceResult(math.inf, None)
@@ -262,7 +240,8 @@ def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def all_pairs_distances(g: DirectedCyclicGraph) -> np.ndarray:
     """Matrix of vertex distances as floats; math.inf marks unbounded pairs.
-    The hop counts of `hop_counts`, converted: entry (mu, nu) is the shorter
-    of the forward walks mu -> nu and nu -> mu, each unbounded where it
-    crosses a cut."""
-    return _as_float(hop_counts(g))
+    Entry (mu, nu) is the shorter of the forward walks mu -> nu and
+    nu -> mu, each unbounded where it crosses a cut, in closed form per
+    entry."""
+    every = np.arange(g.n)
+    return _walks(g, every, every)

@@ -67,14 +67,15 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     norm = float(np.linalg.norm(A))
-    asym = float(np.linalg.norm(A - A.conj().T))
+    adjoint = A.conj().T
+    asym = float(np.linalg.norm(A - adjoint))
     if asym > _HERMITIAN_TOL * norm:
         raise ValueError(
             f"matrix is not self-adjoint: ||M - M^dagger|| = {asym:.3e} "
             f"exceeds {_HERMITIAN_TOL:g} * ||M|| = {_HERMITIAN_TOL * norm:.3e}"
         )
-    A = (A + A.conj().T) / 2.0
-    if not A.imag.any():
+    A = (A + adjoint) / 2.0
+    if np.iscomplexobj(A) and not A.imag.any():
         A = np.ascontiguousarray(A.real)
     if not want_vectors:
         return Spectrum(np.linalg.eigvalsh(A))

@@ -26,8 +26,10 @@ __all__ = ["CheckResult", "run_checks"]
 
 #: vertex counts of the polygon calculus suites
 POLYGON_NS = (3, 4, 5, 8, 12)
-#: n-range for the spectral golden checks
+#: n-range for the spectral golden checks on the n-gon
 SPECTRAL_MAX_N = 64
+#: n-range for the checks on the unit circulants of every out-degree
+REGULAR_MAX_N = 8
 #: complex entries in one stack of commutators (16 MB): bounds the memory of
 #: `commutator-norm-formula` on large graphs, whose commutators are 2m x 2m
 COMMUTATOR_CELLS = 2**20
@@ -280,48 +282,49 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
 
 # ------------------------------------------------------------------- spectra
 
-def spectral_checks(max_n: int = SPECTRAL_MAX_N) -> list[CheckResult]:
-    out = []
+def spectral_checks() -> list[CheckResult]:
     res_gon, res_parity, res_kernel = 0.0, 0.0, 0.0
-    for n in range(3, max_n + 1):
-        g = spectra.make_circulant_regular(n, 1)
-        lap = connection.laplacian(g, connection.PotentialCoefficients.unit(g))
-        eigs = spectra.eig_selfadjoint(lap).eigenvalues
-        res_gon = max(res_gon, float(np.max(np.abs(eigs - spectra.ngon_closed_form(n)))))
-        has_zero = float(np.min(np.abs(eigs))) <= 1e-9
-        if has_zero != (n % 2 == 0):
-            res_parity = max(res_parity, 1.0)
-        if n % 2 == 0:
-            alt = np.array([(-1.0) ** k for k in range(n)], dtype=complex)
-            res_kernel = max(res_kernel, float(np.max(np.abs(lap @ alt))))
-    out.append(CheckResult(f"regulargon-closed-form[n<={max_n}]", res_gon, 1e-9))
-    out.append(CheckResult(f"kernel-parity[n<={max_n}]", res_parity, 0.5))
-    out.append(CheckResult(f"alternating-kernel[n<={max_n}]", res_kernel, 1e-9))
-
     res_bound, res_top, res_sum, res_trace, res_route = 0.0, 0.0, 0.0, 0.0, 0.0
-    for n in range(3, 9):
-        for d in range(1, n):
-            g = spectra.make_circulant_regular(n, d)
-            unit = connection.PotentialCoefficients.unit(g)
-            lap = connection.laplacian(g, unit)
-            eigs = spectra.eig_selfadjoint(lap).eigenvalues
-            if (n, d) in FOURIER_ROUTE_CASES:
-                res_route = max(res_route, _route_gap(g, unit, eigs))
-            bound = float((d + 1) ** 2)
-            res_bound = max(res_bound, float(-eigs[0]), float(eigs[-1]) - bound)
-            res_top = max(res_top, abs(float(eigs[-1]) - bound))
-            res_top = max(
-                res_top,
-                float(np.max(np.abs(lap @ np.ones(g.num_edges) - bound * np.ones(g.num_edges)))),
-            )
-            res_bound = max(res_bound, abs(spectra.gershgorin_radius(lap) - bound))
-            sums = np.concatenate([lap.real.sum(axis=0), lap.real.sum(axis=1)])
-            res_sum = max(res_sum, float(np.max(np.abs(sums - bound))))
-            res_trace = max(res_trace, abs(float(np.sum(eigs)) - float(np.trace(lap).real)))
-    out.append(CheckResult("regular-gershgorin-top", res_bound, 1e-9))
-    out.append(CheckResult("regular-top-eigenvector", res_top, 1e-9))
-    out.append(CheckResult("regular-row-col-sums", res_sum, 1e-9))
-    out.append(CheckResult("trace-conservation", res_trace, 1e-9))
+    # one pass over the n-gons (d = 1) and the circulants of every out-degree
+    pairs = ((n, d) for n in range(3, SPECTRAL_MAX_N + 1)
+             for d in range(1, n if n <= REGULAR_MAX_N else 2))
+    for n, d in pairs:
+        g = spectra.make_circulant_regular(n, d)
+        unit = connection.PotentialCoefficients.unit(g)
+        lap = connection.laplacian(g, unit)
+        eigs = spectra.eig_selfadjoint(lap).eigenvalues
+        if d == 1:
+            res_gon = max(res_gon, float(np.max(np.abs(eigs - spectra.ngon_closed_form(n)))))
+            has_zero = float(np.min(np.abs(eigs))) <= 1e-9
+            if has_zero != (n % 2 == 0):
+                res_parity = max(res_parity, 1.0)
+            if n % 2 == 0:
+                alt = np.array([(-1.0) ** k for k in range(n)], dtype=complex)
+                res_kernel = max(res_kernel, float(np.max(np.abs(lap @ alt))))
+        if n > REGULAR_MAX_N:
+            continue
+        if (n, d) in FOURIER_ROUTE_CASES:
+            res_route = max(res_route, _route_gap(g, unit, eigs))
+        bound = float((d + 1) ** 2)
+        res_bound = max(res_bound, float(-eigs[0]), float(eigs[-1]) - bound)
+        res_top = max(res_top, abs(float(eigs[-1]) - bound))
+        res_top = max(
+            res_top,
+            float(np.max(np.abs(lap @ np.ones(g.num_edges) - bound * np.ones(g.num_edges)))),
+        )
+        res_bound = max(res_bound, abs(spectra.gershgorin_radius(lap) - bound))
+        sums = np.concatenate([lap.real.sum(axis=0), lap.real.sum(axis=1)])
+        res_sum = max(res_sum, float(np.max(np.abs(sums - bound))))
+        res_trace = max(res_trace, abs(float(np.sum(eigs)) - float(np.trace(lap).real)))
+    out = [
+        CheckResult(f"regulargon-closed-form[n<={SPECTRAL_MAX_N}]", res_gon, 1e-9),
+        CheckResult(f"kernel-parity[n<={SPECTRAL_MAX_N}]", res_parity, 0.5),
+        CheckResult(f"alternating-kernel[n<={SPECTRAL_MAX_N}]", res_kernel, 1e-9),
+        CheckResult("regular-gershgorin-top", res_bound, 1e-9),
+        CheckResult("regular-top-eigenvector", res_top, 1e-9),
+        CheckResult("regular-row-col-sums", res_sum, 1e-9),
+        CheckResult("trace-conservation", res_trace, 1e-9),
+    ]
 
     # the Fourier route under a complex rotation-invariant potential on
     # circulant 8 3, written key by key: c[mu, mu + o, mu - 1 + o'] is

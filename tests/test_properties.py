@@ -700,7 +700,7 @@ def reference_text(mat, json=False):
 POOL = [0.0, -0.0, math.inf, 5e-324, 1e16, 1e17]
 # pools of whole numbers, -0.0 and inf: small ones (below a block's cell
 # count, so the table route when every cell is one of them or inf) and large
-# ones (the kept-cell route)
+# ones (the row format)
 narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map(float)
                         | st.sampled_from([math.inf, -0.0]), min_size=1, max_size=4)
 
@@ -711,8 +711,8 @@ narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map
 @example(rows=cli.ROW_BLOCK, cols=2, seed=0, pool=None)
 @example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1, pool=None)
 @example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2, pool=None)
-# whole numbers of 13 to 16 digits, past every cell count, so the kept-cell
-# route, with +0.0, -0.0, a small whole number or inf among them
+# whole numbers of 13 to 16 digits, past every cell count, so the row
+# format, with +0.0, -0.0, a small whole number or inf among them
 @example(rows=5, cols=3, seed=3, pool=[0.0, 123456789012345.0, math.inf])
 @example(rows=5, cols=3, seed=4, pool=[0.0, 1234567890123456.0, 7.0])
 @example(rows=5, cols=3, seed=5, pool=[-0.0, 1234567890123.0, math.inf])
@@ -722,7 +722,7 @@ narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map
 @example(rows=5, cols=3, seed=7, pool=[0.0, -0.0, 3.0, 7.0])
 @example(rows=5, cols=3, seed=8, pool=[2.0, -1.0, math.inf, 0.0])
 # 15 and 14 in blocks of 15 cells (.real, .imag): the value equal to the
-# cell count takes the kept-cell route, the one below it the table; in the
+# cell count takes the row format, the one below it the table; in the
 # interleaved view's 30 cells both are below
 @example(rows=5, cols=3, seed=9, pool=[15.0, 14.0, 0.0])
 @example(rows=5, cols=3, seed=10, pool=[14.0, 13.0, 0.0])
@@ -757,13 +757,12 @@ def mostly_zero_matrices(draw):
 
 
 # -0.0 as a row's first cell, the least subnormal inside a row, inf as a
-# row's last cell, and rows whose only kept cell (not +0.0, or a row's last)
-# is their last +0.0: the kept-cell route, five rows and six
+# row's last cell, and rows of +0.0 alone: the row format, five rows and six
 BOUNDARY = np.zeros((6, 6))
 BOUNDARY[0, 0], BOUNDARY[1, 2], BOUNDARY[2, 5] = -0.0, 5e-324, math.inf
-# mostly zero whole numbers with one fractional kept cell (the kept-cell
-# route), then a row block of whole numbers and inf (the table route) after
-# a first block with the fractional cell
+# mostly zero whole numbers with one fractional cell (the row format), then
+# a row block of whole numbers and inf (the table route) after a first
+# block with the fractional cell
 WHOLE = np.zeros((cli.ROW_BLOCK + 6, 6))
 WHOLE[::3, 1], WHOLE[1::4, 5], WHOLE[cli.ROW_BLOCK + 2, 3] = 4.0, 1.0, math.inf
 WHOLE[3, 4] = 0.5
@@ -803,7 +802,7 @@ def test_printed_json_matches_the_per_cell_format(rows, cols, seed):
 
 def path_graph(n, sinks):
     """The directed n-gon without the out-edges of `sinks`: one sink leaves
-    hop counts up to n - 1, two or more leave unbounded pairs."""
+    distances up to n - 1, two or more leave unbounded pairs."""
     return DirectedCyclicGraph(n, [(mu, (mu + 1) % n) for mu in range(n) if mu not in sinks])
 
 
@@ -865,14 +864,16 @@ def test_laplacian_rows_print_as_the_assembled_matrix(g, potential, seed):
 @example(g=path_graph(9, {8, 4}))  # an arc that ends at n - 1 and one that wraps
 @example(g=path_graph(7, set()))  # no cut, odd n
 @example(g=spectra.make_circulant_regular(8, 2))  # no cut, even n
-@example(g=path_graph(11, {10}))  # hop counts 0..10: texts of one and two digits
+@example(g=path_graph(11, {10}))  # distances 0..10: texts of one and two digits
 @example(g=path_graph(101, {100}))  # 0..100: two and three digits
 @example(g=path_graph(cli.ROW_BLOCK + 44, {7, 150}))  # two row blocks, inf in both
-def test_hop_counts_print_as_the_float_distances(g):
-    hops = dirac.hop_counts(g)
+def test_distance_rows_print_as_the_float_distances(g):
     dist = dirac.all_pairs_distances(g)
-    assert hops.dtype.kind == "i" and hops.shape == dist.shape
-    assert np.array_equal(hops, np.where(np.isinf(dist), dirac.UNBOUNDED, dist))
+    assert dist.dtype == np.float64 and dist.shape == (g.n, g.n)
+    finite = dist[np.isfinite(dist)]
+    assert np.isposinf(dist[~np.isfinite(dist)]).all()
+    assert ((finite == np.floor(finite)) & (finite >= 0) & (finite <= g.n - 1)).all()
+    assert (np.diag(dist) == 0).all()
     for json in (False, True):  # row by row: a failure lists the first differing row
         end = "],[" if json else "\n"
         assert "".join(cli._distance_blocks(g, json)).split(end) == reference_text(dist, json).split(end)
