@@ -10,17 +10,15 @@ success, 1 usage error, 2 data error (also a Laplacian with a non-finite
 entry, and an input too large for memory), 3 check failure.  Floats print
 with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
 JSON), a block of rows at a time, each route giving the same bytes as
-formatting every entry.  Neither the exact distances nor the Laplacian
-form a matrix: a distance row is a few slices of one text built per call
-from the arcs of the graph, a window of the distances along an arc and runs
-of ``inf`` (`_distance_blocks`); a Laplacian row is the texts of at most
-three column ranges, the edges leaving the vertices around the row's
-source, between runs of zero cells, each coefficient and diagonal-block
-entry formatted once (`_laplacian_blocks`).  Other floats print through
-`_blocks`: a block of whole numbers and ``inf`` (the numeric bracket) by
-table index, each value the index of its text in one padded byte table,
-with no sort and no search; any other block (eigenvalues) by one ``%`` of
-the row format.  CSV:
+formatting every entry.  Neither the distances, exact or bracketed, nor
+the Laplacian form a matrix: a distance row is a few slices of the texts of
+a window of the matrix over the offsets along an arc (for the numeric
+bracket, `dirac.bracket_windows`) and of runs of ``inf``
+(`_distance_blocks`); a Laplacian row is the texts of at most three column
+ranges, the edges leaving the vertices around the row's source, between
+runs of zero cells, each coefficient and diagonal-block entry formatted
+once (`_laplacian_blocks`).  Eigenvalues print through `_blocks`, by one
+``%`` of the row format.  CSV:
 ``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row
 per line with ``re,im`` interleaved per entry, ``distance`` the distances,
 then the lower and the upper bracket, stacked.  An empty matrix prints no
@@ -48,7 +46,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import connection, graphs, spectra, verify
-from .dirac import distance_bracket
+from .dirac import bracket_windows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,106 +80,92 @@ def non_negative_int(text: str) -> int:
 ROW_BLOCK = 256
 
 
-def _gather(index: np.ndarray, top: int, inf: bool, end: str) -> str:
-    """The text of the rows of the integer array `index`, whose cells are 0
-    to `top` and, if `inf`, top + 1 for "inf": each cell's text followed by a
-    comma, the last of each row by `end`.  The table holds the texts with
-    either separator, as bytes NUL-padded to 1, 2, 4, 8 or 16 and read as one
-    unsigned integer up to 8 (a gather of machine words beats one of 5-7 byte
-    records, even with the longer padding to drop); the cells are copied out
-    of it and the padding dropped."""
-    texts = list(map(str, range(top + 1))) + ['"inf"' if end == "],[" else "inf"] * inf
-    table = [s + "," for s in texts] + [s + end for s in texts]
-    width = 1 << (max(map(len, table)) - 1).bit_length()
-    table = np.array(table, dtype=f"S{width}").view(f"u{width}" if width <= 8 else f"V{width}")
-    commas, ends = table[:len(texts)], table[len(texts):]
-    cells = commas[index]
-    cells[:, -1] = ends[index[:, -1]]
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def _blocks(mat: np.ndarray, json: bool = False):
-    """The text of each block of ROW_BLOCK rows of the 2-D float array `mat`:
-    its entries with 17 significant digits (locale independent, `inf` for
-    infinity, the string "inf" if `json`), each followed by a comma or, at
-    the end of a row, by a newline, or by "],[" if `json`.
-
-    A block takes one of two routes.  (The exact distances and the
-    Laplacian take neither: their cells follow from the graph,
-    `_distance_blocks` and `_laplacian_blocks`.)
-
-    - Table route, a block whose every cell is `+inf` or a whole number,
-      sign bit clear, below the block's cell count (the numeric bracket):
-      each cell is the index of its text in a table of "0" to the largest
-      value, then "inf" (`_gather`): no sort and no search.  The bytes are
-      those of "%.17g", which writes a whole number below 10**17 as
-      `str(int(v))`; the bound keeps every value far below that, and the
-      table no longer than the block.
-    - Any other block (eigenvalues): one `%` of the row format, repeated.
-    """
+    """The text of each block of ROW_BLOCK rows of the 2-D float array `mat`
+    (eigenvalues): its entries with 17 significant digits (locale
+    independent, `inf` for infinity, the string "inf" if `json`), each
+    followed by a comma or, at the end of a row, by a newline, or by "],["
+    if `json`, from one `%` of the row format, repeated.  (The distances and
+    the Laplacian do not come here: their cells follow from the graph,
+    `_distance_blocks` and `_laplacian_blocks`.)"""
     mat = np.asarray(mat, dtype=np.float64)
     end = "],[" if json else "\n"
     if mat.shape[1] == 0:  # rows with no cell
         if len(mat):
             yield end * len(mat)
         return
+    row = "%.17g," * (mat.shape[1] - 1) + "%.17g" + end
     for start in range(0, len(mat), ROW_BLOCK):
         block = mat[start:start + ROW_BLOCK]
-        infs = block == np.inf
-        # the sign bit set reads as a large unsigned integer, past the bound
-        if (((block.view(np.uint64) < np.float64(block.size).view(np.uint64)) | infs).all()
-                and (np.floor(block) == block).all()):
-            top = int(block.max(initial=0, where=~infs))
-            # inf becomes top + 1, the index of its text; the cast is exact
-            index = np.minimum(block, top + 1, out=np.empty(block.shape, np.intp), casting="unsafe")
-            yield _gather(index, top, bool(infs.any()), end)
-            continue
-        row = "%.17g," * (block.shape[1] - 1) + "%.17g" + end
         text = row * len(block) % tuple(block.ravel().tolist())
         yield text.replace("inf", '"inf"') if json else text
 
 
-def _distance_blocks(g: graphs.DirectedCyclicGraph, json: bool = False):
-    """The text of each block of ROW_BLOCK rows of the exact distance matrix
-    of g, as `_blocks` writes its floats, straight from the arcs (`g.arcs`):
-    each row is four slices, some empty, of one text built once, n "inf"
-    cells and then a window sequence W, each cell followed by a comma, and
-    the comma of the row's last cell gives way to the row end.
+def _distance_blocks(g: graphs.DirectedCyclicGraph, cells: list[str], json: bool = False,
+                     free: np.ndarray | None = None):
+    """The text of each block of ROW_BLOCK rows of a distance matrix of g
+    given by its window (the exact distances, or a bound of the numeric
+    bracket, `dirac.bracket_windows`), as `_blocks` writes its floats,
+    straight from the arcs (`g.arcs`).  `cells` are the texts of the window
+    W over the offsets 1-M..M-1, M the longest arc, each followed by a
+    comma; off its arc a row's cells are "inf", or "0" in the rows of the
+    arcs where `free` (one flag per arc) is false.  Each row is four slices,
+    some empty, of the text of W and of a run of n off-arc cells, and the
+    comma of the row's last cell gives way to the row end.
 
-    With a cut, vertex mu at place p on an arc of L vertices from a0 is
-    |q - p| from the vertex at place q on its arc and unbounded off it.  W is
-    (M-1, ..., 1, 0, 1, ..., M-1), M the longest arc, so places 0..L-1 of
+    With a cut, vertex mu at place p on an arc of L vertices from a0 reads
+    the cell of the vertex at place q at offset q - p, so places 0..L-1 of
     the row read W from cell M-1-p.  In column order the row is the arc's
-    part that wraps past n - 1 (at columns 0, 1, ...), "inf" up to a0, the
-    arc's part from a0 on, and "inf" to the end.  With no cut the arc is the
-    cycle opened at 0 and W takes the shorter way round, min(|x|, n - |x|)
-    for x = 1-n..n-1: row mu is W from cell n-1-mu, with no "inf"."""
+    part that wraps past n - 1 (at columns 0, 1, ...), the off-arc run up to
+    a0, the arc's part from a0 on, and the off-arc run to the end.  With no
+    cut the arc is the cycle opened at 0, M = n and the offset of column nu
+    is nu - mu: row mu is W from cell n-1-mu, with no off-arc cell."""
     n = g.n
     end = "],[" if json else "\n"
-    inf = '"inf",' if json else "inf,"
-    cuts, _, start, place, length = g.arcs
+    fills = ['"inf",' if json else "inf,", "0,"]
+    runs = [fill * n for fill in fills]
+    _, arc, start, place, length = g.arcs
     longest = int(length.max())
-    window = np.abs(np.arange(1 - longest, longest))
-    if not len(cuts):
-        window = np.minimum(window, n - window)
-    texts = list(map(str, window.tolist()))
-    text = inf * n + ",".join(texts) + ","
-    offsets = np.cumsum([len(inf) * n] + [len(t) + 1 for t in texts])  # where each W cell starts
+    text = "".join(cells)
+    offsets = np.cumsum([0] + list(map(len, cells)))  # where each W cell starts
+    zero = np.zeros(n, dtype=int) if free is None else (~free[arc]).astype(int)  # the row's fill
+    width = np.array(list(map(len, fills)))[zero]
     for first in range(0, n, ROW_BLOCK):
         mu = slice(first, first + ROW_BLOCK)
-        a0, size = start[mu], length[mu]
+        a0, size, w = start[mu], length[mu], width[mu]
         w0 = longest - 1 - place[mu]  # W's cell of place 0
         head = np.minimum(size, n - a0)  # places from a0 on, before column n
         tail = size - head  # places past n - 1, at columns 0..tail-1
-        after = (n - a0 - head) * len(inf)  # the "inf" run after the head, in chars
+        after = (n - a0 - head) * w  # the off-arc run after the head, in chars
         # the row's last comma, dropped: that run's if it has one, else the head's
         last = after > 0
-        bounds = np.stack([offsets[w0 + head], offsets[w0 + size], (a0 - tail) * len(inf),
-                           offsets[w0], offsets[w0 + head] - ~last, after - last], axis=1)
+        bounds = np.stack([offsets[w0 + head], offsets[w0 + size], (a0 - tail) * w,
+                           offsets[w0], offsets[w0 + head] - ~last, after - last, zero[mu]], axis=1)
         parts = []
-        for a, b, c, d, e, f in bounds.tolist():
-            parts += text[a:b], text[:c], text[d:e], text[:f], end
+        for a, b, c, d, e, f, k in bounds.tolist():
+            parts += text[a:b], runs[k][:c], text[d:e], runs[k][:f], end
         yield "".join(parts)
+
+
+def _distance_texts(g: graphs.DirectedCyclicGraph, json: bool = False,
+                    numeric: bool = False) -> dict:
+    """The blocks of each matrix `distance` prints, by `_distance_blocks`:
+    the exact distances, whose window is |o| (min(|o|, n - |o|) on the
+    cycle), and if `numeric` the lower and the upper bound of the numeric
+    bracket, from its windows (`dirac.bracket_windows`, solved before this
+    returns)."""
+    cuts, _, _, _, length = g.arcs
+    longest = int(length.max())
+    window = np.abs(np.arange(1 - longest, longest))
+    if not len(cuts):  # the cycle: the shorter way round
+        window = np.minimum(window, g.n - window)
+    blocks = {"distances": _distance_blocks(g, [f"{d}," for d in window.tolist()], json)}
+    if numeric:
+        lower, upper, free = bracket_windows(g)
+        for name, window, flags in (("lower", lower, free), ("upper", upper, None)):
+            cells = [t.replace("inf", '"inf"') for t in _texts(window)] if json else _texts(window)
+            blocks[name] = _distance_blocks(g, cells, json, flags)
+    return blocks
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -386,13 +370,10 @@ def cmd_distance(args) -> int:
             "some distances are infinite",
             file=sys.stderr,
         )
+    if args.potential is not None:  # checked, though the distances do not depend on it
+        _load_potential(args.potential, g)
     json = args.format == "json"
-    blocks = {"distances": _distance_blocks(g, json)}
-    if args.numeric:
-        if args.potential is not None:  # checked, though the distances do not depend on it
-            _load_potential(args.potential, g)
-        lower, upper = distance_bracket(g)
-        blocks["lower"], blocks["upper"] = _blocks(lower, json), _blocks(upper, json)
+    blocks = _distance_texts(g, json, args.numeric)
     if json:
         _print_json('"n":%d' % g.n, blocks)
     else:

@@ -41,12 +41,17 @@ path g with as many vertices as the longest arc gives both parts of every
 column, f_nu(mu) = g(|p(mu) - p(nu)|) on nu's arc and the cap n off it.
 
 Lower bound: a single function of the unit ball is a witness for every pair
-it separates, so the column maximiser, divided by the norm of its
-commutator where that exceeds one, certifies its whole column with one
-norm; where the indicator of an arc has norm 0 it commutes with D, every
-multiple of it is in the ball, and it certifies its arc's unbounded
-entries.  No pair is left open: the column maximiser's norm is at most one,
-so its certificate equals the upper bound on every finite pair.
+it separates.  A column maximiser reads a window of the program's path x,
+and its other steps cross cuts, which the norm skips, so its norm is at most
+s, the largest step of x along the program's rows (the cycle's wrap
+included) or 1 if that is less: divided by s, every column maximiser
+certifies its whole column.  Where the indicator of an arc has norm 0 it
+commutes with D, every multiple of it is in the ball, and it certifies its
+arc's unbounded entries.  No pair is left open: x steps by at most one, so
+s = 1 and the lower bound equals the upper on every finite pair.  Both
+bounds are windows over the offsets o = 1-M..M-1, M the longest arc
+(`bracket_windows`): the pair (mu, nu) reads cell p(nu) - p(mu) on nu's
+arc, nu - mu on the cycle, with no n x n array.
 
 Each norm is the largest step of its function.  D = [[0, dbar^dagger],
 [dbar, 0]] and f acts as diag(f o s, f o (s+1)), so for a real f (not a
@@ -82,6 +87,7 @@ __all__ = [
     "commutator_with_function",
     "operator_norm",
     "connes_distance",
+    "bracket_windows",
     "distance_bracket",
 ]
 
@@ -190,30 +196,14 @@ def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     return DistanceResult(value, witness)
 
 
-def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Independent numeric bracket (lower, upper) of the whole distance
-    matrix, inf where unbounded (see the module docstring): one call to the
-    LP solver, on the cycle of n variables for column 0 when no vertex is a
-    cut and on the anchored path of the longest arc otherwise, one certified
-    column maximiser per target and one indicator per arc.  Each certificate
-    is the largest step of its function across a constraint segment, the
-    norm of its commutator under every potential, so the bracket takes the
-    graph alone.  No pair is left open: each column maximiser's steps are at
-    most one, so it certifies its own column."""
+def _bracket_path(g: DirectedCyclicGraph) -> tuple[np.ndarray, float]:
+    """The path x of the bracket's one program, from one call to the LP
+    solver (the cycle of n variables with no cut, else the anchored path of
+    the longest arc), and its scale s (the module docstring)."""
     from scipy import sparse
 
-    n = g.n
-    cuts, arc, _, place, length = g.arcs
-    if len(cuts):
-        # the anchored path spans the longest arc, and column nu reads it at
-        # |place(mu) - place(nu)| on nu's arc, the cap n off it
-        size = length.max()
-        same = arc[:, None] == arc  # nu and mu on one arc
-        index = np.where(same, np.abs(place[:, None] - place), size)
-        segments = size - 1
-    else:  # rotation maps column 0 onto column nu: f_nu(mu) = f_0(mu - nu)
-        size = segments = n
-        index = (np.arange(n) - np.arange(n)[:, None]) % n
+    size = int(g.arcs.length.max())  # n on the cycle
+    segments = size - 1 if len(g.arcs.cuts) else size
     # one row -1 <= f(k) - f(k+1) <= 1 per segment, wrapping only on the cycle
     k = np.arange(segments)
     pairs = np.stack([k, (k + 1) % size], axis=1).ravel()  # two entries per row
@@ -221,20 +211,42 @@ def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
                              np.arange(0, len(pairs) + 1, 2)), shape=(segments, size))
     gauge = np.arange(size) == 0  # f(0) = 0
     res = linprog(-np.ones(size), constraints=(rows, -1.0, 1.0),
-                  bounds=(np.where(gauge, 0.0, -np.inf), np.where(gauge, 0.0, float(n))))
+                  bounds=(np.where(gauge, 0.0, -np.inf), np.where(gauge, 0.0, float(g.n))))
     if res.status != 0:
         raise RuntimeError(f"distance LP failed with status {res.status}: {res.message}")
-    witnesses = np.append(res.x, float(n))[index]  # row nu: column nu's maximiser, n off its arc
-    upper = np.where(witnesses.T >= n - 0.5, np.inf, witnesses.T)
+    steps = np.abs(res.x[pairs[::2]] - res.x[pairs[1::2]])
+    return res.x, max(1.0, float(steps.max(initial=0.0)))
 
-    witnesses /= np.maximum(1.0, _commutator_norms(g, witnesses))[:, None]  # into the ball
-    lower = witnesses.T - np.diag(witnesses)  # column nu: f_nu(mu) - f_nu(nu)
-    np.abs(lower, out=lower)
-    if len(cuts):
-        # off its arc, row mu is inf where the indicator of mu's arc commutes
-        # with D, so that every multiple of it is in the ball, and 0 elsewhere
-        free = _commutator_norms(g, (arc == np.arange(len(cuts))[:, None]) * 1.0) <= 1e-9
-        np.copyto(lower, np.where(free[arc], math.inf, 0.0)[:, None], where=~same)
+
+def bracket_windows(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bracket as windows over the offsets o = 1-M..M-1, M the longest
+    arc (n on the cycle): (lower, upper, free).  upper is x[|o|] (x[-o mod
+    n] on the cycle), inf at the cap, and lower |x/s - x[0]/s| read the same
+    way.  Off its arc, row mu is inf in upper, and in lower inf where
+    free[arc[mu]], whether the indicator of that arc commutes with D (the
+    cycle is arc 0), and 0 elsewhere."""
+    n = g.n
+    cuts, arc = g.arcs.cuts, g.arcs.arc
+    x, s = _bracket_path(g)
+    offset = np.arange(1 - len(x), len(x))
+    at = np.abs(offset) if len(cuts) else -offset % n
+    upper = np.where(x >= n - 0.5, np.inf, x)[at]
+    lower = np.abs(x / s - x[0] / s)[at]
+    free = _commutator_norms(g, (arc == np.arange(len(cuts) or 1)[:, None]) * 1.0) <= 1e-9
+    return lower, upper, free
+
+
+def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Independent numeric bracket (lower, upper) of the whole distance
+    matrix, inf where unbounded: `bracket_windows` read at each pair's
+    offset."""
+    lower, upper, free = bracket_windows(g)
+    _, arc, _, place, length = g.arcs
+    index = place - place[:, None] + int(length.max()) - 1  # cell of p(nu) - p(mu)
+    lower, upper = lower[index], upper[index]
+    off = arc[:, None] != arc  # off nu's arc; never on the cycle, one arc
+    upper[off] = np.inf
+    np.copyto(lower, np.where(free[arc], np.inf, 0.0)[:, None], where=off)
     return lower, upper
 
 

@@ -659,25 +659,30 @@ class CharCount(io.TextIOBase):
 
 def test_distance_streams_below_one_hop_count_matrix(capsys, tmp_path):
     """`distance` on circulant 2048 2, with no cut and with two, allocates
-    less at its peak than one n x n int32 matrix (16 MiB): the rows are
-    written a block at a time, from the arcs."""
+    less at its peak than one n x n int32 matrix (16 MiB), and so does
+    `distance --numeric`: the rows are written a block at a time, from the
+    arcs, and the bracket's from its windows over the offsets."""
+    import scipy.optimize  # noqa: F401  (its import is not the command's memory)
+
     n = 2048
     text = run(capsys, "generate", "circulant", str(n), "2")[1]
     sinks = "".join(line + "\n" for line in text.splitlines()
                     if line.split()[0] not in ("100", "1500"))
     for graph_text in (text, sinks):
         path = write_graph(tmp_path, graph_text)
-        for fmt in ("json", "csv"):
-            out = CharCount()
-            tracemalloc.start()
-            try:
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(["distance", "--graph", path, "--format", fmt])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0 and out.chars > 2 * n * n  # at least "0," per cell
-            assert peak < n * n * np.dtype(np.int32).itemsize, (fmt, peak)
+        for numeric in ((), ("--numeric",)):
+            for fmt in ("json", "csv"):
+                out = CharCount()
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(out):
+                        code = cli.main(["distance", "--graph", path, "--format", fmt, *numeric])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # at least "0," per cell, of each printed matrix
+                assert code == 0 and out.chars > 2 * n * n * (1 + 2 * len(numeric))
+                assert peak < n * n * np.dtype(np.int32).itemsize, (fmt, numeric, peak)
 
 
 def test_laplacian_streams_below_one_dense_matrix(capsys, tmp_path):

@@ -1,22 +1,25 @@
-"""Property tests on random graphs: the offset-indexed graph, its edge and
-key lookups, the array-backed potential, its assembly and closed forms, and
-the cut-cycle distances, each against a reference written out here edge by
-edge; the numeric distance bracket against the exact distances, and the
-largest vertex step it certifies with against the SVD of the whole
-commutator; the Laplacian against the dense product dbar^dagger dbar, and
-its and the Dirac operator's structure; the Fourier route to the spectrum
-of a circulant against the dense solve; the matrix-free Laplacian against
-the assembled one, on stacks, and the key index it reads; the inner product
-on stacked vectors of the Hilbert space; the graph suites of `verify` on
-every graph; the arcs of a graph against a walk from cut to cut; and the
-CLI's number format, the distance writer that reads the arcs and the
-Laplacian writer that reads the out-edge ranges among it."""
+"""Property tests on random graphs: the offset-indexed graph, its edge and key
+lookups, the array-backed potential, its assembly and closed forms, and the
+cut-cycle distances, each against a reference written out here edge by edge;
+the numeric distance bracket against the exact distances, its one scale
+against the certificates of its columns, and the largest vertex step it
+certifies with against the SVD of the whole commutator; the Laplacian
+against the dense product dbar^dagger dbar, and its and the Dirac operator's
+structure; the Fourier route to the spectrum of a circulant against the
+dense solve; the matrix-free Laplacian against the assembled one, on stacks,
+and the key index it reads; the inner product on stacked vectors of the
+Hilbert space; the graph suites of `verify` on every graph; the arcs of a
+graph against a walk from cut to cut; and the CLI's number format, the
+distance writer that reads the arcs and the Laplacian writer that reads the
+out-edge ranges among it."""
 
 import contextlib
 import io
 import itertools
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -650,6 +653,44 @@ def test_bracket_certificate_is_the_norm_of_the_commutator(g, k, seed, arcs):
         assert not steps.any()
 
 
+def column_witnesses(g, x):
+    """Row nu: the maximiser of column nu read from the bracket's path x,
+    the cap n off nu's arc, the n x n stack the scale stands in for."""
+    n = g.n
+    cuts, arc, _, place, length = g.arcs
+    if len(cuts):
+        index = np.where(arc[:, None] == arc, np.abs(place[:, None] - place), length.max())
+    else:  # rotation: f_nu(mu) = f_0(mu - nu)
+        index = (np.arange(n) - np.arange(n)[:, None]) % n
+    return np.append(x, float(n))[index]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_st, path=st.sampled_from(["lp", "random", "ramp"]), seed=seeds)
+@example(g=LOOPS_AND_SINKS, path="lp", seed=0)
+@example(g=ONE_CUT, path="lp", seed=0)
+@example(g=ONE_CUT, path="random", seed=1)
+@example(g=spectra.make_circulant_regular(8, 2), path="lp", seed=0)
+@example(g=spectra.make_circulant_regular(8, 2), path="random", seed=2)
+# steps of 0.5 but the cycle's wrap step, 3.5: the largest, on the cycle alone
+@example(g=spectra.make_circulant_regular(8, 2), path="ramp", seed=0)
+@example(g=ONE_CUT, path="ramp", seed=0)
+def test_bracket_scale_is_the_largest_column_certificate(g, path, seed):
+    """The bracket's one scale s equals the largest certificate of its
+    columns, max(1, ||[D, f_nu]||) over the column maximisers f_nu, on the
+    LP's path and on a random or ramp path put in its place: each column
+    reads a window of the path, and its other steps cross cuts."""
+    def fake(c, *args, **kwargs):
+        x = np.random.default_rng(seed).uniform(0.0, 3.0, len(c)) if path == "random" \
+            else 0.5 * np.arange(len(c))
+        x[0] = 0.0  # the gauge
+        return SimpleNamespace(status=0, x=x)
+
+    with mock.patch.object(dirac, "linprog", dirac.linprog if path == "lp" else fake):
+        x, scale = dirac._bracket_path(g)
+    assert scale == max(1.0, dirac._commutator_norms(g, column_witnesses(g, x)).max())
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=graphs_st, seed=seeds)
 @example(g=EMPTY, seed=0)
@@ -698,9 +739,8 @@ def reference_text(mat, json=False):
 # values that repeat across row blocks, with the sign of zero and the
 # extremes of the 17-digit format among them
 POOL = [0.0, -0.0, math.inf, 5e-324, 1e16, 1e17]
-# pools of whole numbers, -0.0 and inf: small ones (below a block's cell
-# count, so the table route when every cell is one of them or inf) and large
-# ones (the row format)
+# pools of whole numbers, -0.0 and inf: small ones, below a block's cell
+# count, and large ones of up to 17 digits
 narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map(float)
                         | st.sampled_from([math.inf, -0.0]), min_size=1, max_size=4)
 
@@ -711,23 +751,23 @@ narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map
 @example(rows=cli.ROW_BLOCK, cols=2, seed=0, pool=None)
 @example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1, pool=None)
 @example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2, pool=None)
-# whole numbers of 13 to 16 digits, past every cell count, so the row
-# format, with +0.0, -0.0, a small whole number or inf among them
+# whole numbers of 13 to 16 digits, past every cell count, with +0.0,
+# -0.0, a small whole number or inf among them
 @example(rows=5, cols=3, seed=3, pool=[0.0, 123456789012345.0, math.inf])
 @example(rows=5, cols=3, seed=4, pool=[0.0, 1234567890123456.0, 7.0])
 @example(rows=5, cols=3, seed=5, pool=[-0.0, 1234567890123.0, math.inf])
 @example(rows=5, cols=3, seed=6, pool=[1.0, -1234567890123.0, math.inf])
-# small whole numbers with -0.0, or with a negative one next to inf: both
-# leave the table route, which would print "0" and "inf" for them
+# small whole numbers with -0.0, or with a negative one next to inf: the
+# sign of a whole number and of zero print
 @example(rows=5, cols=3, seed=7, pool=[0.0, -0.0, 3.0, 7.0])
 @example(rows=5, cols=3, seed=8, pool=[2.0, -1.0, math.inf, 0.0])
-# 15 and 14 in blocks of 15 cells (.real, .imag): the value equal to the
-# cell count takes the row format, the one below it the table; in the
-# interleaved view's 30 cells both are below
+# 15 and 14 in blocks of 15 cells (.real, .imag): whole numbers at and
+# below the block's cell count; in the interleaved view's 30 cells both are
+# below
 @example(rows=5, cols=3, seed=9, pool=[15.0, 14.0, 0.0])
 @example(rows=5, cols=3, seed=10, pool=[14.0, 13.0, 0.0])
 # whole numbers at 2**53, 1e16 and 1e17 (where "%.17g" turns to an exponent),
-# and inf among small whole numbers (the table route with "inf")
+# and inf among small whole numbers, over two row blocks
 @example(rows=5, cols=3, seed=11, pool=[2.0**53, 1e16, 1e17, 1.0])
 @example(rows=300, cols=4, seed=12, pool=[math.inf, 0.0, 1.0, 2.0])
 def test_printed_rows_match_the_per_cell_format(rows, cols, seed, pool):
@@ -760,9 +800,8 @@ def mostly_zero_matrices(draw):
 # row's last cell, and rows of +0.0 alone: the row format, five rows and six
 BOUNDARY = np.zeros((6, 6))
 BOUNDARY[0, 0], BOUNDARY[1, 2], BOUNDARY[2, 5] = -0.0, 5e-324, math.inf
-# mostly zero whole numbers with one fractional cell (the row format), then
-# a row block of whole numbers and inf (the table route) after a first
-# block with the fractional cell
+# mostly zero whole numbers with one fractional cell in the first row
+# block, then a row block of whole numbers and inf alone
 WHOLE = np.zeros((cli.ROW_BLOCK + 6, 6))
 WHOLE[::3, 1], WHOLE[1::4, 5], WHOLE[cli.ROW_BLOCK + 2, 3] = 4.0, 1.0, math.inf
 WHOLE[3, 4] = 0.5
@@ -874,9 +913,12 @@ def test_distance_rows_print_as_the_float_distances(g):
     assert np.isposinf(dist[~np.isfinite(dist)]).all()
     assert ((finite == np.floor(finite)) & (finite >= 0) & (finite <= g.n - 1)).all()
     assert (np.diag(dist) == 0).all()
+    lower, upper = dirac.distance_bracket(g)
     for json in (False, True):  # row by row: a failure lists the first differing row
         end = "],[" if json else "\n"
-        assert "".join(cli._distance_blocks(g, json)).split(end) == reference_text(dist, json).split(end)
+        texts = cli._distance_texts(g, json, numeric=True)
+        for name, mat in (("distances", dist), ("lower", lower), ("upper", upper)):
+            assert "".join(texts[name]).split(end) == reference_text(mat, json).split(end), name
 
 
 @settings(max_examples=60, deadline=None)
