@@ -101,15 +101,13 @@ def _blocks(mat: np.ndarray, json: bool = False):
         yield text.replace("inf", '"inf"') if json else text
 
 
-def _distance_blocks(g: graphs.DirectedCyclicGraph, cells: list[str], json: bool = False,
-                     free: np.ndarray | None = None):
+def _distance_blocks(g: graphs.DirectedCyclicGraph, cells: list[str], json: bool = False):
     """The text of each block of ROW_BLOCK rows of a distance matrix of g
     given by its window (the exact distances, or a bound of the numeric
     bracket, `dirac.bracket_windows`), as `_blocks` writes its floats,
     straight from the arcs (`g.arcs`).  `cells` are the texts of the window
     W over the offsets 1-M..M-1, M the longest arc, each followed by a
-    comma; off its arc a row's cells are "inf", or "0" in the rows of the
-    arcs where `free` (one flag per arc) is false.  Each row is four slices,
+    comma; off its arc a row's cells are "inf".  Each row is four slices,
     some empty, of the text of W and of a run of n off-arc cells, and the
     comma of the row's last cell gives way to the row end.
 
@@ -122,17 +120,15 @@ def _distance_blocks(g: graphs.DirectedCyclicGraph, cells: list[str], json: bool
     is nu - mu: row mu is W from cell n-1-mu, with no off-arc cell."""
     n = g.n
     end = "],[" if json else "\n"
-    fills = ['"inf",' if json else "inf,", "0,"]
-    runs = [fill * n for fill in fills]
-    _, arc, start, place, length = g.arcs
+    fill = '"inf",' if json else "inf,"
+    run, w = fill * n, len(fill)
+    _, _, start, place, length = g.arcs
     longest = int(length.max())
     text = "".join(cells)
     offsets = np.cumsum([0] + list(map(len, cells)))  # where each W cell starts
-    zero = np.zeros(n, dtype=int) if free is None else (~free[arc]).astype(int)  # the row's fill
-    width = np.array(list(map(len, fills)))[zero]
     for first in range(0, n, ROW_BLOCK):
         mu = slice(first, first + ROW_BLOCK)
-        a0, size, w = start[mu], length[mu], width[mu]
+        a0, size = start[mu], length[mu]
         w0 = longest - 1 - place[mu]  # W's cell of place 0
         head = np.minimum(size, n - a0)  # places from a0 on, before column n
         tail = size - head  # places past n - 1, at columns 0..tail-1
@@ -140,10 +136,10 @@ def _distance_blocks(g: graphs.DirectedCyclicGraph, cells: list[str], json: bool
         # the row's last comma, dropped: that run's if it has one, else the head's
         last = after > 0
         bounds = np.stack([offsets[w0 + head], offsets[w0 + size], (a0 - tail) * w,
-                           offsets[w0], offsets[w0 + head] - ~last, after - last, zero[mu]], axis=1)
+                           offsets[w0], offsets[w0 + head] - ~last, after - last], axis=1)
         parts = []
-        for a, b, c, d, e, f, k in bounds.tolist():
-            parts += text[a:b], runs[k][:c], text[d:e], runs[k][:f], end
+        for a, b, c, d, e, f in bounds.tolist():
+            parts += text[a:b], run[:c], text[d:e], run[:f], end
         yield "".join(parts)
 
 
@@ -161,10 +157,9 @@ def _distance_texts(g: graphs.DirectedCyclicGraph, json: bool = False,
         window = np.minimum(window, g.n - window)
     blocks = {"distances": _distance_blocks(g, [f"{d}," for d in window.tolist()], json)}
     if numeric:
-        lower, upper, free = bracket_windows(g)
-        for name, window, flags in (("lower", lower, free), ("upper", upper, None)):
+        for name, window in zip(("lower", "upper"), bracket_windows(g)):
             cells = [t.replace("inf", '"inf"') for t in _texts(window)] if json else _texts(window)
-            blocks[name] = _distance_blocks(g, cells, json, flags)
+            blocks[name] = _distance_blocks(g, cells, json)
     return blocks
 
 
@@ -400,17 +395,17 @@ def cmd_verify(args) -> int:
 def cmd_generate(args) -> int:
     if args.d is not None and args.family != "circulant":
         raise DataError(f"{args.family} takes only n, got d = {args.d}")
+    n = args.n
+    if n < 3:
+        raise DataError(f"need n >= 3, got {n}")
     try:
         if args.family == "ngon":
-            g = spectra.make_circulant_regular(args.n, 1)
+            g = spectra.make_circulant_regular(n, 1)
         elif args.family == "circulant":
             if args.d is None:
                 raise DataError("circulant needs both n and d")
-            g = spectra.make_circulant_regular(args.n, args.d)
+            g = spectra.make_circulant_regular(n, args.d)
         else:  # bidirected-ngon
-            n = args.n
-            if n < 3:
-                raise DataError(f"need n >= 3, got {n}")
             graphs._check_vertex_count(n)
             mu = np.arange(n)
             g = graphs.DirectedCyclicGraph(

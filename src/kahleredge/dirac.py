@@ -45,9 +45,12 @@ it separates.  A column maximiser reads a window of the program's path x,
 and its other steps cross cuts, which the norm skips, so its norm is at most
 s, the largest step of x along the program's rows (the cycle's wrap
 included) or 1 if that is less: divided by s, every column maximiser
-certifies its whole column.  Where the indicator of an arc has norm 0 it
-commutes with D, every multiple of it is in the ball, and it certifies its
-arc's unbounded entries.  No pair is left open: x steps by at most one, so
+certifies its whole column.  The indicator of an arc certifies every
+unbounded pair: it changes value only across a segment {lam, lam+1} whose
+ends lie on different arcs, every such lam ends its arc, so it is a cut,
+with no outgoing edge, and the norm skips its step.  So the indicator
+commutes with D, every multiple of it is in the ball, and both bounds are
+inf off each pair's arc.  No pair is left open: x steps by at most one, so
 s = 1 and the lower bound equals the upper on every finite pair.  Both
 bounds are windows over the offsets o = 1-M..M-1, M the longest arc
 (`bracket_windows`): the pair (mu, nu) reads cell p(nu) - p(mu) on nu's
@@ -111,15 +114,6 @@ def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarr
     full[:m, m:] = np.conj(a.T)
     full[m:, :m] = a
     return full
-
-
-def _commutator_norms(g: DirectedCyclicGraph, f: np.ndarray) -> np.ndarray:
-    """||[D, f]|| for each real vertex function of the (k, n) stack `f`, under
-    every potential: the largest step |f(lam) - f(lam+1)| over the vertices
-    lam with an outgoing edge, 0 where there is none (module docstring)."""
-    steps = np.roll(f, -1, axis=-1)  # f(lam + 1), then the steps in place
-    np.subtract(f, steps, out=steps)
-    return np.abs(steps, out=steps).max(axis=-1, initial=0.0, where=g.out_degrees > 0)
 
 
 def commutator_with_function(D: np.ndarray, f, g: DirectedCyclicGraph) -> np.ndarray:
@@ -218,35 +212,29 @@ def _bracket_path(g: DirectedCyclicGraph) -> tuple[np.ndarray, float]:
     return res.x, max(1.0, float(steps.max(initial=0.0)))
 
 
-def bracket_windows(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bracket_windows(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
     """The bracket as windows over the offsets o = 1-M..M-1, M the longest
-    arc (n on the cycle): (lower, upper, free).  upper is x[|o|] (x[-o mod
-    n] on the cycle), inf at the cap, and lower |x/s - x[0]/s| read the same
-    way.  Off its arc, row mu is inf in upper, and in lower inf where
-    free[arc[mu]], whether the indicator of that arc commutes with D (the
-    cycle is arc 0), and 0 elsewhere."""
+    arc (n on the cycle): (lower, upper).  upper is x[|o|] (x[-o mod n] on
+    the cycle), inf at the cap, and lower |x/s - x[0]/s| read the same way.
+    Off its arc a row is inf in both (the module docstring)."""
     n = g.n
-    cuts, arc = g.arcs.cuts, g.arcs.arc
     x, s = _bracket_path(g)
     offset = np.arange(1 - len(x), len(x))
-    at = np.abs(offset) if len(cuts) else -offset % n
+    at = np.abs(offset) if len(g.arcs.cuts) else -offset % n
     upper = np.where(x >= n - 0.5, np.inf, x)[at]
     lower = np.abs(x / s - x[0] / s)[at]
-    free = _commutator_norms(g, (arc == np.arange(len(cuts) or 1)[:, None]) * 1.0) <= 1e-9
-    return lower, upper, free
+    return lower, upper
 
 
 def distance_bracket(g: DirectedCyclicGraph) -> tuple[np.ndarray, np.ndarray]:
     """Independent numeric bracket (lower, upper) of the whole distance
     matrix, inf where unbounded: `bracket_windows` read at each pair's
-    offset."""
-    lower, upper, free = bracket_windows(g)
+    offset, and inf off nu's arc."""
     _, arc, _, place, length = g.arcs
     index = place - place[:, None] + int(length.max()) - 1  # cell of p(nu) - p(mu)
-    lower, upper = lower[index], upper[index]
-    off = arc[:, None] != arc  # off nu's arc; never on the cycle, one arc
-    upper[off] = np.inf
-    np.copyto(lower, np.where(free[arc], np.inf, 0.0)[:, None], where=off)
+    lower, upper = (window[index] for window in bracket_windows(g))
+    off = arc[:, None] != arc  # never on the cycle, one arc
+    lower[off] = upper[off] = np.inf
     return lower, upper
 
 

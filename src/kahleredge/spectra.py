@@ -113,10 +113,11 @@ def circulant_spectrum(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.n
     {1 (x n(d - 1))} u {1 + d^2 + 2d cos(2 pi k / n)}: the n-gon's
     {2 + 2 cos(2 pi k / n)} at d = 1.
 
-    The blocks are built from the entries of the dense L, which on this
-    input are exactly Z, conj(Z) and conj(Z) Z^T + I, and solved by one
-    batched `numpy.linalg.eigvalsh` in O(n d^3).  When those entries are not
-    all finite it raises the ValueError of an overflowing potential.  The
+    The blocks are built from Z, read off the potential's coefficients
+    (`c.values`), with no L formed; the entries of L on this input are
+    exactly Z, conj(Z) and conj(Z) Z^T + I.  They are solved by one batched
+    `numpy.linalg.eigvalsh` in O(n d^3).  When conj(Z) Z^T + I is not all
+    finite it raises the ValueError of an overflowing potential.  The
     eigenvalues can differ from those of the dense solve in the last digits,
     by about 1e-14 relative to the largest.
     """

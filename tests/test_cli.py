@@ -64,8 +64,12 @@ def test_generate_round_trip(capsys):
 def test_generate_errors(capsys):
     code, _, err = run(capsys, "generate", "circulant", "6")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "generate", "ngon", "2")
-    assert code == 2
+    # too few vertices: one message for every family, naming no degree
+    for n in ("0", "1", "2"):
+        for argv in (["ngon", n], ["circulant", n, "1"], ["bidirected-ngon", n]):
+            assert run(capsys, "generate", *argv) == (2, "", f"error: need n >= 3, got {n}\n")
+    assert run(capsys, "generate", "circulant", "5", "0") == (
+        2, "", "error: need 1 <= d <= n-1, got d=0 for n=5\n")
     code, _, _ = run(capsys, "generate", "square", "4")
     assert code == 1
     # only circulant takes a degree: a surplus one is an error, not ignored
@@ -658,17 +662,19 @@ class CharCount(io.TextIOBase):
 
 
 def test_distance_streams_below_one_hop_count_matrix(capsys, tmp_path):
-    """`distance` on circulant 2048 2, with no cut and with two, allocates
+    """`distance` on circulant 2048 2, with no cut and with two, and on the
+    edgeless graph of 2048 vertices, with a cut at every vertex, allocates
     less at its peak than one n x n int32 matrix (16 MiB), and so does
     `distance --numeric`: the rows are written a block at a time, from the
-    arcs, and the bracket's from its windows over the offsets."""
+    arcs, and the bracket's from its windows over the offsets, with nothing
+    formed per arc."""
     import scipy.optimize  # noqa: F401  (its import is not the command's memory)
 
     n = 2048
     text = run(capsys, "generate", "circulant", str(n), "2")[1]
     sinks = "".join(line + "\n" for line in text.splitlines()
                     if line.split()[0] not in ("100", "1500"))
-    for graph_text in (text, sinks):
+    for graph_text in (text, sinks, f"n {n}\n"):
         path = write_graph(tmp_path, graph_text)
         for numeric in ((), ("--numeric",)):
             for fmt in ("json", "csv"):
