@@ -33,6 +33,7 @@ from .spectra import (
     circulant_spectrum,
     eig_selfadjoint,
     gershgorin_radius,
+    laplacian_spectrum,
     make_circulant_regular,
     ngon_closed_form,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "apply_laplacian",
     "Spectrum",
     "eig_selfadjoint",
+    "laplacian_spectrum",
     "circulant_spectrum",
     "ngon_closed_form",
     "gershgorin_radius",

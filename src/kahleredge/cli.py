@@ -1,32 +1,33 @@
 """Command-line interface.
 
 Subcommands: ``spectrum``, ``laplacian``, ``distance``, ``verify`` and
-``generate``.  ``spectrum`` solves a circulant graph under a
-rotation-invariant potential (the unit and zero potentials among them) from
-its n Fourier blocks (`spectra.circulant_spectrum`), every other input by
-the dense self-adjoint eigensolver on the assembled Laplacian.  Data goes to
-standard output, warnings and diagnostics to standard error.  Exit codes: 0
-success, 1 usage error, 2 data error (also a Laplacian with a non-finite
-entry, and an input too large for memory), 3 check failure.  Floats print
-with 17 significant digits, unbounded distances as ``inf`` (``"inf"`` in
-JSON), a block of rows at a time, each route giving the same bytes as
-formatting every entry.  Neither the distances, exact or bracketed, nor
-the Laplacian form a matrix: a distance row is a few slices of the texts of
-a window of the matrix over the offsets along an arc (for the numeric
-bracket, `dirac.bracket_windows`) and of runs of ``inf``
-(`_distance_blocks`); a Laplacian row is the texts of at most three column
-ranges, the edges leaving the vertices around the row's source, between
-runs of zero cells, each coefficient and diagonal-block entry formatted
-once (`_laplacian_blocks`).  Eigenvalues print through `_blocks`, by one
-``%`` of the row format.  CSV:
-``spectrum`` prints one eigenvalue per line, ``laplacian`` one matrix row
-per line with ``re,im`` interleaved per entry, ``distance`` the distances,
-then the lower and the upper bracket, stacked.  An empty matrix prints no
-line.  ``distance`` warns on standard error that
-some distances are infinite when two or more vertices have no outgoing edge:
-each such vertex cuts the cycle, and two cuts part it into pieces no
-constraint links.  ``spectrum --closed-form`` refuses a graph that is not
-the directed n-gon before any eigensolve.
+``generate``.  ``spectrum`` solves by `spectra.laplacian_spectrum`, which
+picks the route: the n Fourier blocks of a circulant graph under a
+rotation-invariant potential (the unit and zero potentials among them), else
+the dense eigensolver.  Data goes to standard output, warnings and
+diagnostics to standard error.  Exit codes: 0 success, 1 usage error, 2 data
+error (also the library's ValueError of a Laplacian with a non-finite entry,
+and an input too large for memory), 3 check failure.  Floats print with 17
+significant digits, unbounded distances as ``inf`` (``"inf"`` in JSON), a
+block of rows at a time, each route giving the same bytes as formatting
+every entry.  Neither the distances, exact or bracketed, nor the Laplacian
+form a matrix: a distance row is a few slices of the texts of a window of
+the matrix over the offsets along an arc (for the numeric bracket,
+`dirac.bracket_windows`) and of runs of ``inf`` (`_distance_blocks`); a
+Laplacian row is the texts of at most three column ranges, the edges leaving
+the vertices around the row's source, between runs of zero cells, each
+coefficient and diagonal-block entry formatted once (`_laplacian_blocks`).
+The vectors of ``spectrum`` (the eigenvalues, the closed form and its
+deviation, never ``inf``) print through `_vector`, by one ``%`` of the cell
+format per block of values.  CSV: ``spectrum`` prints one eigenvalue per
+line, ``laplacian`` one matrix row per line with ``re,im`` interleaved per
+entry, ``distance`` the distances, then the lower and the upper bracket,
+stacked.  An empty matrix prints no line.  ``distance`` reads and checks a
+potential file, if one is given, then warns on standard error that some
+distances are infinite when two or more vertices have no outgoing edge: each
+such vertex cuts the cycle, and two cuts part it into pieces no constraint
+links.  ``spectrum --closed-form`` refuses a graph that is not the directed
+n-gon before any eigensolve.
 
 `main` builds its argument parser on the first call and reuses it for every
 later call in the same process; parsing does not change the parser, so the
@@ -80,36 +81,26 @@ def non_negative_int(text: str) -> int:
 ROW_BLOCK = 256
 
 
-def _blocks(mat: np.ndarray, json: bool = False):
-    """The text of each block of ROW_BLOCK rows of the 2-D float array `mat`
-    (eigenvalues): its entries with 17 significant digits (locale
-    independent, `inf` for infinity, the string "inf" if `json`), each
-    followed by a comma or, at the end of a row, by a newline, or by "],["
-    if `json`, from one `%` of the row format, repeated.  (The distances and
+def _vector(values: np.ndarray, end: str = ","):
+    """The text of each block of ROW_BLOCK values of the 1-D float array
+    `values`: each with 17 significant digits (locale independent), followed
+    by `end`, from one `%` of the cell format, repeated.  (The distances and
     the Laplacian do not come here: their cells follow from the graph,
     `_distance_blocks` and `_laplacian_blocks`.)"""
-    mat = np.asarray(mat, dtype=np.float64)
-    end = "],[" if json else "\n"
-    if mat.shape[1] == 0:  # rows with no cell
-        if len(mat):
-            yield end * len(mat)
-        return
-    row = "%.17g," * (mat.shape[1] - 1) + "%.17g" + end
-    for start in range(0, len(mat), ROW_BLOCK):
-        block = mat[start:start + ROW_BLOCK]
-        text = row * len(block) % tuple(block.ravel().tolist())
-        yield text.replace("inf", '"inf"') if json else text
+    for start in range(0, len(values), ROW_BLOCK):
+        block = values[start:start + ROW_BLOCK]
+        yield ("%.17g" + end) * len(block) % tuple(block.tolist())
 
 
 def _distance_blocks(g: graphs.DirectedCyclicGraph, cells: list[str], json: bool = False):
     """The text of each block of ROW_BLOCK rows of a distance matrix of g
     given by its window (the exact distances, or a bound of the numeric
-    bracket, `dirac.bracket_windows`), as `_blocks` writes its floats,
-    straight from the arcs (`g.arcs`).  `cells` are the texts of the window
-    W over the offsets 1-M..M-1, M the longest arc, each followed by a
-    comma; off its arc a row's cells are "inf".  Each row is four slices,
-    some empty, of the text of W and of a run of n off-arc cells, and the
-    comma of the row's last cell gives way to the row end.
+    bracket, `dirac.bracket_windows`), straight from the arcs (`g.arcs`).
+    `cells` are the texts of the window W over the offsets 1-M..M-1, M the
+    longest arc, each followed by a comma; off its arc a row's cells are
+    "inf".  Each row is four slices, some empty, of the text of W and of a
+    run of n off-arc cells, and the comma of the row's last cell gives way
+    to the row end.
 
     With a cut, vertex mu at place p on an arc of L vertices from a0 reads
     the cell of the vertex at place q at offset q - p, so places 0..L-1 of
@@ -173,10 +164,11 @@ def _texts(values: np.ndarray) -> list[str]:
 def _laplacian_blocks(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients,
                       json: bool = False) -> list:
     """The text of each block of ROW_BLOCK rows of the Laplacian of g under
-    c, as `_blocks` writes the floats of `connection.laplacian(g, c)`: in
-    CSV one matrix, `re,im` interleaved per entry; in JSON the real matrix,
-    then the imaginary one.  Returns one generator per matrix; a data error,
-    before any text, if an entry is not finite.
+    c, each float of `connection.laplacian(g, c)` by "%.17g": in CSV one
+    matrix, `re,im` interleaved per entry; in JSON the real matrix, then the
+    imaginary one.  Returns one generator per matrix; the ValueError of
+    `connection.laplacian_blocks`, before any text, if an entry is not
+    finite.
 
     No m x m array is formed.  The row of an edge e leaving mu is non-zero
     only in three column ranges, each the edges leaving one vertex (so
@@ -188,14 +180,13 @@ def _laplacian_blocks(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoef
     text is its text negated, and "-0" and "0" map as `+ 0.0` maps them in
     `connection.laplacian`, as does a real text of "-0".  Runs of zero cells
     fill the gaps."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = connection.laplacian_blocks(g, c)
+    squares = connection.laplacian_blocks(g, c)
     # the blocks end to end, that of mu row-major from block_at[mu]
     block_at, at = np.zeros(g.n, dtype=int), 0
     for mu, square in squares:
         block_at[mu] = at + np.arange(0, square.size, square[0].size)
         at += square.size
-    blocks = _finite(np.concatenate([np.empty(0, complex)] + [square.reshape(-1) for _, square in squares]))
+    blocks = np.concatenate([np.empty(0, complex)] + [square.reshape(-1) for _, square in squares])
     re, im = _texts(c.values.real), _texts(c.values.imag)
     conj = ["0," if t == "-0," else t for t in re], [
         t[1:] if t[0] == "-" else t if t == "0," else "-" + t for t in im]
@@ -249,14 +240,11 @@ def _laplacian_rows(g, coef_at, block_at, zero, end, zeta, dagger, diag):
         yield "".join(parts)
 
 
-def _print_rows(mat: np.ndarray) -> None:
-    sys.stdout.writelines(_blocks(mat))
-
-
 def _print_json(head: str, blocks: dict[str, Iterable[str]]) -> None:
     """Print one JSON object: the fields in `head`, then each named matrix as
     a list of row lists, from the texts of its blocks of rows, each row
-    ending in "],[" (`_blocks` and `_distance_blocks` with `json`)."""
+    ending in "],[" (`_distance_blocks` and `_laplacian_blocks` with
+    `json`)."""
     write = sys.stdout.write
     write("{" + head)
     for name, texts in blocks.items():
@@ -304,42 +292,24 @@ def _is_directed_ngon(g: graphs.DirectedCyclicGraph) -> bool:
     return np.array_equal(g.keys, mu * g.n + (mu + 1) % g.n)
 
 
-def _finite(entries: np.ndarray) -> np.ndarray:
-    """`entries` of a Laplacian; a data error if one is not finite."""
-    if not np.isfinite(entries).all():
-        raise DataError("the Laplacian has non-finite entries: the potential overflows")
-    return entries
-
-
-def _laplacian(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray:
-    """The matrix of the twisted edge Laplacian of g under c; a data error if
-    an entry is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(connection.laplacian(g, c))
-
-
 def cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
     c = _load_potential(args.potential, g)
     if args.closed_form and not _is_directed_ngon(g):
         raise DataError("--closed-form applies only to the directed n-gon")
-    eigs = spectra.circulant_spectrum(g, c)
-    if eigs is None:
-        eigs = spectra.eig_selfadjoint(_laplacian(g, c)).eigenvalues
-    if args.closed_form:
-        closed = spectra.ngon_closed_form(g.n)[None]
-        deviation = np.abs(eigs - closed).max(keepdims=True)
+    eigs = spectra.laplacian_spectrum(g, c)
+    if args.closed_form:  # the texts of the closed form and of the largest deviation
+        closed = spectra.ngon_closed_form(g.n)
+        texts = "".join(_vector(closed))[:-1], "%.17g" % np.abs(eigs - closed).max()
     if args.format == "json":
-        out = '{"eigenvalues":[%s]' % next(_blocks(eigs[None]))[:-1]
+        out = '{"eigenvalues":[%s]' % "".join(_vector(eigs))[:-1]
         if args.closed_form:
-            out += ',"closed_form":[%s],"max_deviation":%s' % (
-                next(_blocks(closed))[:-1], next(_blocks(deviation))[:-1])
+            out += ',"closed_form":[%s],"max_deviation":%s' % texts
         print(out + "}")
     else:
-        _print_rows(eigs[:, None])
+        sys.stdout.writelines(_vector(eigs, "\n"))
         if args.closed_form:
-            _print_rows(closed)
-            _print_rows(deviation)
+            print(*texts, sep="\n")
     return EXIT_OK
 
 
@@ -358,6 +328,8 @@ def cmd_distance(args) -> int:
     if args.potential is not None and not args.numeric:
         raise UsageError("--potential applies only with --numeric")
     g = _load_graph(args.graph)
+    if args.potential is not None:  # checked, though the distances do not depend on it
+        _load_potential(args.potential, g)
     lonely = g.arcs.cuts.tolist()
     if len(lonely) >= 2:  # one cut leaves the cycle a path, two part it
         print(
@@ -365,8 +337,6 @@ def cmd_distance(args) -> int:
             "some distances are infinite",
             file=sys.stderr,
         )
-    if args.potential is not None:  # checked, though the distances do not depend on it
-        _load_potential(args.potential, g)
     json = args.format == "json"
     blocks = _distance_texts(g, json, args.numeric)
     if json:

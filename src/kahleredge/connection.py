@@ -254,9 +254,10 @@ def laplacian_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> list[t
 
     Vertices whose blocks C_mu share a shape share one batched matmul; the
     only loop is over the distinct shapes.  A vertex with no edge behind it
-    has the identity block (its product is of empty factors, +0.0).  A
-    non-finite coefficient makes its row's diagonal entry, sum |c|^2 + 1,
-    non-finite.
+    has the identity block (its product is of empty factors, +0.0).  Only
+    these entries of L can overflow (sum |c|^2 + 1 on the diagonal): a block
+    not all finite raises the ValueError of an overflowing potential, with
+    no floating-point warning.
     """
     n = g.n
     here = g.out_degrees
@@ -267,10 +268,18 @@ def laplacian_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> list[t
         d, dp = divmod(shape, n + 1)
         mu = np.flatnonzero(shapes == shape)
         block = c.values[c.block_offsets[mu, None] + np.arange(d * dp)].reshape(len(mu), d, dp)
-        square = np.matmul(block.conj() + 0.0, block.transpose(0, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = np.matmul(block.conj() + 0.0, block.transpose(0, 2, 1))
         square.reshape(len(mu), -1)[:, :: d + 1] += 1.0  # the identity
-        out.append((mu, square))
+        out.append((mu, _finite(square)))
     return out
+
+
+def _finite(blocks: np.ndarray) -> np.ndarray:
+    """`blocks`; the ValueError of an overflowing potential if one is not finite."""
+    if not np.isfinite(blocks).all():
+        raise ValueError("the Laplacian has non-finite entries: the potential overflows")
+    return blocks
 
 
 def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.ndarray:

@@ -7,6 +7,8 @@ checked and solved in real arithmetic.  On a circulant graph under a
 rotation-invariant potential the Laplacian is block diagonal in Fourier
 modes, and `circulant_spectrum` solves its n blocks of size d x d (d the
 out-degree) as one batched problem, never forming the m x m matrix.
+`laplacian_spectrum` picks the route: that one where it takes the input,
+else the dense solve.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import PotentialCoefficients
+from . import connection
 from .graphs import DirectedCyclicGraph, _check_vertex_count
 
 __all__ = [
     "Spectrum",
     "eig_selfadjoint",
+    "laplacian_spectrum",
     "circulant_spectrum",
     "ngon_closed_form",
     "gershgorin_radius",
@@ -84,7 +87,17 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues, V, residual)
 
 
-def circulant_spectrum(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray | None:
+def laplacian_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray:
+    """The eigenvalues of the twisted edge Laplacian in ascending order, by
+    `circulant_spectrum` where it takes the input, else by `eig_selfadjoint`
+    on `connection.laplacian`; each raises on an overflowing potential."""
+    eigs = circulant_spectrum(g, c)
+    if eigs is None:
+        eigs = eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
+    return eigs
+
+
+def circulant_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray | None:
     """The eigenvalues of the twisted edge Laplacian L = dbar^dagger dbar in
     ascending order when g is circulant and c rotation invariant, from n
     Fourier blocks of size d x d; None otherwise.
@@ -138,8 +151,7 @@ def circulant_spectrum(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.n
     z = blocks[0]
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal = z.conj() @ z.T + np.eye(d)
-    if not np.isfinite(diagonal).all():
-        raise ValueError("the Laplacian has non-finite entries: the potential overflows")
+    connection._finite(diagonal)
     shifted = np.exp(2j * np.pi * np.arange(n) / n)[:, None, None] * z.T  # w^k Z^T
     modes = diagonal + shifted + shifted.conj().transpose(0, 2, 1)
     return np.sort(np.linalg.eigvalsh(modes), axis=None)

@@ -303,7 +303,7 @@ def test_overflowing_rotation_invariant_potential_is_a_data_error(
     def refuse(*args):
         raise AssertionError("the dense route ran")
 
-    monkeypatch.setattr(cli, "_laplacian", refuse)
+    monkeypatch.setattr(connection, "laplacian", refuse)
     code, out, err = run(capsys, "spectrum", "--graph", gpath, "--potential", str(ppath),
                          "--format", fmt)
     assert (code, out) == (2, "")
@@ -378,14 +378,14 @@ def test_numeric_distances_do_not_depend_on_the_potential(capsys, tmp_path):
             assert (code, err) == (0, warning)
             outs.add(out)
         assert len(outs) == 1 and "inf" in outs.pop()
-    # a potential file given is still read and checked: its first triple a
-    # second time, on the last line
+    # a potential file given is still read and checked, before the warning:
+    # its first triple a second time, on the last line
     ppath.write_text(ppath.read_text() + ppath.read_text().splitlines(keepends=True)[0])
     code, out, err = run(capsys, "distance", "--numeric", "--graph", gpath,
                          "--potential", str(ppath))
     assert (code, out) == (2, "")
-    assert err == warning + (f"error: bad potential file {ppath}: line {len(keys) + 1}: "
-                             f"duplicate potential triple {tuple(keys[0])}\n")
+    assert err == (f"error: bad potential file {ppath}: line {len(keys) + 1}: "
+                   f"duplicate potential triple {tuple(keys[0])}\n")
 
 
 def test_distance_lp_failure_is_a_data_error(monkeypatch, capsys, tmp_path):

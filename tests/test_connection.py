@@ -147,6 +147,25 @@ def test_laplacian_empty_edge_set():
     assert connection.laplacian(g, PotentialCoefficients.zero(g)).shape == (0, 0)
 
 
+# the 4-gon with the chord 0->2: blocks C_mu of shapes 1 x 1, 1 x 2 and 2 x 1,
+# the last of them, that of vertex 0, the one that overflows
+CHORD = DirectedCyclicGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("g, key", [(ngon(3), (1, 2, 1)), (CHORD, (0, 2, 0))])
+@pytest.mark.parametrize("value", [1e200, 1e200j, complex(1e200, 1e200)])
+def test_overflowing_potential_raises_with_no_warning(g, key, value):
+    """A finite coefficient whose square overflows (to inf, and with both
+    parts to nan in the product's imaginary part) is one ValueError from the
+    diagonal blocks and from the Laplacian, with no RuntimeWarning: warnings
+    are errors under this suite's settings."""
+    c = PotentialCoefficients(g, {key: value})
+    for build in (connection.laplacian_blocks, connection.laplacian):
+        with pytest.raises(ValueError) as err:
+            build(g, c)
+        assert str(err.value) == "the Laplacian has non-finite entries: the potential overflows"
+
+
 def test_apply_laplacian_unit_examples():
     g = ngon(3)
     chi = np.eye(g.num_edges)  # row e: the indicator of edge e

@@ -6,12 +6,13 @@ against the certificates of its columns, and the largest vertex step it
 certifies with against the SVD of the whole commutator; the Laplacian
 against the dense product dbar^dagger dbar, and its and the Dirac operator's
 structure; the Fourier route to the spectrum of a circulant against the
-dense solve; the matrix-free Laplacian against the assembled one, on stacks,
-and the key index it reads; the inner product on stacked vectors of the
-Hilbert space; the graph suites of `verify` on every graph; the arcs of a
-graph against a walk from cut to cut; and the CLI's number format, the
-distance writer that reads the arcs and the Laplacian writer that reads the
-out-edge ranges among it."""
+dense solve, and the spectrum that picks the route against both; the
+matrix-free Laplacian against the assembled one, on stacks, and the key
+index it reads; the inner product on stacked vectors of the Hilbert space;
+the graph suites of `verify` on every graph; the arcs of a graph against a
+walk from cut to cut; and the CLI's number format, the vector writer of
+`spectrum`, the distance writer that reads the arcs and the Laplacian
+writer that reads the out-edge ranges among it."""
 
 import contextlib
 import io
@@ -602,6 +603,30 @@ def test_fourier_route_is_the_dense_spectrum(circulant, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(g=graphs_st, potential=st.sampled_from(["unit", "zero", "random"]), seed=seeds)
+@example(g=EMPTY, potential="random", seed=0)
+@example(g=LOOPS_AND_SINKS, potential="random", seed=1)
+@example(g=ONE_CUT, potential="unit", seed=2)
+@example(g=HUBS, potential="random", seed=3)
+@example(g=HUBS, potential="zero", seed=4)
+@example(g=spectra.make_circulant_regular(8, 2), potential="unit", seed=5)
+def test_laplacian_spectrum_is_the_dense_spectrum(g, potential, seed):
+    """The one spectrum path: off the Fourier route it is the dense solve
+    bit for bit, on it the dense solve to 1e-12 relative."""
+    if potential == "random":
+        c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    else:
+        c = getattr(PotentialCoefficients, potential)(g)
+    eigs = spectra.laplacian_spectrum(g, c)
+    dense = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
+    if spectra.circulant_spectrum(g, c) is None:
+        assert eigs.tobytes() == dense.tobytes()
+    else:
+        assert eigs.shape == dense.shape and (np.diff(eigs) >= 0).all()
+        assert np.max(np.abs(eigs - dense), initial=0.0) <= 1e-12 * max(1.0, dense.max(initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
 @given(g=graphs_st, seed=seeds)
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
@@ -711,25 +736,24 @@ def test_graph_checks_of_verify_pass_on_every_graph(g, seed):
     assert [(r.name, r.residual) for r in results if not r.passed] == []
 
 
-# every float the CLI prints except -inf and nan, which it never prints
-printed_floats = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.inf)
-SPECIAL = np.array([[0.0, -0.0, 5e-324], [-2.2250738585072014e-308, 1e308, -1e308],
-                    [math.inf, 0.1, -1.0000000298023224]])
+# every float `spectrum` prints: its eigenvalues, closed form and deviation
+# are finite, since both spectrum routes refuse a non-finite Laplacian
+printed_floats = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                    0.1, -1.0000000298023224])
 
 
 @settings(max_examples=200, deadline=None)
-@given(mat=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                  elements=printed_floats))
-@example(mat=SPECIAL)
-def test_printed_rows_parse_back_to_the_same_floats(mat):
-    csv = [[float(v) for v in line.split(",")] for line in "".join(cli._blocks(mat)).splitlines()]
-    assert np.array(csv).tobytes() == mat.tobytes()  # bitwise: keeps the sign of 0
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._print_json('"n":0', {"m": cli._blocks(mat, json=True)})
-    rows = json.loads(out.getvalue(), parse_int=float)["m"]
-    parsed = [[float(v) for v in row] for row in rows]  # "inf" is a string
-    assert np.array(parsed).tobytes() == mat.tobytes()
+@given(values=arrays(np.float64, st.integers(0, 9), elements=printed_floats))
+@example(values=SPECIAL)
+def test_printed_rows_parse_back_to_the_same_floats(values):
+    """The vector writer of `spectrum`, one value per line (the CSV
+    eigenvalues) and as one comma-separated row (the closed form, and the
+    JSON lists), read back bitwise: the sign of zero kept."""
+    lines = "".join(cli._vector(values, "\n")).splitlines()
+    assert np.array([float(v) for v in lines]).tobytes() == values.tobytes()
+    row = json.loads("[%s]" % "".join(cli._vector(values))[:-1], parse_int=float)
+    assert np.array(row, dtype=float).tobytes() == values.tobytes()
 
 
 def reference_rows(mat, json=False):
@@ -740,13 +764,18 @@ def reference_rows(mat, json=False):
 
 
 def reference_text(mat, json=False):
-    """The rows as `cli._blocks` writes them: each ends in a newline, or in
-    "],[" in JSON."""
+    """The rows as the matrix writers of `laplacian` and `distance` write
+    them: each ends in a newline, or in "],[" in JSON."""
     return "".join(row + ("],[" if json else "\n") for row in reference_rows(mat, json))
 
 
-# values that repeat across row blocks, with the sign of zero and the
-# extremes of the 17-digit format among them
+def reference_vector(values, end):
+    """The values as the per-cell reference format, each followed by `end`."""
+    return "".join("%.17g" % x + end for x in values.tolist())
+
+
+# values that repeat across blocks, with the sign of zero and the extremes
+# of the 17-digit format among them
 POOL = [0.0, -0.0, math.inf, 5e-324, 1e16, 1e17]
 # pools of whole numbers, -0.0 and inf: small ones, below a block's cell
 # count, and large ones of up to 17 digits
@@ -755,80 +784,83 @@ narrow_pools = st.lists((st.integers(-2, 40) | st.integers(-10**16, 10**16)).map
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 600), cols=st.integers(0, 4), seed=seeds,
-       pool=st.none() | narrow_pools)
-@example(rows=cli.ROW_BLOCK, cols=2, seed=0, pool=None)
-@example(rows=cli.ROW_BLOCK + 1, cols=3, seed=1, pool=None)
-@example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2, pool=None)
+@given(length=st.integers(0, 1200), seed=seeds, pool=st.none() | narrow_pools)
+@example(length=cli.ROW_BLOCK - 1, seed=0, pool=None)
+@example(length=cli.ROW_BLOCK, seed=0, pool=None)
+@example(length=cli.ROW_BLOCK + 1, seed=1, pool=None)
+@example(length=2 * cli.ROW_BLOCK + 1, seed=2, pool=None)
 # whole numbers of 13 to 16 digits, past every cell count, with +0.0,
 # -0.0, a small whole number or inf among them
-@example(rows=5, cols=3, seed=3, pool=[0.0, 123456789012345.0, math.inf])
-@example(rows=5, cols=3, seed=4, pool=[0.0, 1234567890123456.0, 7.0])
-@example(rows=5, cols=3, seed=5, pool=[-0.0, 1234567890123.0, math.inf])
-@example(rows=5, cols=3, seed=6, pool=[1.0, -1234567890123.0, math.inf])
+@example(length=15, seed=3, pool=[0.0, 123456789012345.0, math.inf])
+@example(length=15, seed=4, pool=[0.0, 1234567890123456.0, 7.0])
+@example(length=15, seed=5, pool=[-0.0, 1234567890123.0, math.inf])
+@example(length=15, seed=6, pool=[1.0, -1234567890123.0, math.inf])
 # small whole numbers with -0.0, or with a negative one next to inf: the
 # sign of a whole number and of zero print
-@example(rows=5, cols=3, seed=7, pool=[0.0, -0.0, 3.0, 7.0])
-@example(rows=5, cols=3, seed=8, pool=[2.0, -1.0, math.inf, 0.0])
-# 15 and 14 in blocks of 15 cells (.real, .imag): whole numbers at and
-# below the block's cell count; in the interleaved view's 30 cells both are
-# below
-@example(rows=5, cols=3, seed=9, pool=[15.0, 14.0, 0.0])
-@example(rows=5, cols=3, seed=10, pool=[14.0, 13.0, 0.0])
+@example(length=15, seed=7, pool=[0.0, -0.0, 3.0, 7.0])
+@example(length=15, seed=8, pool=[2.0, -1.0, math.inf, 0.0])
+# 15 and 14 in vectors of 15 cells (.real, .imag): whole numbers at and
+# below the vector's cell count; in the interleaved view's 30 cells both
+# are below
+@example(length=15, seed=9, pool=[15.0, 14.0, 0.0])
+@example(length=15, seed=10, pool=[14.0, 13.0, 0.0])
 # whole numbers at 2**53, 1e16 and 1e17 (where "%.17g" turns to an exponent),
-# and inf among small whole numbers, over two row blocks
-@example(rows=5, cols=3, seed=11, pool=[2.0**53, 1e16, 1e17, 1.0])
-@example(rows=300, cols=4, seed=12, pool=[math.inf, 0.0, 1.0, 2.0])
-def test_printed_rows_match_the_per_cell_format(rows, cols, seed, pool):
+# and inf among small whole numbers, over two blocks
+@example(length=15, seed=11, pool=[2.0**53, 1e16, 1e17, 1.0])
+@example(length=300, seed=12, pool=[math.inf, 0.0, 1.0, 2.0])
+def test_printed_rows_match_the_per_cell_format(length, seed, pool):
+    """The vector writer against the per-cell format, a value per line and
+    as one row, on any float the format takes."""
     rng = np.random.default_rng(seed)
     if pool is None:
         pool = np.concatenate([POOL, rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
-    lap = np.empty((rows, cols), dtype=complex)  # 1j * inf would put nan in .real
-    lap.real, lap.imag = rng.choice(pool, (2, rows, cols))
-    # contiguous, strided, interleaved and transposed views
-    for mat in (lap.real.copy(), lap.real, lap.imag, lap.view(float), lap.imag.T):
-        assert "".join(cli._blocks(mat)) == reference_text(mat)
-        assert "".join(cli._blocks(mat, json=True)) == reference_text(mat, json=True)
+    vec = np.empty(length, dtype=complex)  # 1j * inf would put nan in .real
+    vec.real, vec.imag = rng.choice(pool, (2, length))
+    # contiguous, strided, interleaved and reversed views
+    for values in (vec.real.copy(), vec.real, vec.imag, vec.view(float), vec.imag[::-1]):
+        for end in ("\n", ","):
+            assert "".join(cli._vector(values, end)) == reference_vector(values, end)
 
 
 @st.composite
-def mostly_zero_matrices(draw):
+def mostly_zero_vectors(draw):
     """Mostly +0.0, with mostly distinct non-zero values, -0.0, 5e-324 and
-    inf among them, an all-zero row and a row with a non-zero last cell."""
-    rows, cols = draw(st.integers(1, 600)), draw(st.integers(1, 64))
+    inf among them, a run of up to ROW_BLOCK zeros and a non-zero last value."""
+    length = draw(st.integers(1, 3000))
     rng = np.random.default_rng(draw(seeds))
-    values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
-    mat = np.where(rng.random((rows, cols)) < draw(st.floats(0.01, 0.4)), values, 0.0)
-    mat.flat[rng.integers(0, mat.size, 3)] = [-0.0, 5e-324, math.inf]
-    mat[rng.integers(rows)] = 0.0
-    mat[rng.integers(rows), -1] = 0.5
-    return mat
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
+    vec = np.where(rng.random(length) < draw(st.floats(0.01, 0.4)), values, 0.0)
+    vec[rng.integers(0, length, 3)] = [-0.0, 5e-324, math.inf]
+    start = rng.integers(length)
+    vec[start:start + cli.ROW_BLOCK] = 0.0
+    vec[-1] = 0.5
+    return vec
 
 
-# -0.0 as a row's first cell, the least subnormal inside a row, inf as a
-# row's last cell, and rows of +0.0 alone: the row format, five rows and six
+# -0.0 as the first value, the least subnormal inside a row of six, inf as
+# the last of one, and runs of +0.0: 30 values and 36
 BOUNDARY = np.zeros((6, 6))
 BOUNDARY[0, 0], BOUNDARY[1, 2], BOUNDARY[2, 5] = -0.0, 5e-324, math.inf
-# mostly zero whole numbers with one fractional cell in the first row
-# block, then a row block of whole numbers and inf alone
+# mostly zero whole numbers with one fractional value in the first block,
+# then a block of whole numbers and inf alone
 WHOLE = np.zeros((cli.ROW_BLOCK + 6, 6))
 WHOLE[::3, 1], WHOLE[1::4, 5], WHOLE[cli.ROW_BLOCK + 2, 3] = 4.0, 1.0, math.inf
 WHOLE[3, 4] = 0.5
 
 
 @settings(max_examples=40, deadline=None)
-@given(mat=mostly_zero_matrices())
-@example(mat=BOUNDARY[:5])
-@example(mat=BOUNDARY)
-@example(mat=WHOLE[:6])
-@example(mat=WHOLE)
-def test_mostly_zero_rows_match_the_per_cell_format(mat):
-    lap = np.empty(mat.shape, dtype=complex)
-    lap.real, lap.imag = mat, mat[::-1]
-    # contiguous, strided, interleaved and transposed views
-    for view in (lap.real.copy(), lap.real, lap.imag, lap.view(float), lap.imag.T):
-        assert "".join(cli._blocks(view)) == reference_text(view)
-        assert "".join(cli._blocks(view, json=True)) == reference_text(view, json=True)
+@given(values=mostly_zero_vectors())
+@example(values=BOUNDARY[:5].ravel())
+@example(values=BOUNDARY.ravel())
+@example(values=WHOLE[:6].ravel())
+@example(values=WHOLE.ravel())
+def test_mostly_zero_rows_match_the_per_cell_format(values):
+    vec = np.empty(values.shape, dtype=complex)
+    vec.real, vec.imag = values, values[::-1]
+    # contiguous, strided, interleaved and reversed views
+    for view in (vec.real.copy(), vec.real, vec.imag, vec.view(float), vec.imag[::-1]):
+        for end in ("\n", ","):
+            assert "".join(cli._vector(view, end)) == reference_vector(view, end)
 
 
 @settings(max_examples=40, deadline=None)
@@ -837,12 +869,20 @@ def test_mostly_zero_rows_match_the_per_cell_format(mat):
 @example(rows=cli.ROW_BLOCK + 1, cols=0, seed=1)
 @example(rows=2 * cli.ROW_BLOCK + 1, cols=1, seed=2)
 def test_printed_json_matches_the_per_cell_format(rows, cols, seed):
+    """`_print_json` on the reference row texts in blocks of ROW_BLOCK rows,
+    each row ending in "],[" as the matrix writers end them: no row, one
+    row, rows with no cell and several blocks."""
     rng = np.random.default_rng(seed)
     pool = np.concatenate([POOL, rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)])
     mats = dict(zip("ab", rng.choice(pool, (2, rows, cols))))
+
+    def blocks(mat):
+        texts = [row + "],[" for row in reference_rows(mat, json=True)]
+        return ["".join(texts[i:i + cli.ROW_BLOCK]) for i in range(0, len(texts), cli.ROW_BLOCK)]
+
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._print_json('"n":0', {name: cli._blocks(mat, json=True) for name, mat in mats.items()})
+        cli._print_json('"n":0', {name: blocks(mat) for name, mat in mats.items()})
     assert out.getvalue() == '{"n":0%s}\n' % "".join(
         ',"%s":[%s]' % (name, ",".join("[" + row + "]" for row in reference_rows(mat, json=True)))
         for name, mat in mats.items())
