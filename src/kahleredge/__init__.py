@@ -27,7 +27,7 @@ from .graphs import (
     orthonormal_basis,
     parse_graph,
 )
-from .polygon import Calculus, GradedForm, VertexFunction, make_calculus
+from .polygon import Calculus, GradedForm
 from .spectra import (
     Spectrum,
     circulant_spectrum,
@@ -41,8 +41,6 @@ from .spectra import (
 __all__ = [
     "Calculus",
     "GradedForm",
-    "VertexFunction",
-    "make_calculus",
     "DirectedCyclicGraph",
     "GraphFormatError",
     "parse_graph",

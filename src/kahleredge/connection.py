@@ -290,10 +290,13 @@ def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.n
     Each factor is one scatter over the valid keys, through their edge pairs
     (e, e'): dbar = I + zeta adds c[key] x(e) at e', and dbar^dagger adds
     conj(c[key]) y(e') at e.  The batch axes are folded into the scatter's
-    flat index, so a stack costs one scatter per factor too.
+    flat index, so a stack costs one scatter per factor too.  A potential
+    that overflows the Laplacian (`laplacian_blocks`) raises its ValueError,
+    whatever f is.
     """
     if c.graph != g:
         raise ValueError("potential defined on a different graph")
+    laplacian_blocks(g, c)
     f = _last_axis(f, g.num_edges)
     edge, partner = g.edge_pairs
     y = f.copy()

@@ -8,11 +8,12 @@ wedge product the module provides the involution, the exterior derivative on
 functions, the complex structure J, the Kahler form, the Hodge star, the
 induced metric and the normalized trace state.
 
-Forms and vertex functions take leading batch axes: a vertex function holds
-values of shape (..., n) and a form coefficients of shape (..., 4, n), and
-every operation of `Calculus` broadcasts over the leading axes, so one call
-acts on a whole stack of forms.  Every form or vertex function an
-operation returns holds a fresh read-only array, never shared with its
+A vertex function is a plain array of shape (..., n), as everywhere in the
+package: operations read any array-like whose last axis has length n.
+Forms are `GradedForm`s with coefficients of shape (..., 4, n).  Both take
+leading batch axes, and every operation of `Calculus` broadcasts over them,
+so one call acts on a whole stack of forms.  Every form or vertex function
+an operation returns holds a fresh read-only array, never shared with its
 inputs, and a form's is allocated once; `GradedForm(...)` itself copies
 what it is given.  Operations accept coefficients in any memory layout:
 `basis_forms()` keeps its stack axis innermost in memory, so elementwise
@@ -28,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Calculus", "VertexFunction", "GradedForm"]
+from .graphs import _last_axis
 
-#: absolute tolerance for positivity / reality checks on function values
-POSITIVITY_TOL = 1e-12
+__all__ = ["Calculus", "GradedForm"]
 
 #: coefficient rows of each degree in GradedForm.coeffs
 _DEGREE_ROWS = {0: [0], 1: [1, 2], 2: [3]}
@@ -45,10 +45,8 @@ _STAR_FACTORS = np.array([-1j, -1j, 1j, 1j])[:, None]
 _METRIC_FACTORS = np.array([1j, 1j, -1j, -1j])[:, None]
 
 
-def _as_complex(values, n: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.ndim == 0 or arr.shape[-1] != n:
-        raise ValueError(f"{what} must have last axis of length {n}, got shape {arr.shape}")
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr`, an array an operation has just allocated, made read-only."""
     arr.flags.writeable = False
     return arr
 
@@ -59,54 +57,6 @@ def _roll(x: np.ndarray, shift: int) -> np.ndarray:
     on these sizes; `wedge` joins the same slices of eta's function row for
     all three of its shifts in one concatenation."""
     return np.concatenate((x[..., -shift:], x[..., :-shift]), axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
-class VertexFunction:
-    """A complex function on the n vertices (an element of the algebra), or a
-    stack of them: `values` has shape (..., n)."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("polygon calculus needs n >= 3")
-        object.__setattr__(self, "values", _as_complex(self.values, self.n, "vertex function"))
-
-    def __call__(self, mu: int):
-        value = self.values[..., mu % self.n]
-        return complex(value) if value.ndim == 0 else value
-
-    def __add__(self, other: "VertexFunction") -> "VertexFunction":
-        self._check(other)
-        return VertexFunction(self.n, self.values + other.values)
-
-    def __sub__(self, other: "VertexFunction") -> "VertexFunction":
-        self._check(other)
-        return VertexFunction(self.n, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, VertexFunction):
-            self._check(other)
-            return VertexFunction(self.n, self.values * other.values)
-        return VertexFunction(self.n, self.values * complex(other))
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "VertexFunction":
-        return VertexFunction(self.n, np.conj(self.values))
-
-    def is_positive(self, tol: float = POSITIVITY_TOL) -> bool:
-        """Membership in the positive cone: real values >= 0 up to `tol`
-        (for a stack, of every function in it)."""
-        return bool(
-            np.all(np.abs(self.values.imag) <= tol) and np.all(self.values.real >= -tol)
-        )
-
-    def _check(self, other: "VertexFunction"):
-        if self.n != other.n:
-            raise ValueError(f"vertex count mismatch: {self.n} != {other.n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +83,14 @@ class GradedForm:
             raise ValueError(f"form coefficients must have shape (..., 4, n), got {arr.shape}")
         if arr.shape[-1] < 3:
             raise ValueError("polygon calculus needs n >= 3")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _read_only(arr))
 
     @classmethod
     def _fresh(cls, coeffs: np.ndarray) -> "GradedForm":
         """The form on `coeffs`, a complex (..., 4, n) array an operation has
         just allocated and nothing else holds: no copy and no check."""
-        coeffs.flags.writeable = False
         form = object.__new__(cls)
-        object.__setattr__(form, "coeffs", coeffs)
+        object.__setattr__(form, "coeffs", _read_only(coeffs))
         return form
 
     @property
@@ -221,16 +169,15 @@ class Calculus:
 
     # ---------------------------------------------------------------- builders
 
-    def vertex_function(self, values) -> VertexFunction:
-        return VertexFunction(self.n, values)
-
-    def delta(self, mu: int) -> VertexFunction:
+    def delta(self, mu: int) -> np.ndarray:
+        """The indicator function of vertex mu."""
         values = np.zeros(self.n, dtype=complex)
         values[mu % self.n] = 1.0
-        return VertexFunction(self.n, values)
+        return _read_only(values)
 
-    def one(self) -> VertexFunction:
-        return VertexFunction(self.n, np.ones(self.n, dtype=complex))
+    def one(self) -> np.ndarray:
+        """The unit of the algebra, the constant function 1."""
+        return _read_only(np.ones(self.n, dtype=complex))
 
     def zero_form(self) -> GradedForm:
         return GradedForm._fresh(np.zeros((4, self.n), dtype=complex))
@@ -239,16 +186,15 @@ class Calculus:
         """The form with the given rows (absent rows are zero); rows of
         different batch shapes broadcast."""
         rows = [
-            np.zeros(self.n, dtype=complex) if values is None else _as_complex(values, self.n, name)
+            np.zeros(self.n, dtype=complex) if values is None else _last_axis(values, self.n, name)
             for name, values in (
                 ("deg0", deg0), ("deg1_fwd", deg1_fwd), ("deg1_bwd", deg1_bwd), ("deg2", deg2)
             )
         ]
         return GradedForm._fresh(np.stack(np.broadcast_arrays(*rows), axis=-2))
 
-    def from_vertex(self, f: VertexFunction) -> GradedForm:
-        self._check_n(f.n)
-        return self.form(deg0=f.values)
+    def from_vertex(self, f) -> GradedForm:
+        return self.form(deg0=_last_axis(f, self.n, "vertex function"))
 
     def _basis_element(self, row: int, mu: int) -> GradedForm:
         coeffs = np.zeros((4, self.n), dtype=complex)
@@ -287,7 +233,7 @@ class Calculus:
 
     # -------------------------------------------------------------- operations
 
-    def bimodule_act(self, f: VertexFunction, omega: GradedForm, side: str) -> GradedForm:
+    def bimodule_act(self, f, omega: GradedForm, side: str) -> GradedForm:
         """Left/right action of the algebra on a graded form.
 
         The left action scales each basis coefficient by f at the left vertex
@@ -295,9 +241,8 @@ class Calculus:
         xi[a->b] has left vertex a and right vertex b; vol[mu] has both equal
         to mu.
         """
-        self._check_n(f.n)
+        v = _last_axis(f, self.n, "vertex function")
         self._check_n(omega.n)
-        v = f.values
         if side == "left":
             return GradedForm._fresh(v[..., None, :] * omega.coeffs)
         if side == "right":
@@ -343,10 +288,9 @@ class Calculus:
         np.negative(out[..., 1:, :], out=out[..., 1:, :])
         return GradedForm._fresh(out)
 
-    def exterior_d(self, f: VertexFunction) -> GradedForm:
+    def exterior_d(self, f) -> GradedForm:
         """df = sum over polygon edges mu->mu+-1 of (f(nu)-f(mu)) xi[mu->nu]."""
-        self._check_n(f.n)
-        v = f.values
+        v = _last_axis(f, self.n, "vertex function")
         return self.form(deg1_fwd=_roll(v, -1) - v, deg1_bwd=_roll(v, 1) - v)
 
     def apply_J(self, omega: GradedForm) -> GradedForm:
@@ -369,7 +313,7 @@ class Calculus:
         self._check_n(omega.n)
         return GradedForm._fresh(_STAR_FACTORS * omega.coeffs[..., _STAR_ROWS, :])
 
-    def metric_g(self, omega: GradedForm, eta: GradedForm) -> VertexFunction:
+    def metric_g(self, omega: GradedForm, eta: GradedForm) -> np.ndarray:
         """g(omega, eta) = star(omega ^ star(eta*)), evaluated degreewise.
 
         Components of differing degree pair to zero.  The three degrees are
@@ -392,19 +336,14 @@ class Calculus:
         # and its Hodge star, a function
         t = p[..., [0, 2, 3], :]
         t *= -1j
-        return VertexFunction(self.n, 0.0 + t[..., 0, :] + t[..., 1, :] + t[..., 2, :])
+        return _read_only(0.0 + t[..., 0, :] + t[..., 1, :] + t[..., 2, :])
 
-    def state_tau(self, f: VertexFunction):
+    def state_tau(self, f):
         """The normalized trace state: arithmetic mean of the values (an
         array of means for a stack of functions)."""
-        self._check_n(f.n)
-        return np.mean(f.values, axis=-1)
+        return np.mean(_last_axis(f, self.n, "vertex function"), axis=-1)
 
     def _check_n(self, n: int):
         if n != self.n:
             raise ValueError(f"vertex count mismatch: expected {self.n}, got {n}")
 
-
-def make_calculus(n: int) -> Calculus:
-    """Create the polygon calculus context on n >= 3 vertices."""
-    return Calculus(n)

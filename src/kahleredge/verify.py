@@ -121,7 +121,7 @@ def polygon_checks(n: int, rng: np.random.Generator,
     res = cal.exterior_d(cal.one()).max_abs()
     out.append(CheckResult(f"d-of-unit[n={n}]", res, 1e-12))
     pairs = _complex_normal(rng, (20, 2, n))
-    f, h = cal.vertex_function(pairs[:, 0]), cal.vertex_function(pairs[:, 1])
+    f, h = pairs[:, 0], pairs[:, 1]
     lhs = cal.exterior_d(f * h)
     rhs = cal.bimodule_act(h, cal.exterior_d(f), "right") + cal.bimodule_act(
         f, cal.exterior_d(h), "left"
@@ -132,7 +132,7 @@ def polygon_checks(n: int, rng: np.random.Generator,
     kappa = cal.kahler_form()
     res = (cal.star_involution(kappa) - kappa).max_abs()
     out.append(CheckResult(f"kappa-real[n={n}]", res, 1e-12))
-    f = cal.vertex_function(_complex_normal(rng, (10, n)))
+    f = _complex_normal(rng, (10, n))
     res = (cal.bimodule_act(f, kappa, "left") - cal.bimodule_act(f, kappa, "right")).max_abs()
     out.append(CheckResult(f"kappa-central[n={n}]", res, 1e-12))
 
@@ -152,7 +152,7 @@ def polygon_checks(n: int, rng: np.random.Generator,
     pairs = _complex_normal(rng, (60, 2, 4, n))
     w, e = pairs[:, 0], pairs[:, 1]
     g = cal.metric_g(GradedForm(np.concatenate([fwd, w, w, e])),
-                     GradedForm(np.concatenate([fwd, w, e, w]))).values
+                     GradedForm(np.concatenate([fwd, w, e, w])))
     g_fwd, gww, gwe, gew = g[:n], g[n:n + 60], g[n + 60:n + 120], g[n + 120:]
 
     # consistency pin of the wedge sign: g(xi_fwd, xi_fwd) = delta at the source
@@ -166,8 +166,8 @@ def polygon_checks(n: int, rng: np.random.Generator,
     out.append(CheckResult(f"metric-conjugate-symmetric[n={n}]", res_sym, 1e-9))
 
     # faithfulness of the state
-    f = cal.vertex_function(_complex_normal(rng, (20, n)))
-    val = cal.state_tau(f.conjugate() * f)
+    f = _complex_normal(rng, (20, n))
+    val = cal.state_tau(f.conj() * f)
     bad = (np.abs(val) > 0) & (val.real <= 0)
     res = float(np.max(1.0 - val.real[bad], initial=0.0))
     out.append(CheckResult(f"tau-faithful[n={n}]", res, 1e-12))

@@ -157,10 +157,14 @@ CHORD = DirectedCyclicGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)])
 def test_overflowing_potential_raises_with_no_warning(g, key, value):
     """A finite coefficient whose square overflows (to inf, and with both
     parts to nan in the product's imaginary part) is one ValueError from the
-    diagonal blocks and from the Laplacian, with no RuntimeWarning: warnings
-    are errors under this suite's settings."""
+    diagonal blocks, from the Laplacian and from its action on one edge
+    function or a stack of them, whatever their values, with no
+    RuntimeWarning: warnings are errors under this suite's settings."""
     c = PotentialCoefficients(g, {key: value})
-    for build in (connection.laplacian_blocks, connection.laplacian):
+    m = g.num_edges
+    actions = [lambda g, c, f=f: connection.apply_laplacian(g, c, f)
+               for f in (np.ones(m), np.zeros(m), np.ones((2, 3, m)), np.zeros((0, m)))]
+    for build in (connection.laplacian_blocks, connection.laplacian, *actions):
         with pytest.raises(ValueError) as err:
             build(g, c)
         assert str(err.value) == "the Laplacian has non-finite entries: the potential overflows"

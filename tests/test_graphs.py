@@ -7,7 +7,7 @@ from kahleredge import graphs, spectra
 from kahleredge.graphs import DirectedCyclicGraph, GraphFormatError
 from kahleredge.dirac import connes_distance
 from kahleredge.operators import DenseOperator
-from kahleredge.polygon import GradedForm, VertexFunction
+from kahleredge.polygon import GradedForm
 from kahleredge.spectra import Spectrum
 
 from conftest import random_graph, random_edge_values
@@ -79,7 +79,6 @@ def test_equality_and_hash():
 
 ARRAY_HOLDERS = {
     "GradedForm": lambda: GradedForm(np.ones((4, 3))),
-    "VertexFunction": lambda: VertexFunction(3, np.ones(3)),
     "Spectrum": lambda: Spectrum(np.ones(3)),
     "DenseOperator": lambda: DenseOperator(np.eye(3)),
     "DistanceResult": lambda: connes_distance(ngon(3), 0, 1),
@@ -189,7 +188,7 @@ def test_hermitian_pairing_positive_and_symmetric():
         x = random_edge_values(rng, m)
         y = random_edge_values(rng, m)
         hxx = graphs.hermitian_pairing(g, x, x)
-        assert VertexFunction(g.n, hxx).is_positive()
+        assert np.all(np.abs(hxx.imag) <= 1e-12) and np.all(hxx.real >= -1e-12)
         assert np.allclose(
             graphs.hermitian_pairing(g, x, y),
             np.conj(graphs.hermitian_pairing(g, y, x)),

@@ -4,29 +4,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kahleredge.polygon import Calculus, GradedForm, VertexFunction, make_calculus
+from kahleredge.polygon import Calculus, GradedForm
 
 
 def close(a: GradedForm, b: GradedForm, tol: float = 1e-12) -> bool:
     return (a - b).max_abs() <= tol
 
 
-def test_make_calculus_validates_n():
-    assert make_calculus(3).n == 3
-    assert make_calculus(4).n == 4
+def test_calculus_validates_n():
+    assert Calculus(3).n == 3
+    assert Calculus(4).n == 4
     with pytest.raises(ValueError):
-        make_calculus(2)
-    with pytest.raises(ValueError):
-        VertexFunction(2, [0.0, 0.0])
+        Calculus(2)
 
 
-def test_vertex_function_length_checked():
-    with pytest.raises(ValueError):
-        Calculus(4).vertex_function([1.0, 2.0])
+def test_operations_take_plain_arrays_of_length_n():
+    """Every operation on a vertex function refuses one of the wrong length
+    and reads a Python list as the array of its values; the vertex functions
+    the calculus builds are fresh read-only arrays."""
+    cal = Calculus(4)
+    omega = cal.form(deg0=[1, 2, 3, 4], deg1_fwd=[5, 6, 7, 8], deg1_bwd=[1j, 2, 3, 4],
+                     deg2=[1, 1, 1, 1j])
+    ops = [
+        lambda f: cal.bimodule_act(f, omega, "left"),
+        lambda f: cal.bimodule_act(f, omega, "right"),
+        cal.exterior_d,
+        cal.state_tau,
+        cal.from_vertex,
+    ]
+    values = [1.0, -2.0, 0.5, 3.0]
+    for op in ops:
+        with pytest.raises(ValueError) as err:
+            op([1.0, 2.0])
+        assert str(err.value) == "vertex function must have last axis of length 4, got shape (2,)"
+        np.testing.assert_array_equal(_values(op(values)),
+                                      _values(op(np.array(values, dtype=complex))))
+    for build in (cal.one, lambda: cal.delta(1)):
+        a, b = build(), build()
+        assert not a.flags.writeable and not np.shares_memory(a, b)
 
 
 def test_bimodule_action_on_edge_supports():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     xi01 = cal.xi(0, 1)
     assert close(cal.bimodule_act(cal.delta(0), xi01, "left"), xi01)
     assert close(cal.bimodule_act(cal.delta(1), xi01, "left"), cal.zero_form())
@@ -35,7 +54,7 @@ def test_bimodule_action_on_edge_supports():
 
 
 def test_wedge_edge_products():
-    cal = make_calculus(5)
+    cal = Calculus(5)
     # only head-to-tail edge pairs survive; the two orientations differ in sign
     assert close(cal.wedge(cal.xi_bwd(2), cal.xi_fwd(1)), cal.vol(2))
     assert close(cal.wedge(cal.xi_fwd(2), cal.xi_bwd(3)), -1.0 * cal.vol(2))
@@ -47,14 +66,14 @@ def test_wedge_edge_products():
 
 
 def test_wedge_degree_truncation():
-    cal = make_calculus(4)
+    cal = Calculus(4)
     v = cal.vol(1)
     assert close(cal.wedge(v, cal.xi_fwd(1)), cal.zero_form())
     assert close(cal.wedge(v, v), cal.zero_form())
 
 
 def test_involution_on_edges_and_volumes():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     assert close(cal.star_involution(cal.xi(0, 1)), -1.0 * cal.xi(1, 0))
     assert close(cal.star_involution(cal.xi(1, 0)), -1.0 * cal.xi(0, 1))
     assert close(cal.star_involution(cal.vol(2)), -1.0 * cal.vol(2))
@@ -63,13 +82,13 @@ def test_involution_on_edges_and_volumes():
 
 
 def test_involution_is_antilinear():
-    cal = make_calculus(4)
+    cal = Calculus(4)
     w = cal.xi_fwd(0)
     assert close(cal.star_involution((2 + 3j) * w), (2 - 3j) * cal.star_involution(w))
 
 
 def test_complex_structure_eigenvalues():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     assert close(cal.apply_J(cal.xi(0, 1)), 1j * cal.xi(0, 1))
     assert close(cal.apply_J(cal.xi(1, 0)), -1j * cal.xi(1, 0))
     assert close(cal.apply_J(cal.from_vertex(cal.delta(0))), cal.zero_form())
@@ -77,7 +96,7 @@ def test_complex_structure_eigenvalues():
 
 
 def test_differential_of_indicator():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     d = cal.exterior_d(cal.delta(0))
     expected = (
         -1.0 * cal.xi(0, 1) - cal.xi(0, 2) + cal.xi(1, 0) + cal.xi(2, 0)
@@ -86,8 +105,8 @@ def test_differential_of_indicator():
 
 
 def test_differential_of_linear_ramp():
-    cal = make_calculus(3)
-    d = cal.exterior_d(cal.vertex_function([0.0, 1.0, 2.0]))
+    cal = Calculus(3)
+    d = cal.exterior_d([0.0, 1.0, 2.0])
     expected = (
         cal.xi(0, 1)
         + 2.0 * cal.xi(0, 2)
@@ -100,12 +119,12 @@ def test_differential_of_linear_ramp():
 
 
 def test_differential_unit_and_leibniz():
-    cal = make_calculus(6)
+    cal = Calculus(6)
     assert cal.exterior_d(cal.one()).max_abs() == 0.0
     rng = np.random.default_rng(3)
     for _ in range(10):
-        f = cal.vertex_function(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        h = cal.vertex_function(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         lhs = cal.exterior_d(f * h)
         rhs = cal.bimodule_act(h, cal.exterior_d(f), "right") + cal.bimodule_act(
             f, cal.exterior_d(h), "left"
@@ -115,21 +134,21 @@ def test_differential_unit_and_leibniz():
 
 def test_kahler_form_real_and_central():
     for n in (3, 4, 7):
-        cal = make_calculus(n)
+        cal = Calculus(n)
         kappa = cal.kahler_form()
         assert np.allclose(kappa.deg2, 1j * np.ones(n))
         assert close(cal.star_involution(kappa), kappa)
-        f = cal.vertex_function(np.arange(n, dtype=float))
+        f = np.arange(n, dtype=float)
         assert close(
             cal.bimodule_act(f, kappa, "left"), cal.bimodule_act(f, kappa, "right")
         )
 
 
 def test_lefschetz_indicator_and_rank():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     assert close(cal.lefschetz(cal.from_vertex(cal.delta(1))), 1j * cal.vol(1))
     for n in (3, 5, 8):
-        cal = make_calculus(n)
+        cal = Calculus(n)
         mat = np.column_stack(
             [cal.lefschetz(cal.from_vertex(cal.delta(m))).deg2 for m in range(n)]
         )
@@ -137,7 +156,7 @@ def test_lefschetz_indicator_and_rank():
 
 
 def test_hodge_star_closed_form_values():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     assert close(cal.hodge_star(cal.from_vertex(cal.delta(2))), 1j * cal.vol(2))
     assert close(cal.hodge_star(cal.xi(0, 1)), -1j * cal.xi(0, 1))
     assert close(cal.hodge_star(cal.xi(1, 0)), 1j * cal.xi(1, 0))
@@ -145,7 +164,7 @@ def test_hodge_star_closed_form_values():
 
 
 def test_hodge_star_squares_to_graded_sign():
-    cal = make_calculus(5)
+    cal = Calculus(5)
     degree = [0] * 5 + [1] * 10 + [2] * 5
     for k, b in zip(degree, cal.basis_forms()):
         sign = -1.0 if k == 1 else 1.0
@@ -153,17 +172,17 @@ def test_hodge_star_squares_to_graded_sign():
 
 
 def test_metric_values_on_basis():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     d1 = cal.delta(1)
-    assert np.allclose(cal.metric_g(cal.from_vertex(d1), cal.from_vertex(d1)).values, d1.values)
-    assert np.allclose(cal.metric_g(cal.xi(1, 2), cal.xi(1, 2)).values, d1.values)
-    assert np.allclose(cal.metric_g(cal.xi(1, 2), cal.xi(2, 1)).values, 0.0)
+    assert np.allclose(cal.metric_g(cal.from_vertex(d1), cal.from_vertex(d1)), d1)
+    assert np.allclose(cal.metric_g(cal.xi(1, 2), cal.xi(1, 2)), d1)
+    assert np.allclose(cal.metric_g(cal.xi(1, 2), cal.xi(2, 1)), 0.0)
     # volumes pair to the indicator at their index as well
-    assert np.allclose(cal.metric_g(cal.vol(2), cal.vol(2)).values, cal.delta(2).values)
+    assert np.allclose(cal.metric_g(cal.vol(2), cal.vol(2)), cal.delta(2))
 
 
 def test_metric_positive_and_conjugate_symmetric():
-    cal = make_calculus(4)
+    cal = Calculus(4)
     rng = np.random.default_rng(11)
 
     def rand_form():
@@ -172,29 +191,22 @@ def test_metric_positive_and_conjugate_symmetric():
 
     for _ in range(50):
         w, e = rand_form(), rand_form()
-        gww = cal.metric_g(w, w).values
+        gww = cal.metric_g(w, w)
         assert np.max(np.abs(gww.imag)) <= 1e-9
         assert np.min(gww.real) >= -1e-9
         assert np.max(
-            np.abs(cal.metric_g(w, e).values - np.conj(cal.metric_g(e, w).values))
+            np.abs(cal.metric_g(w, e) - np.conj(cal.metric_g(e, w)))
         ) <= 1e-9
 
 
 def test_state_is_the_mean():
-    cal = make_calculus(4)
+    cal = Calculus(4)
     assert cal.state_tau(cal.delta(0)) == pytest.approx(0.25)
     assert cal.state_tau(cal.one()) == pytest.approx(1.0)
 
 
-def test_positive_cone_membership():
-    f = VertexFunction(3, [1.0, 0.0, 2.0])
-    assert f.is_positive()
-    assert not VertexFunction(3, [1.0, -1.0, 0.0]).is_positive()
-    assert not VertexFunction(3, [1.0, 1j, 0.0]).is_positive()
-
-
 def test_degree_part_splits_the_form():
-    cal = make_calculus(3)
+    cal = Calculus(3)
     w = cal.form(
         deg0=[1, 0, 0], deg1_fwd=[0, 2, 0], deg1_bwd=[0, 0, 3], deg2=[4, 0, 0]
     )
@@ -205,7 +217,7 @@ def test_degree_part_splits_the_form():
 
 
 def test_basis_forms_stack_iterates_and_slices_as_single_forms():
-    cal = make_calculus(4)
+    cal = Calculus(4)
     basis = cal.basis_forms()
     assert basis.shape == (16,) and len(basis) == 16
     singles = [cal.from_vertex(cal.delta(mu)) for mu in range(4)]
@@ -221,10 +233,8 @@ def test_basis_forms_stack_iterates_and_slices_as_single_forms():
 
 
 def _values(x):
-    """The array behind a form, a vertex function or a state value."""
-    if isinstance(x, GradedForm):
-        return x.coeffs
-    return x.values if isinstance(x, VertexFunction) else x
+    """The array behind a form; a vertex function or a state value as it is."""
+    return x.coeffs if isinstance(x, GradedForm) else x
 
 
 _batch_shapes = st.one_of(
@@ -249,7 +259,7 @@ def test_property_batched_operations_equal_stacked_single_ones(n, shape, wedge_s
         return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
 
     omega, eta = GradedForm(rand(*shape, 4, n)), GradedForm(rand(*shape, 4, n))
-    f = cal.vertex_function(rand(*shape, n))
+    f = rand(*shape, n)
     single = GradedForm(rand(4, n))  # broadcasts against every batch shape
     ops = [
         lambda w, e, h: cal.wedge(w, e),
@@ -271,7 +281,7 @@ def test_property_batched_operations_equal_stacked_single_ones(n, shape, wedge_s
         batched = np.asarray(_values(op(omega, eta, f)))
         stacked = [
             _values(op(GradedForm(omega.coeffs[i]), GradedForm(eta.coeffs[i]),
-                       VertexFunction(n, f.values[i])))
+                       f[i]))
             for i in np.ndindex(shape)
         ]
         np.testing.assert_array_equal(batched, np.reshape(stacked, batched.shape))
@@ -371,7 +381,6 @@ def test_property_operations_equal_the_row_by_row_oracle(n, shape, single_eta, w
     v = rand(*shape, n)
     # views as the calculus makes them, not copied into C order by GradedForm()
     omega, eta = GradedForm._fresh(o), GradedForm._fresh(e)
-    f = cal.vertex_function(v)
     checks = [
         (cal.wedge(omega, eta), oracle_wedge(wedge_sign, o, e)),
         (cal.wedge(eta, omega), oracle_wedge(wedge_sign, e, o)),
@@ -379,10 +388,10 @@ def test_property_operations_equal_the_row_by_row_oracle(n, shape, single_eta, w
         (cal.hodge_star(omega), oracle_hodge_star(o)),
         (cal.metric_g(omega, eta), oracle_metric_g(wedge_sign, o, e)),
         (cal.metric_g(eta, omega), oracle_metric_g(wedge_sign, e, o)),
-        (cal.exterior_d(f), oracle_exterior_d(v)),
+        (cal.exterior_d(v), oracle_exterior_d(v)),
         (cal.apply_J(omega), np.array([0, 1j, -1j, 0])[:, None] * o),
-        (cal.bimodule_act(f, omega, "left"), v[..., None, :] * o),
-        (cal.bimodule_act(f, omega, "right"), None),
+        (cal.bimodule_act(v, omega, "left"), v[..., None, :] * o),
+        (cal.bimodule_act(v, omega, "right"), None),
         (omega.degree_part(1), None),
         (omega + eta, o + e),
         (omega - eta, o - e),
