@@ -27,7 +27,7 @@ from .graphs import (
     orthonormal_basis,
     parse_graph,
 )
-from .polygon import Calculus, GradedForm
+from .polygon import Calculus
 from .spectra import (
     Spectrum,
     circulant_spectrum,
@@ -40,7 +40,6 @@ from .spectra import (
 
 __all__ = [
     "Calculus",
-    "GradedForm",
     "DirectedCyclicGraph",
     "GraphFormatError",
     "parse_graph",

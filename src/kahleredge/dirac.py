@@ -178,7 +178,8 @@ def _walks(g: DirectedCyclicGraph, start: np.ndarray, end: np.ndarray) -> np.nda
 def connes_distance(g: DirectedCyclicGraph, mu: int, nu: int) -> DistanceResult:
     """Exact distance between the integer vertices mu and nu, with a witness
     function."""
-    if not all(isinstance(x, (int, np.integer)) and 0 <= x < g.n for x in (mu, nu)):
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < g.n
+               for x in (mu, nu)):
         raise ValueError(f"vertices must be integers in 0..{g.n - 1}, got ({mu}, {nu})")
     dist = _walks(g, np.arange(g.n), np.array([nu]))[:, 0]
     value = float(dist[mu])

@@ -8,17 +8,22 @@ wedge product the module provides the involution, the exterior derivative on
 functions, the complex structure J, the Kahler form, the Hodge star, the
 induced metric and the normalized trace state.
 
-A vertex function is a plain array of shape (..., n), as everywhere in the
-package: operations read any array-like whose last axis has length n.
-Forms are `GradedForm`s with coefficients of shape (..., 4, n).  Both take
-leading batch axes, and every operation of `Calculus` broadcasts over them,
-so one call acts on a whole stack of forms.  Every form or vertex function
-an operation returns holds a fresh read-only array, never shared with its
-inputs, and a form's is allocated once; `GradedForm(...)` itself copies
-what it is given.  Operations accept coefficients in any memory layout:
-`basis_forms()` keeps its stack axis innermost in memory, so elementwise
-work over a basis stack runs along the stack, but no layout is part of
-the contract.
+A vertex function is a plain complex array of shape (..., n) and a form a
+plain complex array of shape (..., 4, n), as everywhere in the package.  The
+four rows of a form are deg0, fwd, bwd and vol: at column mu, the function
+value, the coefficient of xi[mu->mu+1], that of xi[mu->mu-1] and that of
+vol[mu].  There is no storage for (2,0)/(0,2) forms; those spaces vanish.
+Sums, differences and scalings of forms are numpy's own arithmetic.
+
+Leading axes are a stack, and every operation of `Calculus` broadcasts over
+them, so one call acts on a whole stack of forms.  Operations read any
+array-like as complex, real lists included; a vertex function whose last
+axis is not n, or a form whose last two axes are not (4, n), is a
+`ValueError`.  Every form or vertex function an operation returns is a fresh
+read-only array, never shared with its inputs and allocated once.
+Operations accept arrays in any memory layout: `basis_forms()` keeps its
+stack axis innermost in memory, so elementwise work over a basis stack runs
+along the stack, but no layout is part of the contract.
 
 Vertices are 0-based and all vertex arithmetic is mod n.
 """
@@ -31,13 +36,13 @@ import numpy as np
 
 from .graphs import _last_axis
 
-__all__ = ["Calculus", "GradedForm"]
+__all__ = ["Calculus"]
 
-#: coefficient rows of each degree in GradedForm.coeffs
+#: rows of a form that hold each degree
 _DEGREE_ROWS = {0: [0], 1: [1, 2], 2: [3]}
-#: complex structure J, one factor per coefficient row
+#: complex structure J, one factor per row
 _J_FACTORS = np.array([0, 1j, -1j, 0])[:, None]
-#: Hodge star: source row and factor of each coefficient row
+#: Hodge star: source row and factor of each row
 _STAR_ROWS = [3, 1, 2, 0]
 _STAR_FACTORS = np.array([-1j, -1j, 1j, 1j])[:, None]
 #: metric: factor of each row of star(eta*) where the wedge reads it, on
@@ -59,95 +64,6 @@ def _roll(x: np.ndarray, shift: int) -> np.ndarray:
     return np.concatenate((x[..., -shift:], x[..., :-shift]), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class GradedForm:
-    """An element of Omega^0 + Omega^1 + Omega^2 of the polygon calculus, or
-    a stack of them.
-
-    `coeffs` has shape (..., 4, n); its rows are read as `deg0`, `deg1_fwd`,
-    `deg1_bwd` and `deg2`.  deg1_fwd[mu] is the coefficient of xi[mu->mu+1],
-    deg1_bwd[mu] that of xi[mu->mu-1] and deg2[mu] that of
-    vol[mu] = xi[mu->mu-1] ^ xi[mu-1->mu].  There is no storage for
-    (2,0)/(0,2) forms; those spaces vanish.  A stack iterates, indexes and
-    slices over its leading axes.
-    """
-
-    coeffs: np.ndarray
-
-    #: make `array * form` call GradedForm.__rmul__ instead of numpy's product
-    __array_ufunc__ = None
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=complex)
-        if arr.ndim < 2 or arr.shape[-2] != 4:
-            raise ValueError(f"form coefficients must have shape (..., 4, n), got {arr.shape}")
-        if arr.shape[-1] < 3:
-            raise ValueError("polygon calculus needs n >= 3")
-        object.__setattr__(self, "coeffs", _read_only(arr))
-
-    @classmethod
-    def _fresh(cls, coeffs: np.ndarray) -> "GradedForm":
-        """The form on `coeffs`, a complex (..., 4, n) array an operation has
-        just allocated and nothing else holds: no copy and no check."""
-        form = object.__new__(cls)
-        object.__setattr__(form, "coeffs", _read_only(coeffs))
-        return form
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[-1]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The batch shape: () for a single form."""
-        return self.coeffs.shape[:-2]
-
-    deg0 = property(lambda self: self.coeffs[..., 0, :])
-    deg1_fwd = property(lambda self: self.coeffs[..., 1, :])
-    deg1_bwd = property(lambda self: self.coeffs[..., 2, :])
-    deg2 = property(lambda self: self.coeffs[..., 3, :])
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("a single form has no length")
-        return self.shape[0]
-
-    def __getitem__(self, index) -> "GradedForm":
-        if not self.shape:
-            raise TypeError("a single form cannot be indexed")
-        return GradedForm(self.coeffs[index])
-
-    def __add__(self, other: "GradedForm") -> "GradedForm":
-        self._check(other)
-        return GradedForm._fresh(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "GradedForm") -> "GradedForm":
-        self._check(other)
-        return GradedForm._fresh(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "GradedForm":
-        """Scale by a number, or by an array of numbers over the batch axes."""
-        return GradedForm._fresh(self.coeffs * np.asarray(scalar, dtype=complex)[..., None, None])
-
-    __rmul__ = __mul__
-
-    def degree_part(self, k: int) -> "GradedForm":
-        if k not in _DEGREE_ROWS:
-            raise ValueError(f"degree must be 0, 1 or 2, got {k}")
-        rows = _DEGREE_ROWS[k]
-        out = np.zeros_like(self.coeffs)
-        out[..., rows, :] = self.coeffs[..., rows, :]
-        return GradedForm._fresh(out)
-
-    def max_abs(self) -> float:
-        """Largest coefficient modulus over the whole stack."""
-        return float(np.max(np.abs(self.coeffs), initial=0.0))
-
-    def _check(self, other: "GradedForm"):
-        if self.n != other.n:
-            raise ValueError(f"vertex count mismatch: {self.n} != {other.n}")
-
-
 @dataclass(frozen=True)
 class Calculus:
     """Context fixing the vertex count n and the basis ordering of forms.
@@ -167,22 +83,37 @@ class Calculus:
         if not isinstance(self.n, (int, np.integer)) or self.n < 3:
             raise ValueError(f"polygon calculus needs an integer n >= 3, got {self.n!r}")
 
+    def _form(self, omega) -> np.ndarray:
+        """`omega` as a complex array (`omega` itself if it is one: operations
+        only read it), after checking that its last two axes are (4, n)."""
+        arr = np.asarray(omega, dtype=complex)
+        if arr.shape[-2:] != (4, self.n):
+            raise ValueError(
+                f"form must have last two axes of shape (4, {self.n}), got shape {arr.shape}")
+        return arr
+
+    def _vertex(self, mu) -> int:
+        """The vertex mu mod n, after checking that it is an integer."""
+        if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)):
+            raise ValueError(f"vertex must be an integer, got {mu!r}")
+        return int(mu) % self.n
+
     # ---------------------------------------------------------------- builders
 
     def delta(self, mu: int) -> np.ndarray:
         """The indicator function of vertex mu."""
         values = np.zeros(self.n, dtype=complex)
-        values[mu % self.n] = 1.0
+        values[self._vertex(mu)] = 1.0
         return _read_only(values)
 
     def one(self) -> np.ndarray:
         """The unit of the algebra, the constant function 1."""
         return _read_only(np.ones(self.n, dtype=complex))
 
-    def zero_form(self) -> GradedForm:
-        return GradedForm._fresh(np.zeros((4, self.n), dtype=complex))
+    def zero_form(self) -> np.ndarray:
+        return _read_only(np.zeros((4, self.n), dtype=complex))
 
-    def form(self, deg0=None, deg1_fwd=None, deg1_bwd=None, deg2=None) -> GradedForm:
+    def form(self, deg0=None, deg1_fwd=None, deg1_bwd=None, deg2=None) -> np.ndarray:
         """The form with the given rows (absent rows are zero); rows of
         different batch shapes broadcast."""
         rows = [
@@ -191,49 +122,59 @@ class Calculus:
                 ("deg0", deg0), ("deg1_fwd", deg1_fwd), ("deg1_bwd", deg1_bwd), ("deg2", deg2)
             )
         ]
-        return GradedForm._fresh(np.stack(np.broadcast_arrays(*rows), axis=-2))
+        return _read_only(np.stack(np.broadcast_arrays(*rows), axis=-2))
 
-    def from_vertex(self, f) -> GradedForm:
+    def from_vertex(self, f) -> np.ndarray:
         return self.form(deg0=_last_axis(f, self.n, "vertex function"))
 
-    def _basis_element(self, row: int, mu: int) -> GradedForm:
+    def _basis_element(self, row: int, mu: int) -> np.ndarray:
         coeffs = np.zeros((4, self.n), dtype=complex)
-        coeffs[row, mu % self.n] = 1.0
-        return GradedForm._fresh(coeffs)
+        coeffs[row, self._vertex(mu)] = 1.0
+        return _read_only(coeffs)
 
-    def xi_fwd(self, mu: int) -> GradedForm:
+    def xi_fwd(self, mu: int) -> np.ndarray:
         """The basis one-form xi[mu->mu+1]."""
         return self._basis_element(1, mu)
 
-    def xi_bwd(self, mu: int) -> GradedForm:
+    def xi_bwd(self, mu: int) -> np.ndarray:
         """The basis one-form xi[mu->mu-1]."""
         return self._basis_element(2, mu)
 
-    def xi(self, a: int, b: int) -> GradedForm:
+    def xi(self, a: int, b: int) -> np.ndarray:
         """The basis one-form xi[a->b]; b must be a+1 or a-1 mod n."""
-        a, b = a % self.n, b % self.n
+        a, b = self._vertex(a), self._vertex(b)
         if b == (a + 1) % self.n:
             return self.xi_fwd(a)
         if b == (a - 1) % self.n:
             return self.xi_bwd(a)
         raise ValueError(f"{a}->{b} is not a polygon edge")
 
-    def vol(self, mu: int) -> GradedForm:
+    def vol(self, mu: int) -> np.ndarray:
         """The basis two-form vol[mu] = xi[mu->mu-1] ^ xi[mu-1->mu]."""
         return self._basis_element(3, mu)
 
-    def basis_forms(self) -> GradedForm:
-        """All 4n basis forms as one stack of shape (4n,): deltas, forward
-        edges, backward edges, volumes.  The stack axis is innermost in
-        memory (the identity is symmetric, so its transpose holds the same
-        values), so elementwise work over the stack runs in long loops."""
+    def basis_forms(self) -> np.ndarray:
+        """All 4n basis forms as one (4n, 4, n) stack: deltas, forward edges,
+        backward edges, volumes.  The stack axis is innermost in memory (the
+        identity is symmetric, so its transpose holds the same values), so
+        elementwise work over the stack runs in long loops."""
         n = self.n
         eye = np.eye(4 * n, dtype=complex)
-        return GradedForm._fresh(eye.reshape(4, n, 4 * n).transpose(2, 0, 1))
+        return _read_only(eye.reshape(4, n, 4 * n).transpose(2, 0, 1))
 
     # -------------------------------------------------------------- operations
 
-    def bimodule_act(self, f, omega: GradedForm, side: str) -> GradedForm:
+    def degree_part(self, omega, k: int) -> np.ndarray:
+        """The degree-k part of omega: its rows of degree k, the others zero."""
+        o = self._form(omega)
+        if k not in _DEGREE_ROWS:
+            raise ValueError(f"degree must be 0, 1 or 2, got {k}")
+        rows = _DEGREE_ROWS[k]
+        out = np.zeros_like(o)
+        out[..., rows, :] = o[..., rows, :]
+        return _read_only(out)
+
+    def bimodule_act(self, f, omega, side: str) -> np.ndarray:
         """Left/right action of the algebra on a graded form.
 
         The left action scales each basis coefficient by f at the left vertex
@@ -242,16 +183,16 @@ class Calculus:
         to mu.
         """
         v = _last_axis(f, self.n, "vertex function")
-        self._check_n(omega.n)
+        o = self._form(omega)
         if side == "left":
-            return GradedForm._fresh(v[..., None, :] * omega.coeffs)
+            return _read_only(v[..., None, :] * o)
         if side == "right":
             # right vertex of xi[mu->mu+1] is mu+1, of xi[mu->mu-1] is mu-1
             weights = np.stack([v, _roll(v, -1), _roll(v, 1), v], axis=-2)
-            return GradedForm._fresh(weights * omega.coeffs)
+            return _read_only(weights * o)
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    def wedge(self, omega: GradedForm, eta: GradedForm) -> GradedForm:
+    def wedge(self, omega, eta) -> np.ndarray:
         """Graded product; terms of total degree >= 3 vanish.
 
         xi[a->b] ^ xi[c->d] = 0 unless b == c, two forward or two backward
@@ -259,9 +200,7 @@ class Calculus:
         xi[mu->mu-1] ^ xi[mu-1->mu] = vol[mu],
         xi[mu->mu+1] ^ xi[mu+1->mu] = wedge_sign * vol[mu].
         """
-        self._check_n(omega.n)
-        self._check_n(eta.n)
-        o, e = omega.coeffs, eta.coeffs
+        o, e = self._form(omega), self._form(eta)
         # the function part of omega times every row of eta
         out = o[..., 0:1, :] * e
         # one-forms and volumes of omega times eta's function part at their
@@ -273,12 +212,11 @@ class Calculus:
         out[..., 3, :] += o[..., 2, :] * _roll(e[..., 1, :], 1)
         # xi[mu->mu+1] (fwd at mu) ^ xi[mu+1->mu] (bwd at mu+1) -> sign*vol[mu]
         out[..., 3, :] += self.wedge_sign * o[..., 1, :] * _roll(e[..., 2, :], -1)
-        return GradedForm._fresh(out)
+        return _read_only(out)
 
-    def star_involution(self, omega: GradedForm) -> GradedForm:
+    def star_involution(self, omega) -> np.ndarray:
         """The antilinear graded involution; xi[a->b]* = -xi[b->a]."""
-        self._check_n(omega.n)
-        out = np.conj(omega.coeffs)
+        out = np.conj(self._form(omega))
         fwd = out[..., 1, :].copy()
         # c at xi[mu->mu-1] -> -conj(c) at xi[mu-1->mu] (fwd index mu-1)
         out[..., 1, :-1], out[..., 1, -1] = out[..., 2, 1:], out[..., 2, 0]
@@ -286,34 +224,32 @@ class Calculus:
         out[..., 2, 1:], out[..., 2, 0] = fwd[..., :-1], fwd[..., -1]
         # vol[mu]* = -(xi[mu-1->mu]* ^ xi[mu->mu-1]*) = -vol[mu]
         np.negative(out[..., 1:, :], out=out[..., 1:, :])
-        return GradedForm._fresh(out)
+        return _read_only(out)
 
-    def exterior_d(self, f) -> GradedForm:
+    def exterior_d(self, f) -> np.ndarray:
         """df = sum over polygon edges mu->mu+-1 of (f(nu)-f(mu)) xi[mu->nu]."""
         v = _last_axis(f, self.n, "vertex function")
         return self.form(deg1_fwd=_roll(v, -1) - v, deg1_bwd=_roll(v, 1) - v)
 
-    def apply_J(self, omega: GradedForm) -> GradedForm:
+    def apply_J(self, omega) -> np.ndarray:
         """Complex structure: i on (1,0), -i on (0,1), zero on (0,0) and (1,1)."""
-        self._check_n(omega.n)
-        return GradedForm._fresh(_J_FACTORS * omega.coeffs)
+        return _read_only(_J_FACTORS * self._form(omega))
 
-    def kahler_form(self) -> GradedForm:
+    def kahler_form(self) -> np.ndarray:
         """kappa = i * sum_mu vol[mu]."""
         return self.form(deg2=1j * np.ones(self.n, dtype=complex))
 
-    def lefschetz(self, omega: GradedForm) -> GradedForm:
+    def lefschetz(self, omega) -> np.ndarray:
         """omega -> kappa ^ omega; a bijection of functions onto two-forms."""
         return self.wedge(self.kahler_form(), omega)
 
-    def hodge_star(self, omega: GradedForm) -> GradedForm:
+    def hodge_star(self, omega) -> np.ndarray:
         """Hodge star: f -> f*kappa, -i on (1,0), i on (0,1), volumes back to
         functions through the inverse Lefschetz map (the coefficient of vol
         divided by i)."""
-        self._check_n(omega.n)
-        return GradedForm._fresh(_STAR_FACTORS * omega.coeffs[..., _STAR_ROWS, :])
+        return _read_only(_STAR_FACTORS * self._form(omega)[..., _STAR_ROWS, :])
 
-    def metric_g(self, omega: GradedForm, eta: GradedForm) -> np.ndarray:
+    def metric_g(self, omega, eta) -> np.ndarray:
         """g(omega, eta) = star(omega ^ star(eta*)), evaluated degreewise.
 
         Components of differing degree pair to zero.  The three degrees are
@@ -322,10 +258,8 @@ class Calculus:
         vertex, and the products are taken and summed in the order of the
         degreewise formula.
         """
-        self._check_n(omega.n)
-        self._check_n(eta.n)
-        o = omega.coeffs
-        e = np.conj(eta.coeffs)
+        o = self._form(omega)
+        e = np.conj(self._form(eta))
         np.negative(e[..., 1:, :], out=e[..., 1:, :])
         e *= _METRIC_FACTORS
         # the volume coefficient of each degree: one row of p, two for
@@ -342,8 +276,3 @@ class Calculus:
         """The normalized trace state: arithmetic mean of the values (an
         array of means for a stack of functions)."""
         return np.mean(_last_axis(f, self.n, "vertex function"), axis=-1)
-
-    def _check_n(self, n: int):
-        if n != self.n:
-            raise ValueError(f"vertex count mismatch: expected {self.n}, got {n}")
-

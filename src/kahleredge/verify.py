@@ -20,7 +20,7 @@ from .dirac import (
     distance_bracket,
     operator_norm,
 )
-from .polygon import Calculus, GradedForm
+from .polygon import Calculus
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -55,12 +55,18 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return x[..., 0, :] + 1j * x[..., 1, :]
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """Largest modulus of the entries of `x`, 0.0 when it has none."""
+    return float(np.max(np.abs(x), initial=0.0))
+
+
 # ------------------------------------------------------------ polygon calculus
 
 def wedge_associativity_check(m: int, wedge_sign: float = -1.0) -> CheckResult:
     """Associativity of the wedge product on all triples of basis forms of
     the m-gon, degree truncation respected on both associations: the first
-    two factors as one (4m, 4m) stack, the third one basis form at a time."""
+    two factors as one (4m, 4m) stack of forms, a (4m, 4m, 4, m) array, the
+    third one basis form at a time."""
     cal = Calculus(m, wedge_sign=wedge_sign)
     basis = cal.basis_forms()
     a, b = basis[:, None], basis[None, :]
@@ -69,18 +75,20 @@ def wedge_associativity_check(m: int, wedge_sign: float = -1.0) -> CheckResult:
     for c in basis:
         lhs = cal.wedge(ab, c)
         rhs = cal.wedge(a, cal.wedge(b, c))
-        res = max(res, (lhs - rhs).max_abs())
+        res = max(res, _max_abs(lhs - rhs))
     return CheckResult(f"wedge-associativity[n={m}]", res, 1e-12)
 
 
 def polygon_checks(n: int, rng: np.random.Generator,
                    wedge_sign: float = -1.0) -> list[CheckResult]:
     """The Kahler structure on the n-gon, wedge associativity aside (see
-    `wedge_associativity_check`).  The sweeps over basis pairs take one call
-    per degree row of the first factor, n basis forms against the whole
-    basis as an (n, 4n) stack, and the involution and J sweeps share that
-    row's multiplication table; the random samples are batched over their
-    leading axes, and the three metric checks are one `metric_g` call."""
+    `wedge_associativity_check`).  The basis is one (4n, 4, n) array.  The
+    sweeps over basis pairs take one call per degree row of the first
+    factor, n basis forms against the whole basis as an (n, 4n) stack, and
+    the involution and J sweeps share that row's multiplication table; the
+    random samples are batched over their leading axes, and the three metric
+    checks are one `metric_g` call.  Form arithmetic is numpy's, with a sign
+    per form broadcast over its (4, n) axes."""
     cal = Calculus(n, wedge_sign=wedge_sign)
     out = []
     basis = cal.basis_forms()
@@ -96,29 +104,29 @@ def polygon_checks(n: int, rng: np.random.Generator,
         table = cal.wedge(a, basis)
         sign = (-1.0) ** (degree[row, None] * degree)
         lhs = cal.star_involution(table)
-        rhs = sign * cal.wedge(star_basis, star_basis[row, None])
-        res_star = max(res_star, (lhs - rhs).max_abs())
+        rhs = sign[..., None, None] * cal.wedge(star_basis, star_basis[row, None])
+        res_star = max(res_star, _max_abs(lhs - rhs))
         lhs = cal.apply_J(table)
         rhs = cal.wedge(ja, basis) + cal.wedge(a, j_basis)
-        res_j = max(res_j, (lhs - rhs).max_abs())
+        res_j = max(res_j, _max_abs(lhs - rhs))
     out.append(CheckResult(f"star-graded-antihomomorphism[n={n}]", res_star, 1e-12))
 
     # involution squares to the identity
-    res = (cal.star_involution(star_basis) - basis).max_abs()
+    res = _max_abs(cal.star_involution(star_basis) - basis)
     out.append(CheckResult(f"star-involution[n={n}]", res, 1e-12))
 
     # J: derivation, square -1 on one-forms, compatible with the involution
     out.append(CheckResult(f"J-derivation[n={n}]", res_j, 1e-12))
     one_forms = basis[n:3 * n]
-    res = (cal.apply_J(cal.apply_J(one_forms)) + one_forms).max_abs()
+    res = _max_abs(cal.apply_J(cal.apply_J(one_forms)) + one_forms)
     out.append(CheckResult(f"J-squared[n={n}]", res, 1e-12))
-    res = (
+    res = _max_abs(
         cal.star_involution(cal.apply_J(one_forms)) - cal.apply_J(cal.star_involution(one_forms))
-    ).max_abs()
+    )
     out.append(CheckResult(f"J-star-compatible[n={n}]", res, 1e-12))
 
     # differential: unit and Leibniz
-    res = cal.exterior_d(cal.one()).max_abs()
+    res = _max_abs(cal.exterior_d(cal.one()))
     out.append(CheckResult(f"d-of-unit[n={n}]", res, 1e-12))
     pairs = _complex_normal(rng, (20, 2, n))
     f, h = pairs[:, 0], pairs[:, 1]
@@ -126,33 +134,32 @@ def polygon_checks(n: int, rng: np.random.Generator,
     rhs = cal.bimodule_act(h, cal.exterior_d(f), "right") + cal.bimodule_act(
         f, cal.exterior_d(h), "left"
     )
-    out.append(CheckResult(f"leibniz[n={n}]", (lhs - rhs).max_abs(), 1e-9))
+    out.append(CheckResult(f"leibniz[n={n}]", _max_abs(lhs - rhs), 1e-9))
 
     # Kahler form: real and central
     kappa = cal.kahler_form()
-    res = (cal.star_involution(kappa) - kappa).max_abs()
+    res = _max_abs(cal.star_involution(kappa) - kappa)
     out.append(CheckResult(f"kappa-real[n={n}]", res, 1e-12))
     f = _complex_normal(rng, (10, n))
-    res = (cal.bimodule_act(f, kappa, "left") - cal.bimodule_act(f, kappa, "right")).max_abs()
+    res = _max_abs(cal.bimodule_act(f, kappa, "left") - cal.bimodule_act(f, kappa, "right"))
     out.append(CheckResult(f"kappa-central[n={n}]", res, 1e-12))
 
     # Lefschetz map is a bijection of functions onto two-forms
-    mat = cal.lefschetz(basis[:n]).deg2.T
+    mat = cal.lefschetz(basis[:n])[..., 3, :].T
     rank = np.linalg.matrix_rank(mat, tol=1e-9)
     out.append(CheckResult(f"lefschetz-rank[n={n}]", float(n - rank), 0.5))
 
     # Hodge star squares to +1 on even degrees and -1 on one-forms
     sign = np.where(degree == 1, -1.0, 1.0)
-    res = (cal.hodge_star(cal.hodge_star(basis)) - sign * basis).max_abs()
+    res = _max_abs(cal.hodge_star(cal.hodge_star(basis)) - sign[:, None, None] * basis)
     out.append(CheckResult(f"hodge-star-squared[n={n}]", res, 1e-12))
 
     # the metric in one call: g(xi_fwd, xi_fwd), then on 60 random pairs
     # (w, e) g(w, w), g(w, e) and g(e, w)
-    fwd = basis[n:2 * n].coeffs
+    fwd = basis[n:2 * n]
     pairs = _complex_normal(rng, (60, 2, 4, n))
     w, e = pairs[:, 0], pairs[:, 1]
-    g = cal.metric_g(GradedForm(np.concatenate([fwd, w, w, e])),
-                     GradedForm(np.concatenate([fwd, w, e, w])))
+    g = cal.metric_g(np.concatenate([fwd, w, w, e]), np.concatenate([fwd, w, e, w]))
     g_fwd, gww, gwe, gew = g[:n], g[n:n + 60], g[n + 60:n + 120], g[n + 120:]
 
     # consistency pin of the wedge sign: g(xi_fwd, xi_fwd) = delta at the source

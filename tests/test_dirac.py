@@ -272,11 +272,15 @@ def test_vertex_bounds_checked():
     g = ngon(3)
     with pytest.raises(ValueError):
         dirac.connes_distance(g, 0, 3)
-    # a non-integer vertex is rejected, not rounded or used as an index
+    # a non-integer vertex is rejected, not rounded or used as an index; a
+    # bool is not a vertex either, though Python counts it an int
     g = DirectedCyclicGraph(4, [(1, 2), (2, 3)])
-    for mu, nu in ((0.5, 2), (1, 2.0), (np.float64(1.5), 0)):
+    for mu, nu in ((0.5, 2), (1, 2.0), (np.float64(1.5), 0), (True, 3), (1, False)):
         with pytest.raises(ValueError, match="integers"):
             dirac.connes_distance(g, mu, nu)
+    with pytest.raises(ValueError) as err:
+        dirac.connes_distance(ngon(3), True, 2)
+    assert str(err.value) == "vertices must be integers in 0..2, got (True, 2)"
 
 
 def test_constraint_adjacency():

@@ -7,7 +7,6 @@ from kahleredge import graphs, spectra
 from kahleredge.graphs import DirectedCyclicGraph, GraphFormatError
 from kahleredge.dirac import connes_distance
 from kahleredge.operators import DenseOperator
-from kahleredge.polygon import GradedForm
 from kahleredge.spectra import Spectrum
 
 from conftest import random_graph, random_edge_values
@@ -78,7 +77,6 @@ def test_equality_and_hash():
 
 
 ARRAY_HOLDERS = {
-    "GradedForm": lambda: GradedForm(np.ones((4, 3))),
     "Spectrum": lambda: Spectrum(np.ones(3)),
     "DenseOperator": lambda: DenseOperator(np.eye(3)),
     "DistanceResult": lambda: connes_distance(ngon(3), 0, 1),
