@@ -2,11 +2,12 @@
 Connes-style vertex distances on finite directed graphs."""
 
 from .connection import (
-    PotentialCoefficients,
     apply_laplacian,
     dbar,
     laplacian,
     parse_potential,
+    potential,
+    valid_keys,
     zeta_operator,
 )
 from .dirac import (
@@ -48,7 +49,8 @@ __all__ = [
     "complete_graph_projector",
     "inner_product",
     "orthonormal_basis",
-    "PotentialCoefficients",
+    "valid_keys",
+    "potential",
     "parse_potential",
     "zeta_operator",
     "dbar",

@@ -161,14 +161,13 @@ def _texts(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _laplacian_blocks(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients,
-                      json: bool = False) -> list:
+def _laplacian_blocks(g: graphs.DirectedCyclicGraph, c: np.ndarray, json: bool = False) -> list:
     """The text of each block of ROW_BLOCK rows of the Laplacian of g under
-    c, each float of `connection.laplacian(g, c)` by "%.17g": in CSV one
-    matrix, `re,im` interleaved per entry; in JSON the real matrix, then the
-    imaginary one.  Returns one generator per matrix; the ValueError of
-    `connection.laplacian_blocks`, before any text, if an entry is not
-    finite.
+    the potential c, each float of `connection.laplacian(g, c)` by "%.17g":
+    in CSV one matrix, `re,im` interleaved per entry; in JSON the real
+    matrix, then the imaginary one.  Returns one generator per matrix; the
+    ValueError of `connection.laplacian_blocks`, before any text, if c is
+    not a potential on g or an entry is not finite.
 
     No m x m array is formed.  The row of an edge e leaving mu is non-zero
     only in three column ranges, each the edges leaving one vertex (so
@@ -187,11 +186,11 @@ def _laplacian_blocks(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoef
         block_at[mu] = at + np.arange(0, square.size, square[0].size)
         at += square.size
     blocks = np.concatenate([np.empty(0, complex)] + [square.reshape(-1) for _, square in squares])
-    re, im = _texts(c.values.real), _texts(c.values.imag)
+    re, im = _texts(c.real), _texts(c.imag)
     conj = ["0," if t == "-0," else t for t in re], [
         t[1:] if t[0] == "-" else t if t == "0," else "-" + t for t in im]
     diag = _texts(blocks.real), _texts(blocks.imag)
-    rows = functools.partial(_laplacian_rows, g, c.block_offsets.tolist(), block_at.tolist())
+    rows = functools.partial(_laplacian_rows, g, connection._block_offsets(g).tolist(), block_at.tolist())
     if json:
         return [rows("0,", "],[", *texts) for texts in zip((re, im), conj, diag)]
     pairs = [list(map(operator.add, *texts)) for texts in ((re, im), conj, diag)]
@@ -271,11 +270,13 @@ def _load_graph(path: str | None) -> graphs.DirectedCyclicGraph:
         raise DataError(f"bad graph file {path}: {exc}") from exc
 
 
-def _load_potential(spec: str, g: graphs.DirectedCyclicGraph) -> connection.PotentialCoefficients:
+def _load_potential(spec: str, g: graphs.DirectedCyclicGraph) -> np.ndarray:
     if spec == "unit":
-        return connection.PotentialCoefficients.unit(g)
+        c = connection.potential(g)
+        c[:] = 1.0
+        return c
     if spec == "zero":
-        return connection.PotentialCoefficients.zero(g)
+        return connection.potential(g)
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()

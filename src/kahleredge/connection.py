@@ -12,8 +12,14 @@ product over all edges (see `laplacian`; its diagonal blocks come from
 `laplacian_blocks`, which the CLI reads to print L without the matrix), and
 applied without a matrix, to one edge function or a stack of them, under
 any potential (`apply_laplacian`).  Every route that places a coefficient
-reads one index, the edge pair of each valid key, which depends on the
-graph alone and is kept on it (`DirectedCyclicGraph.edge_pairs`).
+at its edges reads one index, the edge pair of each valid key, which depends
+on the graph alone and is kept on it (`DirectedCyclicGraph.edge_pairs`).
+
+A potential is a plain complex array of shape (k,), one coefficient per
+valid key in key order (`potential`, `valid_keys`), k read from the
+out-degrees alone.  Every function that takes one checks it first, through
+one check (`_potential`): its shape must be (k,) and every value finite, or
+it is a ValueError; the caller's array is never written into.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .graphs import (DirectedCyclicGraph, GraphFormatError, _first_bad, _integer
                      _last_axis, _read_rows, _row_lineno, _scatter_add)
 
 __all__ = [
-    "PotentialCoefficients",
+    "valid_keys",
+    "potential",
     "parse_potential",
     "zeta_operator",
     "dbar",
@@ -39,114 +46,102 @@ __all__ = [
 ]
 
 
-class PotentialCoefficients:
-    """Coefficients c[mu, nu, nu'] of a potential on a graph.
+def valid_keys(g: DirectedCyclicGraph) -> np.ndarray:
+    """The valid keys as rows (mu, nu, nu') of an integer array, in key order."""
+    edge, partner = g.edge_pairs
+    return np.stack([g.sources[edge], g.targets[edge], g.targets[partner]], axis=1)
+
+
+def _block_offsets(g: DirectedCyclicGraph) -> np.ndarray:
+    """Where each block C_mu starts in a potential, and its length k last."""
+    deg = g.out_degrees
+    sizes = deg * np.concatenate([deg[-1:], deg[:-1]])  # C_mu is deg(mu) x deg(mu - 1)
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _key_positions(g: DirectedCyclicGraph, mu, nu, nup) -> np.ndarray:
+    """The index in a potential of each key (mu, nu, nu') of the broadcast
+    vertex arrays, -1 where the key is not valid."""
+    mu = np.asarray(mu)
+    prev = (mu - 1) % g.n
+    edge, partner = g.find_edges([mu, prev], [nu, nup])
+    mu = mu % g.n  # changes mu only where the key is invalid
+    row, col = edge - g.offsets[mu], partner - g.offsets[prev]
+    position = _block_offsets(g)[mu] + row * g.out_degrees[prev] + col
+    return np.where((edge >= 0) & (partner >= 0), position, -1)
+
+
+def potential(g: DirectedCyclicGraph, entries=None) -> np.ndarray:
+    """The potential with the coefficients c[mu, nu, nu'] of `entries`, a
+    mapping from keys to values, and 0 at every other valid key.
 
     A key (mu, nu, nu') is valid when mu->nu and (mu-1)->nu' are edges
-    (vertex arithmetic mod n).  `values` holds one coefficient per valid key,
-    in key order: by the edge of mu->nu, then by the edge of (mu-1)->nu'.
-    Because edges are sorted by source, this order lays the blocks C_mu end
-    to end, where C_mu[i, j] = c[mu, t(e_i), t(e'_j)] over the edges e_i
-    leaving mu and e'_j leaving mu-1; `block_offsets` is where each starts.
-    Absent valid keys default to 0.  Entries are checked together; a
-    ValueError names the first key, in their order, that has a non-integer
-    vertex, is not valid or has a non-finite value.
+    (vertex arithmetic mod n).  A potential is a complex array of shape (k,),
+    one coefficient per valid key, in key order: by the edge of mu->nu, then
+    by the edge of (mu-1)->nu'.  Because edges are sorted by source, this
+    order lays the blocks C_mu end to end, where C_mu[i, j] =
+    c[mu, t(e_i), t(e'_j)] over the edges e_i leaving mu and e'_j leaving
+    mu-1.  Entries are checked together; a ValueError names the first key, in
+    their order, that has a non-integer vertex, is not valid or has a
+    non-finite value.
     """
-
-    def __init__(self, graph: DirectedCyclicGraph, entries=None):
-        self.graph = graph
-        sizes = graph.out_degrees * np.roll(graph.out_degrees, 1)
-        self.block_offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.values = np.zeros(self.block_offsets[-1], dtype=complex)
-        if not entries:
-            return
-        entries = dict(entries)
-        keys = list(entries)
-        mu, nu, nup = _integer_rows(keys, 3, graph.n).T
-        values = np.array(list(entries.values()), dtype=complex)[:len(mu)]
-        positions = self.positions(mu, nu, nup)
-        _, bad, _ = _first_bad((positions >= 0) & np.isfinite(values), positions)
-        if bad is not None:
-            mu, nu, nup = (operator.index(k) for k in keys[bad])
-            if positions[bad] < 0:
-                raise ValueError(
-                    f"invalid potential key ({mu}, {nu}, {nup}): needs edges "
-                    f"{mu}->{nu} and {(mu - 1) % graph.n}->{nup}"
-                )
+    values = np.zeros(_block_offsets(g)[-1], dtype=complex)
+    if not entries:
+        return values
+    entries = dict(entries)
+    keys = list(entries)
+    mu, nu, nup = _integer_rows(keys, 3, g.n).T
+    coefficients = np.array(list(entries.values()), dtype=complex)[:len(mu)]
+    positions = _key_positions(g, mu, nu, nup)
+    _, bad, _ = _first_bad((positions >= 0) & np.isfinite(coefficients), positions)
+    if bad is not None:
+        mu, nu, nup = (operator.index(k) for k in keys[bad])
+        if positions[bad] < 0:
             raise ValueError(
-                f"potential key ({mu}, {nu}, {nup}) has a non-finite value {complex(values[bad])!r}"
+                f"invalid potential key ({mu}, {nu}, {nup}): needs edges "
+                f"{mu}->{nu} and {(mu - 1) % g.n}->{nup}"
             )
-        if len(mu) < len(keys):
-            raise ValueError(f"potential key {keys[len(mu)]!r} has a non-integer vertex")
-        self.values[positions] = values
-
-    @staticmethod
-    def is_valid_key(graph: DirectedCyclicGraph, mu: int, nu: int, nup: int) -> bool:
-        return bool(np.all(graph.find_edges([mu, (mu - 1) % graph.n], [nu, nup]) >= 0))
-
-    @classmethod
-    def valid_keys(cls, graph: DirectedCyclicGraph) -> np.ndarray:
-        """The valid keys as rows (mu, nu, nu') of an integer array, in key order."""
-        edge, partner = graph.edge_pairs
-        return np.stack(
-            [graph.sources[edge], graph.targets[edge], graph.targets[partner]], axis=1
+        raise ValueError(
+            f"potential key ({mu}, {nu}, {nup}) has a non-finite value {complex(coefficients[bad])!r}"
         )
-
-    @classmethod
-    def unit(cls, graph: DirectedCyclicGraph) -> "PotentialCoefficients":
-        c = cls(graph)
-        c.values[:] = 1.0
-        return c
-
-    @classmethod
-    def zero(cls, graph: DirectedCyclicGraph) -> "PotentialCoefficients":
-        return cls(graph)
-
-    @classmethod
-    def random(cls, graph: DirectedCyclicGraph, rng: np.random.Generator) -> "PotentialCoefficients":
-        c = cls(graph)
-        c.values[:] = rng.standard_normal(len(c.values)) + 1j * rng.standard_normal(len(c.values))
-        return c
-
-    def positions(self, mu, nu, nup) -> np.ndarray:
-        """The index in `values` of each key (mu, nu, nu') of the broadcast
-        vertex arrays, -1 where the key is not valid."""
-        g = self.graph
-        mu = np.asarray(mu)
-        prev = (mu - 1) % g.n
-        edge, partner = g.find_edges([mu, prev], [nu, nup])
-        mu = mu % g.n  # changes mu only where the key is invalid
-        row, col = edge - g.offsets[mu], partner - g.offsets[prev]
-        position = self.block_offsets[mu] + row * g.out_degrees[prev] + col
-        return np.where((edge >= 0) & (partner >= 0), position, -1)
-
-    def block(self, mu: int) -> np.ndarray:
-        """C_mu: rows are the edges leaving mu, columns those leaving mu-1."""
-        shape = (self.graph.out_degree(mu), self.graph.out_degree(mu - 1))
-        return self.values[self.block_offsets[mu]:self.block_offsets[mu + 1]].reshape(shape)
-
-    def get(self, mu: int, nu: int, nup: int) -> complex:
-        i = int(self.positions(mu, nu, nup))
-        return complex(self.values[i]) if i >= 0 else 0.0 + 0.0j
+    if len(mu) < len(keys):
+        raise ValueError(f"potential key {keys[len(mu)]!r} has a non-integer vertex")
+    values[positions] = coefficients
+    return values
 
 
-def parse_potential(text: str, graph: DirectedCyclicGraph) -> PotentialCoefficients:
+def _potential(g: DirectedCyclicGraph, c) -> np.ndarray:
+    """`c` as a complex array (`c` itself if it is one: callers only read
+    it), after checking that it is a potential on g: of shape (k,), every
+    value finite."""
+    arr = np.asarray(c, dtype=complex)
+    k = _block_offsets(g)[-1]
+    if arr.shape != (k,):
+        raise ValueError(f"potential must have shape ({k},), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = np.flatnonzero(~np.isfinite(arr))[0]
+        raise ValueError(f"potential has a non-finite value {complex(arr[bad])!r} at index {bad}")
+    return arr
+
+
+def parse_potential(text: str, graph: DirectedCyclicGraph) -> np.ndarray:
     """Parse lines ``mu nu nuP re im``; ``#`` starts a comment.  Each triple
     may appear at most once.  Errors carry the offending line number; of
     several, the earliest line's.  NumPy's C reader reads the lines, and an
     invalid or repeated triple in what it reads is the error of the line
     that holds it; the line loop reads what it refuses (every other bad
-    file, and spellings such as ``1_0``), with the same result or error."""
+    file, and spellings such as ``1_0``), with the same result or error.
+    Returns the potential, a complex (k,) array (see `potential`)."""
     lines = text.splitlines()
     rows = _read_rows(lines, [("key", np.int64, 3), ("value", np.float64, 2)])
     if rows is None or not np.isfinite(rows["value"]).all():
         return _potential_from_lines(lines, graph)
-    c = PotentialCoefficients(graph)
-    positions = c.positions(*rows["key"].T)
+    positions = _key_positions(graph, *rows["key"].T)
     _, bad, repeat = _first_bad(positions >= 0, positions)
     if bad is not None:
         raise _triple_error(_row_lineno(lines, 0, bad), tuple(rows["key"][bad].tolist()), repeat)
-    c.values[positions] = rows["value"].view(complex)[:, 0]
+    c = potential(graph)
+    c[positions] = rows["value"].view(complex)[:, 0]
     return c
 
 
@@ -155,10 +150,9 @@ def _triple_error(lineno: int, key: tuple, repeat: bool) -> GraphFormatError:
     return GraphFormatError(f"line {lineno}: {kind} potential triple {key}")
 
 
-def _potential_from_lines(lines: list[str], graph: DirectedCyclicGraph) -> PotentialCoefficients:
+def _potential_from_lines(lines: list[str], graph: DirectedCyclicGraph) -> np.ndarray:
     """The potential of the lines, by a loop that only tokenises: keys are
     checked once, on the arrays."""
-    c = PotentialCoefficients(graph)
     linenos, keys, values = [], [], []
     error = None  # the first syntax error: it ends the scan
     for lineno, raw in enumerate(lines, start=1):
@@ -180,29 +174,29 @@ def _potential_from_lines(lines: list[str], graph: DirectedCyclicGraph) -> Poten
         linenos.append(lineno)
         keys.append(key)
         values.append(complex(re, im))
-    positions = c.positions(*_integer_rows(keys, 3, graph.n).T)
+    positions = _key_positions(graph, *_integer_rows(keys, 3, graph.n).T)
     _, bad, repeat = _first_bad(positions >= 0, positions)
     if bad is not None:
         raise _triple_error(linenos[bad], keys[bad], repeat)
     if error is not None:
         raise GraphFormatError(error)
-    c.values[positions] = values
+    c = potential(graph)
+    c[positions] = values
     return c
 
 
-def zeta_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+def zeta_operator(g: DirectedCyclicGraph, c) -> np.ndarray:
     """Matrix of the potential: entry (e', e) = c[s(e), t(e), t(e')] when
     s(e') = s(e) - 1 mod n, else zero."""
-    if c.graph != g:
-        raise ValueError("potential defined on a different graph")
+    c = _potential(g, c)
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
     edge, partner = g.edge_pairs
-    mat[partner, edge] = c.values
+    mat[partner, edge] = c
     return mat
 
 
-def dbar(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+def dbar(g: DirectedCyclicGraph, c) -> np.ndarray:
     """The twisted (0,1)-connection: base connection plus potential.
 
     The base connection maps chi_e to xi[s(e)+1 -> s(e)] (x) chi_e: of the
@@ -213,7 +207,7 @@ def dbar(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     return np.eye(g.num_edges) + zeta_operator(g, c)
 
 
-def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+def laplacian(g: DirectedCyclicGraph, c) -> np.ndarray:
     """The twisted edge Laplacian dbar^dagger dbar on the edge block.
 
     The conjugate transpose is the Hilbert adjoint because both blocks carry
@@ -233,24 +227,25 @@ def laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
     array, and maps the texts of the conjugates as this sum maps their
     values.
     """
-    if c.graph != g:
-        raise ValueError("potential defined on a different graph")
+    c = _potential(g, c)
     m = g.num_edges
     mat = np.zeros((m, m), dtype=complex)
     edge, partner = g.edge_pairs
-    mat[partner, edge] = c.values  # zeta
-    mat[edge, partner] = c.values.conj() + 0.0  # zeta^dagger, +0 parts: see above
+    mat[partner, edge] = c  # zeta
+    mat[edge, partner] = c.conj() + 0.0  # zeta^dagger, +0 parts: see above
     for mu, square in laplacian_blocks(g, c):
         e = (g.offsets[mu, None] + np.arange(square.shape[1]))[:, :, None]  # edges leaving mu
         mat[e, e.transpose(0, 2, 1)] = square
     return mat
 
 
-def laplacian_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The diagonal blocks conj(C_mu) C_mu^T + I of the Laplacian, each on
-    the edges leaving its vertex mu (C_mu: rows the edges leaving mu,
-    columns those leaving mu-1), as pairs (vertices, stack of their blocks)
-    for every vertex with edges, one pair per distinct shape of C_mu.
+def laplacian_blocks(g: DirectedCyclicGraph, c) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The diagonal blocks conj(C_mu) C_mu^T + I of the Laplacian under the
+    potential c, a complex (k,) array, each on the edges leaving its vertex
+    mu (C_mu: rows the edges leaving mu, columns those leaving mu-1, read
+    from c where the out-degrees place it), as pairs (vertices, stack of
+    their blocks) for every vertex with edges, one pair per distinct shape
+    of C_mu.
 
     Vertices whose blocks C_mu share a shape share one batched matmul; the
     only loop is over the distinct shapes.  A vertex with no edge behind it
@@ -259,6 +254,8 @@ def laplacian_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> list[t
     not all finite raises the ValueError of an overflowing potential, with
     no floating-point warning.
     """
+    c = _potential(g, c)
+    starts = _block_offsets(g)
     n = g.n
     here = g.out_degrees
     back = here[(np.arange(n) - 1) % n]
@@ -267,7 +264,7 @@ def laplacian_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> list[t
     for shape in np.unique(shapes[here > 0]).tolist():
         d, dp = divmod(shape, n + 1)
         mu = np.flatnonzero(shapes == shape)
-        block = c.values[c.block_offsets[mu, None] + np.arange(d * dp)].reshape(len(mu), d, dp)
+        block = c[starts[mu, None] + np.arange(d * dp)].reshape(len(mu), d, dp)
         with np.errstate(over="ignore", invalid="ignore"):
             square = np.matmul(block.conj() + 0.0, block.transpose(0, 2, 1))
         square.reshape(len(mu), -1)[:, :: d + 1] += 1.0  # the identity
@@ -282,10 +279,11 @@ def _finite(blocks: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.ndarray:
-    """Matrix-free twisted edge Laplacian, L f = dbar^dagger (dbar f), on an
-    edge function or a stack of them, an array of shape (..., m); returns a
-    new complex array of the same shape.
+def apply_laplacian(g: DirectedCyclicGraph, c, f) -> np.ndarray:
+    """Matrix-free twisted edge Laplacian, L f = dbar^dagger (dbar f), under
+    the potential c, a complex (k,) array, on an edge function or a stack of
+    them, an array of shape (..., m); returns a new complex array of the
+    same shape.  Neither c nor f is written into.
 
     Each factor is one scatter over the valid keys, through their edge pairs
     (e, e'): dbar = I + zeta adds c[key] x(e) at e', and dbar^dagger adds
@@ -294,15 +292,14 @@ def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.n
     that overflows the Laplacian (`laplacian_blocks`) raises its ValueError,
     whatever f is.
     """
-    if c.graph != g:
-        raise ValueError("potential defined on a different graph")
+    c = _potential(g, c)
     laplacian_blocks(g, c)
     f = _last_axis(f, g.num_edges)
     edge, partner = g.edge_pairs
     y = f.copy()
-    _scatter_add(y, partner, c.values * f[..., edge])
+    _scatter_add(y, partner, c * f[..., edge])
     out = y.copy()
-    _scatter_add(out, edge, c.values.conj() * y[..., partner])
+    _scatter_add(out, edge, c.conj() * y[..., partner])
     return out
 
 
@@ -311,15 +308,15 @@ def apply_laplacian(g: DirectedCyclicGraph, c: PotentialCoefficients, f) -> np.n
 # displayed formulas, one vertex block C_mu at a time; used as oracles against
 # the conjugate-transpose route, so they share none of its scatter indices.
 
-def _vertex_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients):
+def _vertex_blocks(g: DirectedCyclicGraph, c) -> list:
     """(edges leaving mu, edges leaving mu-1, C_mu) for every vertex mu."""
-    off = g.offsets
-    for mu in range(g.n):
-        prev = (mu - 1) % g.n
-        yield slice(off[mu], off[mu + 1]), slice(off[prev], off[prev + 1]), c.block(mu)
+    start, end, deg = g.offsets[:-1], g.offsets[1:], g.out_degrees  # index mu - 1 wraps
+    blocks = np.split(_potential(g, c), _block_offsets(g)[1:-1])
+    return [(slice(start[mu], end[mu]), slice(start[mu - 1], end[mu - 1]),
+             blocks[mu].reshape(deg[mu], deg[mu - 1])) for mu in range(g.n)]
 
 
-def zeta_dagger_closed_form(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+def zeta_dagger_closed_form(g: DirectedCyclicGraph, c) -> np.ndarray:
     """Maps the bottom basis vector at edge mu->nu to
     sum over edges mu+1->nu' of conj(c[mu+1, nu', nu]) chi[mu+1->nu']:
     the block of rows leaving mu and columns leaving mu-1 is conj(C_mu)."""
@@ -330,7 +327,7 @@ def zeta_dagger_closed_form(g: DirectedCyclicGraph, c: PotentialCoefficients) ->
     return mat
 
 
-def composite_blocks(g: DirectedCyclicGraph, c: PotentialCoefficients) -> dict[str, np.ndarray]:
+def composite_blocks(g: DirectedCyclicGraph, c) -> dict[str, np.ndarray]:
     """The four composite operators on the edge block, from their formulas:
     per vertex mu, C_mu^T, conj(C_mu) and conj(C_mu) C_mu^T between the edges
     leaving mu and mu-1.  Their sum equals the twisted edge Laplacian."""

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import PotentialCoefficients, dbar
+from .connection import dbar
 from .graphs import DirectedCyclicGraph, _last_axis
 
 __all__ = [
@@ -105,9 +105,9 @@ class DistanceResult:
     witness: np.ndarray | None = None
 
 
-def dirac_operator(g: DirectedCyclicGraph, c: PotentialCoefficients) -> np.ndarray:
+def dirac_operator(g: DirectedCyclicGraph, c) -> np.ndarray:
     """Self-adjoint block anti-diagonal operator [[0, dbar^dagger], [dbar, 0]]
-    on the full space, a complex 2m x 2m ndarray."""
+    on the full space, a complex 2m x 2m ndarray, under the potential c."""
     a = dbar(g, c)
     m = g.num_edges
     full = np.zeros((2 * m, 2 * m), dtype=complex)

@@ -167,9 +167,9 @@ class Calculus:
     def degree_part(self, omega, k: int) -> np.ndarray:
         """The degree-k part of omega: its rows of degree k, the others zero."""
         o = self._form(omega)
-        if k not in _DEGREE_ROWS:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in _DEGREE_ROWS:
             raise ValueError(f"degree must be 0, 1 or 2, got {k}")
-        rows = _DEGREE_ROWS[k]
+        rows = _DEGREE_ROWS[int(k)]
         out = np.zeros_like(o)
         out[..., rows, :] = o[..., rows, :]
         return _read_only(out)

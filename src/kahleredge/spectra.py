@@ -87,7 +87,7 @@ def eig_selfadjoint(M, want_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues, V, residual)
 
 
-def laplacian_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray:
+def laplacian_spectrum(g: DirectedCyclicGraph, c) -> np.ndarray:
     """The eigenvalues of the twisted edge Laplacian in ascending order, by
     `circulant_spectrum` where it takes the input, else by `eig_selfadjoint`
     on `connection.laplacian`; each raises on an overflowing potential."""
@@ -97,10 +97,10 @@ def laplacian_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficien
     return eigs
 
 
-def circulant_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficients) -> np.ndarray | None:
+def circulant_spectrum(g: DirectedCyclicGraph, c) -> np.ndarray | None:
     """The eigenvalues of the twisted edge Laplacian L = dbar^dagger dbar in
-    ascending order when g is circulant and c rotation invariant, from n
-    Fourier blocks of size d x d; None otherwise.
+    ascending order when g is circulant and the potential c (checked first)
+    rotation invariant, from n Fourier blocks of size d x d; None otherwise.
 
     Detection reads the inputs alone, in O(m).  The graph is circulant when
     every vertex has the same out-degree d and the same set of offsets
@@ -127,15 +127,14 @@ def circulant_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficien
     {2 + 2 cos(2 pi k / n)} at d = 1.
 
     The blocks are built from Z, read off the potential's coefficients
-    (`c.values`), with no L formed; the entries of L on this input are
+    (c, in key order), with no L formed; the entries of L on this input are
     exactly Z, conj(Z) and conj(Z) Z^T + I.  They are solved by one batched
     `numpy.linalg.eigvalsh` in O(n d^3).  When conj(Z) Z^T + I is not all
     finite it raises the ValueError of an overflowing potential.  The
     eigenvalues can differ from those of the dense solve in the last digits,
     by about 1e-14 relative to the largest.
     """
-    if c.graph != g:
-        raise ValueError("potential defined on a different graph")
+    c = connection._potential(g, c)
     n, d = g.n, g.out_degree(0)
     if (g.out_degrees != d).any():
         return None
@@ -145,7 +144,7 @@ def circulant_spectrum(g: DirectedCyclicGraph, c: connection.PotentialCoefficien
     if (offsets[mu, order] != offsets[0, order[0]]).any():
         return None
     # C_mu with its rows in mu's offset order and its columns in mu - 1's
-    blocks = c.values.reshape(n, d, d)[mu[:, :, None], order[:, :, None], order[mu - 1]]
+    blocks = c.reshape(n, d, d)[mu[:, :, None], order[:, :, None], order[mu - 1]]
     if (blocks != blocks[0]).any():
         return None
     z = blocks[0]

@@ -236,7 +236,7 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
     out = []
     m = g.num_edges
     tag = f"|V|={g.n},|E|={m}"
-    c = connection.PotentialCoefficients.random(g, rng)
+    c = _complex_normal(rng, connection.potential(g).shape)
 
     # Laplacian equals the sum of the four composite closed forms
     lap = connection.laplacian(g, c)
@@ -271,7 +271,7 @@ def connection_checks(g: graphs.DirectedCyclicGraph,
     out.append(CheckResult(f"laplacian-psd[{tag}]", res, 1e-9))
 
     # matrix-free unit action agrees with the assembled matrix
-    unit = connection.PotentialCoefficients.unit(g)
+    unit = connection.potential(g) + 1.0
     lap_unit = connection.laplacian(g, unit)
     f = _complex_normal(rng, (25, m))  # 25 samples as one stack
     direct = connection.apply_laplacian(g, unit, f)
@@ -297,7 +297,7 @@ def spectral_checks() -> list[CheckResult]:
              for d in range(1, n if n <= REGULAR_MAX_N else 2))
     for n, d in pairs:
         g = spectra.make_circulant_regular(n, d)
-        unit = connection.PotentialCoefficients.unit(g)
+        unit = connection.potential(g) + 1.0
         lap = connection.laplacian(g, unit)
         eigs = spectra.eig_selfadjoint(lap).eigenvalues
         if d == 1:
@@ -338,7 +338,7 @@ def spectral_checks() -> list[CheckResult]:
     # Z[o - 1, o' - 1] for the offsets o, o' in 1..3
     g = spectra.make_circulant_regular(8, 3)
     z = np.array([[1.0, 2j, -0.5], [0.25 + 1j, -1.0, 0.5j], [2.0, -1j, 0.75 - 0.5j]])
-    c = connection.PotentialCoefficients(g, {
+    c = connection.potential(g, {
         (mu, (mu + a + 1) % 8, (mu + b) % 8): z[a, b]
         for mu in range(8) for a in range(3) for b in range(3)})
     eigs = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
@@ -347,8 +347,7 @@ def spectral_checks() -> list[CheckResult]:
     return out
 
 
-def _route_gap(g: graphs.DirectedCyclicGraph, c: connection.PotentialCoefficients,
-               eigs: np.ndarray) -> float:
+def _route_gap(g: graphs.DirectedCyclicGraph, c: np.ndarray, eigs: np.ndarray) -> float:
     """Largest gap between the Fourier route's eigenvalues and the dense
     `eigs`; inf when the route does not take the input."""
     route = spectra.circulant_spectrum(g, c)
@@ -365,12 +364,12 @@ def distance_checks(g: graphs.DirectedCyclicGraph,
     full_degree = bool(np.all(g.out_degrees))
 
     # commutator does not depend on the potential
-    D = dirac_operator(g, connection.PotentialCoefficients.zero(g))
+    D = dirac_operator(g, connection.potential(g))
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     base = commutator_with_function(D, f, g)
     res = 0.0
     for _ in range(5):
-        c = connection.PotentialCoefficients.random(g, rng)
+        c = _complex_normal(rng, connection.potential(g).shape)
         other = commutator_with_function(dirac_operator(g, c), f, g)
         res = max(res, float(np.max(np.abs(other - base))) if base.size else 0.0)
     out.append(CheckResult(f"commutator-potential-free[{tag}]", res, 1e-12))

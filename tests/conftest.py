@@ -1,7 +1,8 @@
-"""Shared helpers: random graph generation for property-style tests."""
+"""Shared helpers: random graphs and potentials for property-style tests."""
 
 import numpy as np
 
+from kahleredge import connection
 from kahleredge.graphs import DirectedCyclicGraph
 
 
@@ -27,3 +28,14 @@ def random_graph(rng: np.random.Generator, max_n: int = 8,
 
 def random_edge_values(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def unit_potential(g: DirectedCyclicGraph) -> np.ndarray:
+    """The unit potential: 1 at every valid key."""
+    return connection.potential(g) + 1.0
+
+
+def random_potential(g: DirectedCyclicGraph, rng: np.random.Generator) -> np.ndarray:
+    """Complex standard normals at the valid keys, in key order: the k real
+    parts are drawn first, then the k imaginary parts."""
+    return random_edge_values(rng, len(connection.potential(g)))

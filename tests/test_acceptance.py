@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from kahleredge import connection, dirac, graphs, spectra
-from kahleredge.connection import PotentialCoefficients
 from kahleredge.polygon import Calculus
 
-from conftest import random_graph, random_edge_values
+from conftest import random_edge_values, random_graph, random_potential, unit_potential
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -26,7 +25,7 @@ def max_abs(x):
 
 
 def unit_laplacian(g):
-    return connection.laplacian(g, PotentialCoefficients.unit(g))
+    return connection.laplacian(g, unit_potential(g))
 
 
 def test_criterion_1_ngon_spectrum(capsys):
@@ -93,7 +92,7 @@ def test_criterion_4_closed_form_adjoints(capsys):
     worst = 0.0
     for _ in range(100):
         g = random_graph(rng, max_n=8)
-        c = PotentialCoefficients.random(g, rng)
+        c = random_potential(g, rng)
         if not g.num_edges:
             continue
         nabla = np.eye(g.num_edges)
@@ -124,7 +123,7 @@ def test_criterion_5_matrix_free_unit_action(capsys):
         g = random_graph(rng, max_n=8)
         if not g.num_edges:
             continue
-        unit = PotentialCoefficients.unit(g)
+        unit = unit_potential(g)
         lap = connection.laplacian(g, unit)
         for _ in range(25):
             f = random_edge_values(rng, g.num_edges)
@@ -208,9 +207,9 @@ def test_criterion_7_distances(capsys):
     g = test_graphs[0]
     f = rng.standard_normal(g.n) + np.array([[0.0], [1j]]) * rng.standard_normal(g.n)
     base = dirac.commutator_with_function(
-        dirac.dirac_operator(g, PotentialCoefficients.zero(g)), f, g)
+        dirac.dirac_operator(g, connection.potential(g)), f, g)
     for _ in range(10):
-        c = PotentialCoefficients.random(g, rng)
+        c = random_potential(g, rng)
         got = dirac.commutator_with_function(dirac.dirac_operator(g, c), f, g)
         invariance_ok = invariance_ok and np.array_equal(got, base)
     elapsed = time.monotonic() - start

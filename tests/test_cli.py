@@ -16,6 +16,8 @@ import pytest
 
 from kahleredge import cli, connection, dirac, graphs, spectra
 
+from conftest import random_potential, unit_potential
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -246,7 +248,7 @@ def test_spectrum_of_a_circulant_takes_the_fourier_route(capsys, tmp_path, monke
     path = write_graph(tmp_path, text)
     g = graphs.parse_graph(text)
     dense = spectra.eig_selfadjoint(
-        connection.laplacian(g, connection.PotentialCoefficients.unit(g))).eigenvalues
+        connection.laplacian(g, unit_potential(g))).eigenvalues
 
     def refuse(*args):
         raise AssertionError("the dense route ran")
@@ -257,6 +259,27 @@ def test_spectrum_of_a_circulant_takes_the_fourier_route(capsys, tmp_path, monke
     eigs = np.array(json.loads(out)["eigenvalues"])
     assert eigs.shape == dense.shape
     assert np.abs(eigs - dense).max() <= 1e-12 * dense.max()
+
+
+def test_unit_and_zero_fourier_route_builds_no_edge_index(capsys, tmp_path, monkeypatch):
+    """spectrum on a circulant under the unit and zero potentials, and
+    reading a potential file on it, build neither the key index
+    (`edge_pairs`) nor the arcs: at m = 2,000,000 the index alone peaks at
+    hundreds of MB."""
+    _, text, _ = run(capsys, "generate", "circulant", "64", "2")
+    path = write_graph(tmp_path, text)
+    parse, parsed = graphs.parse_graph, []
+    monkeypatch.setattr(graphs, "parse_graph", lambda text: parsed.append(parse(text)) or parsed[-1])
+    for potential in ("unit", "zero"):
+        code, out, err = run(capsys, "spectrum", "--graph", path, "--potential", potential)
+        assert code == 0 and err == "" and len(json.loads(out)["eigenvalues"]) == 128
+    g = parse(text)
+    keys = connection.valid_keys(parse(text)).tolist()  # the index of another copy
+    c = connection.parse_potential("".join("%d %d %d 0.5 -1.0\n" % tuple(key) for key in keys), g)
+    assert c.shape == (256,) and (c == 0.5 - 1j).all()
+    assert len(parsed) == 2
+    for graph in (*parsed, g):
+        assert "edge_pairs" not in vars(graph) and "arcs" not in vars(graph)
 
 
 @pytest.mark.parametrize("change", ["ulp", "edge removed", "self-loop added"])
@@ -273,9 +296,9 @@ def test_spectrum_off_the_fourier_route_is_the_dense_solve(capsys, tmp_path, cha
     # Z[a, b] = 0.25 a - 0.5 b + (0.5 + ab) i on the keys the graph has
     keys = [(mu, (mu + oa) % n, (mu - 1 + ob) % n, a, b)
             for mu in range(n) for a, oa in enumerate(offsets) for b, ob in enumerate(offsets)]
+    valid = set(map(tuple, connection.valid_keys(g).tolist()))
     lines = [f"{mu} {nu} {nup} {0.25 * a - 0.5 * b!r} {0.5 + a * b!r}"
-             for mu, nu, nup, a, b in keys
-             if connection.PotentialCoefficients.is_valid_key(g, mu, nu, nup)]
+             for mu, nu, nup, a, b in keys if (mu, nu, nup) in valid]
     if change == "ulp":  # off a potential that takes the route
         unnudged = connection.parse_potential("\n".join(lines), g)
         assert spectra.circulant_spectrum(g, unnudged) is not None
@@ -363,11 +386,11 @@ def test_numeric_distances_do_not_depend_on_the_potential(capsys, tmp_path):
     g = graphs.DirectedCyclicGraph(
         8, [(0, 0), (0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (6, 2), (7, 0)])
     gpath = write_graph(tmp_path, graphs.format_graph(g))
-    c = connection.PotentialCoefficients.random(g, np.random.default_rng(67))
-    keys = connection.PotentialCoefficients.valid_keys(g).tolist()
+    c = random_potential(g, np.random.default_rng(67))
+    keys = connection.valid_keys(g).tolist()
     ppath = tmp_path / "pot.txt"
     ppath.write_text("".join(f"{mu} {nu} {nup} {v.real!r} {v.imag!r}\n"
-                             for (mu, nu, nup), v in zip(keys, c.values.tolist())))
+                             for (mu, nu, nup), v in zip(keys, c.tolist())))
     warning = "warning: vertices [3, 4] have no outgoing edge; some distances are infinite\n"
     for fmt in ("json", "csv"):
         outs = set()
@@ -703,7 +726,7 @@ def test_laplacian_streams_below_one_dense_matrix(capsys, tmp_path):
     rng = np.random.default_rng(32)
     pot = tmp_path / "pot.txt"
     pot.write_text("".join(f"{mu} {nu} {nup} {rng.standard_normal()!r} {rng.standard_normal()!r}\n"
-                           for mu, nu, nup in connection.PotentialCoefficients.valid_keys(g).tolist()))
+                           for mu, nu, nup in connection.valid_keys(g).tolist()))
     for potential in ("unit", str(pot)):
         for fmt in ("json", "csv"):
             out = CharCount()
@@ -742,7 +765,7 @@ def test_large_outputs_match_the_per_cell_format(capsys, tmp_path):
 
     g = graphs.parse_graph(run(capsys, "generate", "circulant", "150", "2")[1])
     rng = np.random.default_rng(5)
-    keys = connection.PotentialCoefficients.valid_keys(g).tolist()
+    keys = connection.valid_keys(g).tolist()
     pot = tmp_path / "pot.txt"
     pot.write_text("".join(f"{mu} {nu} {nup} {rng.standard_normal()!r} {rng.standard_normal()!r}\n"
                            for mu, nu, nup in keys))

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kahleredge import connection, graphs
-from kahleredge.connection import PotentialCoefficients
+from kahleredge import cli, connection, dirac, graphs, spectra
 from kahleredge.graphs import DirectedCyclicGraph
 
-from conftest import random_graph, random_edge_values
+from conftest import random_edge_values, random_graph, random_potential, unit_potential
 
 
 def ngon(n):
@@ -27,38 +26,40 @@ def bidirected_ngon(n):
 def test_potential_key_validation():
     g = ngon(3)
     # needs edges mu->nu and (mu-1)->nu'
-    assert PotentialCoefficients.is_valid_key(g, 0, 1, 0)
-    assert not PotentialCoefficients.is_valid_key(g, 0, 2, 0)
-    assert not PotentialCoefficients.is_valid_key(g, 0, 1, 1)
-    PotentialCoefficients(g, {(0, 1, 0): 2.0})
-    with pytest.raises(ValueError):
-        PotentialCoefficients(g, {(0, 2, 0): 1.0})
+    assert connection.valid_keys(g).tolist() == [[0, 1, 0], [1, 2, 1], [2, 0, 2]]
+    assert connection.potential(g, {(0, 1, 0): 2.0}).tolist() == [2.0, 0.0, 0.0]
+    for key in ((0, 2, 0), (0, 1, 1)):
+        with pytest.raises(ValueError) as err:
+            connection.potential(g, {key: 1.0})
+        assert str(err.value) == f"invalid potential key {key}: needs edges 0->{key[1]} and 2->{key[2]}"
     # a non-integer vertex is an error, not truncated to the key (1, 2, 1)
     with pytest.raises(ValueError, match=r"key \(1\.9, 2, 1\) has a non-integer vertex"):
-        PotentialCoefficients(g, {(1.9, 2, 1): 1.0})
+        connection.potential(g, {(1.9, 2, 1): 1.0})
     # non-finite values are an error, as they are in a potential file
     square = ngon(4)
     with pytest.raises(ValueError, match=r"key \(1, 2, 1\) has a non-finite value"):
-        PotentialCoefficients(square, {(1, 2, 1): float("nan"), (2, 3, 2): 1.0})
+        connection.potential(square, {(1, 2, 1): float("nan"), (2, 3, 2): 1.0})
     with pytest.raises(ValueError, match=r"key \(2, 3, 2\) has a non-finite value"):
-        PotentialCoefficients(square, {(1, 2, 1): 1.0, (2, 3, 2): complex(0.0, math.inf)})
-    c = PotentialCoefficients(g, {(np.int64(1), np.int32(2), 1): 2.0})
-    assert c.get(1, 2, 1) == 2.0
-    assert PotentialCoefficients.zero(g).get(0, 1, 0) == 0.0
+        connection.potential(square, {(1, 2, 1): 1.0, (2, 3, 2): complex(0.0, math.inf)})
+    c = connection.potential(g, {(np.int64(1), np.int32(2), 1): 2.0})
+    assert c.tolist() == [0.0, 2.0, 0.0]
+    zero = connection.potential(g)
+    assert zero.dtype == complex and zero.tolist() == [0.0, 0.0, 0.0]
+    assert connection.potential(g, {}).tolist() == zero.tolist()
 
 
 def test_unit_potential_covers_all_valid_keys():
     g = bidirected_ngon(4)
-    unit = PotentialCoefficients.unit(g)
-    keys = PotentialCoefficients.valid_keys(g)
-    assert unit.values.shape == (len(keys),) == (16,)
-    assert all(unit.get(*key) == 1.0 for key in keys)
+    keys = connection.valid_keys(g)
+    assert connection.potential(g).shape == (len(keys),) == (16,)
+    unit = connection.potential(g, {tuple(key): 1.0 for key in keys.tolist()})
+    assert unit.tolist() == unit_potential(g).tolist() == [1.0] * 16
 
 
 def test_parse_potential():
     g = ngon(3)
     c = connection.parse_potential("# c\n0 1 0 2.0 -1.0\n", g)
-    assert c.get(0, 1, 0) == 2.0 - 1.0j
+    assert c.tolist() == [2.0 - 1.0j, 0.0, 0.0]
     with pytest.raises(graphs.GraphFormatError, match="line 1"):
         connection.parse_potential("0 1 0 2.0", g)
     with pytest.raises(graphs.GraphFormatError, match="invalid"):
@@ -96,7 +97,7 @@ def test_parse_potential_reports_the_earliest_bad_line(lines, message):
 
 def test_zeta_zero_potential_and_dbar():
     g = ngon(4)
-    zero = PotentialCoefficients.zero(g)
+    zero = connection.potential(g)
     assert np.allclose(connection.zeta_operator(g, zero), 0.0)
     assert np.allclose(
         connection.dbar(g, zero), np.eye(4)
@@ -106,7 +107,7 @@ def test_zeta_zero_potential_and_dbar():
 def test_zeta_unit_on_directed_3gon():
     # chi_{1->2} maps to xi_{1->0} (x) chi_{0->1}: the only edge from vertex 0
     g = ngon(3)
-    z = connection.zeta_operator(g, PotentialCoefficients.unit(g))
+    z = connection.zeta_operator(g, unit_potential(g))
     col = z[:, g.edge_index(1, 2)]
     expect = np.zeros(3)
     expect[g.edge_index(0, 1)] = 1.0
@@ -116,7 +117,7 @@ def test_zeta_unit_on_directed_3gon():
 def test_zeta_unit_on_bidirected_3gon():
     # chi_{0->1} maps to xi_{0->2} (x) (chi_{2->0} + chi_{2->1})
     g = bidirected_ngon(3)
-    z = connection.zeta_operator(g, PotentialCoefficients.unit(g))
+    z = connection.zeta_operator(g, unit_potential(g))
     col = z[:, g.edge_index(0, 1)]
     expect = np.zeros(6)
     expect[g.edge_index(2, 0)] = 1.0
@@ -125,18 +126,75 @@ def test_zeta_unit_on_bidirected_3gon():
 
 
 def test_zeta_rejects_foreign_potential():
-    with pytest.raises(ValueError):
-        connection.zeta_operator(ngon(3), PotentialCoefficients.zero(ngon(4)))
+    # a potential of another graph with another key count is a shape error
+    with pytest.raises(ValueError) as err:
+        connection.zeta_operator(ngon(3), connection.potential(ngon(4)))
+    assert str(err.value) == "potential must have shape (3,), got shape (4,)"
+
+
+# every function that takes a potential, as a call on (g, c); the Laplacian
+# routes are those that can overflow
+POTENTIAL_TAKERS = {
+    "zeta_operator": connection.zeta_operator,
+    "dbar": connection.dbar,
+    "composite_blocks": connection.composite_blocks,
+    "zeta_dagger_closed_form": connection.zeta_dagger_closed_form,
+    "dirac_operator": dirac.dirac_operator,
+}
+LAPLACIAN_ROUTES = {
+    "laplacian": connection.laplacian,
+    "laplacian_blocks": connection.laplacian_blocks,
+    "apply_laplacian": lambda g, c: connection.apply_laplacian(g, c, np.ones(g.num_edges)),
+    "circulant_spectrum": spectra.circulant_spectrum,
+    "laplacian_spectrum": spectra.laplacian_spectrum,
+    "cli._laplacian_blocks": cli._laplacian_blocks,
+}
+POTENTIAL_TAKERS.update(LAPLACIAN_ROUTES)
+
+
+def bad_potentials():
+    """Arrays that are not a potential on the directed 5-gon (k = 5), each
+    with the error it raises."""
+    nan, inf = np.ones(5, dtype=complex), np.ones(5, dtype=complex)
+    nan[2], inf[4] = complex(math.nan, 0.0), complex(0.0, -math.inf)
+    return [
+        (np.ones(4, dtype=complex), "potential must have shape (5,), got shape (4,)"),
+        (np.ones(6, dtype=complex), "potential must have shape (5,), got shape (6,)"),
+        (np.ones((1, 5), dtype=complex), "potential must have shape (5,), got shape (1, 5)"),
+        (nan, "potential has a non-finite value (nan+0j) at index 2"),
+        (inf, "potential has a non-finite value -infj at index 4"),
+    ]
+
+
+@pytest.mark.parametrize("name", POTENTIAL_TAKERS)
+def test_every_function_that_takes_a_potential_checks_it(name):
+    """A potential of the wrong shape or with a non-finite value is one
+    ValueError wherever it is passed; a finite one whose Laplacian overflows
+    is the overflow error on the Laplacian routes; the array is never
+    written into."""
+    call, g = POTENTIAL_TAKERS[name], ngon(5)
+    for c, message in bad_potentials():
+        before = c.tobytes()
+        with pytest.raises(ValueError) as err:
+            call(g, c)
+        assert str(err.value) == message
+        assert c.tobytes() == before
+    if name in LAPLACIAN_ROUTES:
+        c = np.full(5, 1e200, dtype=complex)  # rotation invariant: the Fourier route takes it
+        with pytest.raises(ValueError) as err:
+            call(g, c)
+        assert str(err.value) == "the Laplacian has non-finite entries: the potential overflows"
+        assert (c == 1e200).all()
 
 
 # ------------------------------------------------------------------ Laplacian
 
 def test_laplacian_circulant_rows():
     g = ngon(3)
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+    lap = connection.laplacian(g, unit_potential(g))
     assert np.allclose(lap, [[2, 1, 1], [1, 2, 1], [1, 1, 2]])
     g = ngon(4)
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+    lap = connection.laplacian(g, unit_potential(g))
     first = np.array([2.0, 1.0, 0.0, 1.0])
     for k in range(4):
         assert np.allclose(lap[k], np.roll(first, k))
@@ -144,7 +202,7 @@ def test_laplacian_circulant_rows():
 
 def test_laplacian_empty_edge_set():
     g = DirectedCyclicGraph(3, [])
-    assert connection.laplacian(g, PotentialCoefficients.zero(g)).shape == (0, 0)
+    assert connection.laplacian(g, connection.potential(g)).shape == (0, 0)
 
 
 # the 4-gon with the chord 0->2: blocks C_mu of shapes 1 x 1, 1 x 2 and 2 x 1,
@@ -160,7 +218,7 @@ def test_overflowing_potential_raises_with_no_warning(g, key, value):
     diagonal blocks, from the Laplacian and from its action on one edge
     function or a stack of them, whatever their values, with no
     RuntimeWarning: warnings are errors under this suite's settings."""
-    c = PotentialCoefficients(g, {key: value})
+    c = connection.potential(g, {key: value})
     m = g.num_edges
     actions = [lambda g, c, f=f: connection.apply_laplacian(g, c, f)
                for f in (np.ones(m), np.zeros(m), np.ones((2, 3, m)), np.zeros((0, m)))]
@@ -173,7 +231,7 @@ def test_overflowing_potential_raises_with_no_warning(g, key, value):
 def test_apply_laplacian_unit_examples():
     g = ngon(3)
     chi = np.eye(g.num_edges)  # row e: the indicator of edge e
-    out = connection.apply_laplacian(g, PotentialCoefficients.unit(g),
+    out = connection.apply_laplacian(g, unit_potential(g),
                                      chi[g.edge_index(0, 1)])
     expect = (
         2.0 * chi[g.edge_index(0, 1)]
@@ -186,7 +244,7 @@ def test_apply_laplacian_unit_examples():
         g = ngon(n)
         ones = np.ones(n)
         assert np.allclose(
-            connection.apply_laplacian(g, PotentialCoefficients.unit(g), ones),
+            connection.apply_laplacian(g, unit_potential(g), ones),
             4.0 * np.ones(n),
         )
 
@@ -195,7 +253,7 @@ def test_apply_laplacian_unit_matches_matrix():
     rng = np.random.default_rng(13)
     for _ in range(20):
         g = random_graph(rng)
-        unit = PotentialCoefficients.unit(g)
+        unit = unit_potential(g)
         lap = connection.laplacian(g, unit)
         f = random_edge_values(rng, g.num_edges)
         direct = connection.apply_laplacian(g, unit, f)
@@ -206,7 +264,7 @@ def test_closed_form_adjoints():
     rng = np.random.default_rng(17)
     for _ in range(20):
         g = random_graph(rng)
-        c = PotentialCoefficients.random(g, rng)
+        c = random_potential(g, rng)
         assert np.allclose(
             connection.zeta_dagger_closed_form(g, c),
             connection.zeta_operator(g, c).conj().T,
@@ -217,7 +275,7 @@ def test_composite_blocks_sum_to_laplacian():
     rng = np.random.default_rng(19)
     for _ in range(20):
         g = random_graph(rng)
-        c = PotentialCoefficients.random(g, rng)
+        c = random_potential(g, rng)
         lap = connection.laplacian(g, c)
         blocks = connection.composite_blocks(g, c)
         assert set(blocks) == {
@@ -237,7 +295,7 @@ def test_laplacian_self_adjoint_psd():
         g = random_graph(rng)
         if not g.num_edges:
             continue
-        lap = connection.laplacian(g, PotentialCoefficients.random(g, rng))
+        lap = connection.laplacian(g, random_potential(g, rng))
         assert np.max(np.abs(lap - lap.conj().T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(lap)) >= -1e-9
 
@@ -248,6 +306,6 @@ def test_integer_unit_laplacian():
         g = random_graph(rng)
         exact = connection.laplacian_unit_int(g)
         assert exact.dtype == np.int64
-        lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+        lap = connection.laplacian(g, unit_potential(g))
         if g.num_edges:
             assert np.max(np.abs(lap - exact)) <= 1e-12

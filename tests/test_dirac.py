@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from kahleredge import connection, dirac, graphs, spectra
-from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph
 
-from conftest import random_graph
+from conftest import random_graph, random_potential, unit_potential
 
 
 def ngon(n):
@@ -20,7 +19,7 @@ def ngon(n):
 
 def test_dirac_zero_potential_pairs_blocks():
     g = ngon(3)
-    d = dirac.dirac_operator(g, PotentialCoefficients.zero(g))
+    d = dirac.dirac_operator(g, connection.potential(g))
     assert d.shape == (6, 6)
     assert np.allclose(d[:3, 3:], np.eye(3))
     assert np.allclose(d[3:, :3], np.eye(3))
@@ -33,7 +32,7 @@ def test_dirac_self_adjoint_and_square_block_diagonal():
     for _ in range(10):
         g = random_graph(rng)
         m = g.num_edges
-        c = PotentialCoefficients.random(g, rng)
+        c = random_potential(g, rng)
         d = dirac.dirac_operator(g, c)
         assert np.max(np.abs(d - d.conj().T), initial=0.0) <= 1e-12
         sq = d @ d
@@ -48,7 +47,7 @@ def test_dirac_self_adjoint_and_square_block_diagonal():
 
 def test_commutator_of_indicator_has_norm_one():
     g = ngon(3)
-    d = dirac.dirac_operator(g, PotentialCoefficients.unit(g))
+    d = dirac.dirac_operator(g, unit_potential(g))
     f = [1.0, 0.0, 0.0]
     com = dirac.commutator_with_function(d, f, g)
     assert dirac.operator_norm(com) == pytest.approx(1.0, abs=1e-9)
@@ -60,10 +59,10 @@ def test_commutator_is_potential_independent():
         g = random_graph(rng)
         f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         base = dirac.commutator_with_function(
-            dirac.dirac_operator(g, PotentialCoefficients.zero(g)), f, g
+            dirac.dirac_operator(g, connection.potential(g)), f, g
         )
         other = dirac.commutator_with_function(
-            dirac.dirac_operator(g, PotentialCoefficients.random(g, rng)), f, g
+            dirac.dirac_operator(g, random_potential(g, rng)), f, g
         )
         assert np.array_equal(base, other)
 
@@ -72,7 +71,7 @@ def test_commutator_norm_is_max_adjacent_difference():
     rng = np.random.default_rng(41)
     for _ in range(10):
         g = random_graph(rng)
-        d = dirac.dirac_operator(g, PotentialCoefficients.zero(g))
+        d = dirac.dirac_operator(g, connection.potential(g))
         f = rng.standard_normal(g.n)
         nrm = dirac.operator_norm(dirac.commutator_with_function(d, f, g))
         diffs = [abs(f[s] - f[(s + 1) % g.n]) for s in g.sources]
@@ -151,7 +150,7 @@ def test_witness_is_feasible_and_attaining():
     rng = np.random.default_rng(43)
     for _ in range(5):
         g = random_graph(rng, full_out_degree=True)
-        d = dirac.dirac_operator(g, PotentialCoefficients.zero(g))
+        d = dirac.dirac_operator(g, connection.potential(g))
         for nu in range(g.n):
             res = dirac.connes_distance(g, 0, nu)
             w = res.witness
@@ -191,8 +190,8 @@ def test_numeric_bracket_potential_independent():
         g = random_graph(rng)
         upper = dirac.distance_bracket(g)[1]
         f = np.where(np.isinf(upper), g.n, upper).T
-        potentials = [PotentialCoefficients.zero(g), PotentialCoefficients.unit(g)]
-        potentials += [PotentialCoefficients.random(g, rng) for _ in range(3)]
+        potentials = [connection.potential(g), unit_potential(g)]
+        potentials += [random_potential(g, rng) for _ in range(3)]
         ref, *rest = [dirac.commutator_with_function(dirac.dirac_operator(g, c), f, g)
                       for c in potentials]
         assert all(np.array_equal(got, ref) for got in rest)

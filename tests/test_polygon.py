@@ -264,9 +264,12 @@ def test_degree_part_splits_the_form():
     parts = [cal.degree_part(w, k) for k in (0, 1, 2)]
     assert close(parts[0] + parts[1] + parts[2], w, 0.0)
     np.testing.assert_array_equal(parts[1], cal.form(deg1_fwd=[0, 2, 0], deg1_bwd=[0, 0, 3]))
-    with pytest.raises(ValueError) as err:
-        cal.degree_part(w, 3)
-    assert str(err.value) == "degree must be 0, 1 or 2, got 3"
+    np.testing.assert_array_equal(cal.degree_part(w, np.int64(1)), parts[1])
+    # a bool, a float equal to a degree and a list are refused, not read as 1 or 2
+    for k, text in ((3, "3"), (True, "True"), (1.0, "1.0"), (2.0, "2.0"), ([1], "[1]")):
+        with pytest.raises(ValueError) as err:
+            cal.degree_part(w, k)
+        assert str(err.value) == f"degree must be 0, 1 or 2, got {text}"
 
 
 def test_basis_forms_stack_iterates_and_slices_as_single_forms():

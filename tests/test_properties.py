@@ -30,8 +30,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from kahleredge import cli, connection, dirac, graphs, spectra, verify
-from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph
+
+from conftest import random_potential, unit_potential
 
 EMPTY = DirectedCyclicGraph(4, [])
 LOOPS_AND_SINKS = DirectedCyclicGraph(5, [(0, 0), (0, 3), (1, 2), (1, 1), (3, 4), (3, 0)])
@@ -114,7 +115,7 @@ def test_positions_agree_with_the_keys(g):
     keys = reference_keys(g)
     triples = list(itertools.product(range(-1, g.n + 1), repeat=3))
     want = [keys.index(t) if t in keys else -1 for t in triples]
-    assert PotentialCoefficients(g).positions(*np.array(triples).T).tolist() == want
+    assert connection._key_positions(g, *np.array(triples).T).tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,12 +132,14 @@ def test_format_parse_round_trip(g):
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_keys_and_random_draws_match_the_double_loop(g, seed):
     keys = reference_keys(g)
-    assert [tuple(key) for key in PotentialCoefficients.valid_keys(g).tolist()] == keys
+    assert [tuple(key) for key in connection.valid_keys(g).tolist()] == keys
+    assert connection.potential(g).shape == (len(keys),)
+    # verify's draw of a random potential: the real parts, then the imaginary ones
     rng = np.random.default_rng(seed)
-    c = PotentialCoefficients.random(g, rng)
+    c = verify._complex_normal(rng, (len(keys),))
     ref = np.random.default_rng(seed)
     values = ref.standard_normal(len(keys)) + 1j * ref.standard_normal(len(keys))
-    assert [c.get(*key) for key in keys] == values.tolist()
+    assert c.tobytes() == values.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -146,12 +149,11 @@ def test_keys_and_random_draws_match_the_double_loop(g, seed):
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_parsed_potential_matches_the_keys(g, seed):
     rng = np.random.default_rng(seed)
-    c = PotentialCoefficients.random(g, rng)
+    c = random_potential(g, rng)
     keys = reference_keys(g)
-    lines = [f"{mu} {nu} {nup} {c.get(mu, nu, nup).real!r} {c.get(mu, nu, nup).imag!r}"
-             for mu, nu, nup in keys]
+    lines = [f"{mu} {nu} {nup} {v.real!r} {v.imag!r}" for (mu, nu, nup), v in zip(keys, c.tolist())]
     shuffled = [lines[i] for i in rng.permutation(len(lines))]
-    assert np.array_equal(connection.parse_potential("\n".join(shuffled), g).values, c.values)
+    assert np.array_equal(connection.parse_potential("\n".join(shuffled), g), c)
     for triple in itertools.product(range(-1, g.n + 1), repeat=3):
         line = "%d %d %d 1.0 0.0" % triple
         if triple in keys:
@@ -213,7 +215,7 @@ def test_graph_reader_agrees_with_the_line_loop(body):
 
 
 POTENTIAL_GRAPH = spectra.make_circulant_regular(5, 2)
-triples = mostly(st.sampled_from(PotentialCoefficients.valid_keys(POTENTIAL_GRAPH).tolist()),
+triples = mostly(st.sampled_from(connection.valid_keys(POTENTIAL_GRAPH).tolist()),
                  st.lists(st.integers(-1, 5), min_size=3, max_size=3)).map(
                      lambda key: "%d %d %d" % tuple(key))
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -223,7 +225,7 @@ coefficients = mostly(finite.map(repr) | finite.map("%.17g".__mod__) | finite.ma
 
 def values_of(parse, *args):
     result = outcome(parse, *args)
-    return result.values.tobytes() if isinstance(result, PotentialCoefficients) else result
+    return result.tobytes() if isinstance(result, np.ndarray) else result
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,13 +245,13 @@ def test_potential_reader_agrees_with_the_line_loop(text):
 def test_printed_floats_are_read_bitwise(data):
     """Every coefficient written with repr or "%.17g" reads back as float()
     reads it, bit for bit, through the C reader."""
-    keys = PotentialCoefficients.valid_keys(POTENTIAL_GRAPH).tolist()
+    keys = connection.valid_keys(POTENTIAL_GRAPH).tolist()
     floats = data.draw(st.lists(finite, min_size=2 * len(keys), max_size=2 * len(keys)))
     texts = [repr(x) if k % 2 else "%.17g" % x for k, x in enumerate(floats)]
     text = "".join("%d %d %d %s %s\n" % (*key, *texts[2 * i:2 * i + 2])
                    for i, key in enumerate(keys))
     c = connection.parse_potential(text, POTENTIAL_GRAPH)
-    assert c.values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+    assert c.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
 def test_clean_files_skip_the_line_loop(monkeypatch):
@@ -262,13 +264,13 @@ def test_clean_files_skip_the_line_loop(monkeypatch):
     g = spectra.make_circulant_regular(40, 3)
     text = graphs.format_graph(g).replace("\n", " # edge\r\n", 7)
     rng = np.random.default_rng(3)
-    c = PotentialCoefficients.random(g, rng)
-    potential = "".join(f"{mu} {nu} {nup} {c.get(mu, nu, nup).real!r} {c.get(mu, nu, nup).imag!r}\n"
-                        for mu, nu, nup in PotentialCoefficients.valid_keys(g).tolist())
+    c = random_potential(g, rng)
+    potential = "".join(f"{mu} {nu} {nup} {v.real!r} {v.imag!r}\n"
+                        for (mu, nu, nup), v in zip(connection.valid_keys(g).tolist(), c.tolist()))
     monkeypatch.setattr(graphs, "_graph_from_lines", fail)
     monkeypatch.setattr(connection, "_potential_from_lines", fail)
     assert graphs.parse_graph(text) == g
-    assert connection.parse_potential(potential, g).values.tobytes() == c.values.tobytes()
+    assert connection.parse_potential(potential, g).tobytes() == c.tobytes()
     first, second = potential.splitlines()[:2]
     with pytest.raises(graphs.GraphFormatError,
                        match=r"^line 4: invalid potential triple \(0, 0, 0\)$"):
@@ -295,11 +297,11 @@ def test_clean_files_skip_the_line_loop(monkeypatch):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_zeta_matches_the_triples(g, seed):
-    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    c = random_potential(g, np.random.default_rng(seed))
     m = g.num_edges
     ref = np.zeros((m, m), dtype=complex)
-    for mu, nu, nup in reference_keys(g):
-        ref[g.edge_index((mu - 1) % g.n, nup), g.edge_index(mu, nu)] = c.get(mu, nu, nup)
+    for (mu, nu, nup), value in zip(reference_keys(g), c):
+        ref[g.edge_index((mu - 1) % g.n, nup), g.edge_index(mu, nu)] = value
     assert np.array_equal(connection.zeta_operator(g, c), ref)
 
 
@@ -308,7 +310,7 @@ def test_zeta_matches_the_triples(g, seed):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_closed_forms_match_the_conjugate_transpose_route(g, seed):
-    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    c = random_potential(g, np.random.default_rng(seed))
     m = g.num_edges
     zeta = connection.zeta_operator(g, c)
     zeta_dagger = zeta.conj().T
@@ -331,8 +333,8 @@ def test_closed_forms_match_the_conjugate_transpose_route(g, seed):
 @example(g=LOOPS_AND_SINKS, seed=1)
 @example(g=HUBS, seed=2)
 def test_laplacian_is_the_dense_product(g, seed):
-    for c, exact in ((PotentialCoefficients.random(g, np.random.default_rng(seed)), False),
-                     (PotentialCoefficients.unit(g), True), (PotentialCoefficients.zero(g), True)):
+    for c, exact in ((random_potential(g, np.random.default_rng(seed)), False),
+                     (unit_potential(g), True), (connection.potential(g), True)):
         d = connection.dbar(g, c)
         ref = d.conj().T @ d
         lap = connection.laplacian(g, c)
@@ -349,7 +351,7 @@ def test_laplacian_is_the_dense_product(g, seed):
 @example(g=EMPTY)
 @example(g=LOOPS_AND_SINKS)
 def test_integer_unit_laplacian_is_exact(g):
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+    lap = connection.laplacian(g, unit_potential(g))
     assert np.array_equal(connection.laplacian_unit_int(g), lap)
 
 
@@ -358,7 +360,7 @@ def test_integer_unit_laplacian_is_exact(g):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_matrix_free_unit_action_matches_the_matrix(g, seed):
-    unit = PotentialCoefficients.unit(g)
+    unit = unit_potential(g)
     lap = connection.laplacian(g, unit)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(g.num_edges) + 1j * rng.standard_normal(g.num_edges)
@@ -380,8 +382,8 @@ def test_matrix_free_action_matches_the_matrix(g, shape, seed):
     m = g.num_edges
     f = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
     before = f.tobytes()
-    for c in (PotentialCoefficients.random(g, rng), PotentialCoefficients.unit(g),
-              PotentialCoefficients.zero(g)):
+    for c in (random_potential(g, rng), unit_potential(g),
+              connection.potential(g)):
         lap = connection.laplacian(g, c)
         direct = connection.apply_laplacian(g, c, f)
         assert direct.shape == (*shape, m)
@@ -398,12 +400,13 @@ def test_matrix_free_action_matches_the_matrix(g, shape, seed):
 def test_matrix_free_action_rejects_a_foreign_graph():
     g, other = LOOPS_AND_SINKS, HUBS
     f = np.ones(g.num_edges)
-    with pytest.raises(ValueError, match="potential defined on a different graph"):
-        connection.apply_laplacian(g, PotentialCoefficients.unit(other), f)
-    # a plain array carries no graph: one of another graph's edge count is a shape error
+    # plain arrays carry no graph: a potential of another graph's key count
+    # and an edge function of its edge count are shape errors
+    with pytest.raises(ValueError, match=r"^potential must have shape \(4,\), got shape \(38,\)$"):
+        connection.apply_laplacian(g, unit_potential(other), f)
     assert other.num_edges != g.num_edges
     with pytest.raises(ValueError, match="edge function must have last axis of length"):
-        connection.apply_laplacian(g, PotentialCoefficients.unit(g), np.ones(other.num_edges))
+        connection.apply_laplacian(g, unit_potential(g), np.ones(other.num_edges))
 
 
 def test_edge_pairs_are_read_only_and_built_once_per_graph(monkeypatch):
@@ -417,9 +420,9 @@ def test_edge_pairs_are_read_only_and_built_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(cached, "func", counted)
     g = spectra.make_circulant_regular(16, 4)
-    unit = PotentialCoefficients.unit(g)
+    unit = unit_potential(g)
     f = np.ones((2, g.num_edges))
-    for c in PotentialCoefficients.random(g, np.random.default_rng(0)), unit:
+    for c in random_potential(g, np.random.default_rng(0)), unit:
         connection.laplacian(g, c)
         connection.apply_laplacian(g, c, f)
     assert len(builds) == 1 and builds[0] is g
@@ -543,7 +546,7 @@ def test_numeric_bracket_holds_the_exact_distances(g):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_laplacian_is_positive_semidefinite(g, seed):
-    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    c = random_potential(g, np.random.default_rng(seed))
     eigs = np.linalg.eigvalsh(connection.laplacian(g, c))
     norm = np.abs(eigs).max(initial=0.0)
     assert eigs.min(initial=0.0) >= -1e-9 * max(1.0, norm)
@@ -554,7 +557,7 @@ def circulant_with_potential(n, offsets, z):
     blocks in offset order all equal z, written key by key:
     c[mu, mu + o_a, mu - 1 + o_b] = z[a, b]."""
     g = DirectedCyclicGraph(n, [(mu, (mu + o) % n) for mu in range(n) for o in offsets])
-    return g, PotentialCoefficients(g, {
+    return g, connection.potential(g, {
         (mu, (mu + oa) % n, (mu - 1 + ob) % n): z[a, b]
         for mu in range(n) for a, oa in enumerate(offsets) for b, ob in enumerate(offsets)})
 
@@ -578,17 +581,16 @@ def test_fourier_route_is_the_dense_spectrum(circulant, seed):
     d = len(offsets)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     g, c = circulant_with_potential(n, offsets, z)
-    for pot in (c, PotentialCoefficients.unit(g), PotentialCoefficients.zero(g)):
+    for pot in (c, unit_potential(g), connection.potential(g)):
         dense = spectra.eig_selfadjoint(connection.laplacian(g, pot)).eigenvalues
         route = spectra.circulant_spectrum(g, pot)
         assert route is not None and route.shape == dense.shape
         assert np.max(np.abs(route - dense), initial=0.0) <= 1e-12 * max(1.0, dense.max(initial=0.0))
     if not d:
         return
-    k = int(rng.integers(len(c.values)))
-    off = PotentialCoefficients(g)
-    off.values[:] = c.values
-    off.values[k] = complex(np.nextafter(c.values[k].real, np.inf), c.values[k].imag)
+    k = int(rng.integers(len(c)))
+    off = c.copy()
+    off[k] = complex(np.nextafter(c[k].real, np.inf), c[k].imag)
     assert spectra.circulant_spectrum(g, off) is None
     edges = list(g.edges)
     mu, nu = edges.pop(int(rng.integers(len(edges))))
@@ -599,7 +601,7 @@ def test_fourier_route_is_the_dense_spectrum(circulant, seed):
     if free:
         others.append(DirectedCyclicGraph(n, [*edges, (mu, free[0])]))
     for other in others:
-        assert spectra.circulant_spectrum(other, PotentialCoefficients.unit(other)) is None
+        assert spectra.circulant_spectrum(other, unit_potential(other)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,9 +616,9 @@ def test_laplacian_spectrum_is_the_dense_spectrum(g, potential, seed):
     """The one spectrum path: off the Fourier route it is the dense solve
     bit for bit, on it the dense solve to 1e-12 relative."""
     if potential == "random":
-        c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+        c = random_potential(g, np.random.default_rng(seed))
     else:
-        c = getattr(PotentialCoefficients, potential)(g)
+        c = unit_potential(g) if potential == "unit" else connection.potential(g)
     eigs = spectra.laplacian_spectrum(g, c)
     dense = spectra.eig_selfadjoint(connection.laplacian(g, c)).eigenvalues
     if spectra.circulant_spectrum(g, c) is None:
@@ -631,7 +633,7 @@ def test_laplacian_spectrum_is_the_dense_spectrum(g, potential, seed):
 @example(g=EMPTY, seed=0)
 @example(g=LOOPS_AND_SINKS, seed=1)
 def test_dirac_square_is_block_diagonal_with_the_laplacian_on_top(g, seed):
-    c = PotentialCoefficients.random(g, np.random.default_rng(seed))
+    c = random_potential(g, np.random.default_rng(seed))
     m = g.num_edges
     d = dirac.dirac_operator(g, c)
     square = d @ d
@@ -676,7 +678,7 @@ def commutator_steps(g, f):
 def test_bracket_certificate_is_the_norm_of_the_commutator(g, k, seed, arcs):
     # a stack of k real functions, or the arc indicators, which commute with D
     rng = np.random.default_rng(seed)
-    c = PotentialCoefficients.random(g, rng)
+    c = random_potential(g, rng)
     f = arc_indicators(g) if arcs else rng.standard_normal((k, g.n))
     norms = dirac.operator_norm(dirac.commutator_with_function(
         dirac.dirac_operator(g, c), f, g))
@@ -923,15 +925,15 @@ def test_laplacian_rows_print_as_the_assembled_matrix(g, potential, seed):
     and JSON: the conjugate's texts, derived from the coefficient's, carry
     the signs of zero that conj(c) + 0.0 has."""
     if potential == "unit":
-        c = PotentialCoefficients.unit(g)
+        c = unit_potential(g)
     elif potential == "zero":
-        c = PotentialCoefficients.zero(g)
+        c = connection.potential(g)
     else:
         rng = np.random.default_rng(seed)
-        c = PotentialCoefficients(g)
-        k = len(c.values)
+        c = connection.potential(g)
+        k = len(c)
         pool = np.concatenate([COEFFICIENTS, rng.standard_normal(6) * 10.0 ** rng.integers(-150, 150, 6)])
-        c.values.real, c.values.imag = rng.choice(pool, (2, k))
+        c.real, c.imag = rng.choice(pool, (2, k))
     lap = connection.laplacian(g, c)
     (csv,) = cli._laplacian_blocks(g, c)
     real, imag = cli._laplacian_blocks(g, c, json=True)

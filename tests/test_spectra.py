@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kahleredge import connection, spectra
-from kahleredge.connection import PotentialCoefficients
 from kahleredge.graphs import DirectedCyclicGraph
+
+from conftest import unit_potential
 
 
 def ngon(n):
@@ -130,7 +131,7 @@ def test_real_valued_complex_input_takes_the_real_route():
     # real solver on the real symmetrised matrix
     rng = np.random.default_rng(6)
     loops_and_sinks = DirectedCyclicGraph(5, [(0, 0), (0, 3), (1, 2), (1, 1), (3, 4), (3, 0)])
-    mats = [connection.laplacian(g, PotentialCoefficients.unit(g))
+    mats = [connection.laplacian(g, unit_potential(g))
             for g in (ngon(7), spectra.make_circulant_regular(6, 3), loops_and_sinks)]
     for m in (1, 5, 30):
         b = rng.standard_normal((m, m))
@@ -184,7 +185,7 @@ def test_ngon_closed_form_values():
 def test_ngon_laplacian_spectrum():
     for n in (3, 4, 5, 7, 12, 128, 256):
         g = ngon(n)
-        lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+        lap = connection.laplacian(g, unit_potential(g))
         eigs = spectra.eig_selfadjoint(lap).eigenvalues
         assert np.max(np.abs(eigs - spectra.ngon_closed_form(n))) <= 1e-9
 
@@ -197,7 +198,7 @@ def test_gershgorin():
         spectra.gershgorin_radius(np.zeros((2, 3)))
     for n, d in ((5, 2), (6, 3)):
         g = spectra.make_circulant_regular(n, d)
-        lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+        lap = connection.laplacian(g, unit_potential(g))
         assert spectra.gershgorin_radius(lap) == pytest.approx((d + 1) ** 2)
 
 
@@ -214,7 +215,7 @@ def test_make_circulant_regular():
 
 def test_regular_top_eigenvalue():
     g = spectra.make_circulant_regular(4, 2)
-    lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+    lap = connection.laplacian(g, unit_potential(g))
     eigs = spectra.eig_selfadjoint(lap).eigenvalues
     assert eigs[-1] == pytest.approx(9.0)
     assert np.max(np.abs(lap @ np.ones(8) - 9.0 * np.ones(8))) <= 1e-9
@@ -223,7 +224,7 @@ def test_regular_top_eigenvalue():
 def test_kernel_parity_on_ngons():
     for n in range(3, 13):
         g = ngon(n)
-        lap = connection.laplacian(g, PotentialCoefficients.unit(g))
+        lap = connection.laplacian(g, unit_potential(g))
         eigs = spectra.eig_selfadjoint(lap).eigenvalues
         has_zero = abs(eigs[0]) <= 1e-9
         assert has_zero == (n % 2 == 0)

@@ -10,6 +10,8 @@ from kahleredge import connection, dirac, graphs, verify
 from kahleredge.graphs import DirectedCyclicGraph
 from kahleredge.polygon import Calculus
 
+from conftest import random_potential
+
 POLYGON_SUITE = """
     star-graded-antihomomorphism star-involution J-derivation J-squared J-star-compatible
     d-of-unit leibniz kappa-real kappa-central lefschetz-rank hodge-star-squared
@@ -57,8 +59,8 @@ def test_commutator_norm_formula_matches_the_sample_loop(monkeypatch, cells):
     rng = np.random.default_rng(5)
     rng.standard_normal(2 * g.n)  # the draws of commutator-potential-free
     for _ in range(5):
-        connection.PotentialCoefficients.random(g, rng)
-    D = dirac.dirac_operator(g, connection.PotentialCoefficients.zero(g))
+        random_potential(g, rng)
+    D = dirac.dirac_operator(g, connection.potential(g))
     want = 0.0
     for _ in range(25):
         f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
